@@ -158,17 +158,19 @@ def leaf_states(spec: SolenoidSpec, digits: np.ndarray, lifts: np.ndarray):
     """Evaluate several leaves (rows of `digits`) over an array of base lifts.
 
     digits has shape (m, n) with the deepest symbol first; lifts is a real
-    array of shape (k,).  Returns (y, z) arrays of shape (m, k).  The lift
-    values may leave [0, 2*pi); the inverse-branch chain then continues the
-    leaf across the seam, which is what extended leaf windows require.
+    array of shape (k,) shared by every leaf, or of shape (m, k) with one
+    row of lifts per digits row.  Returns (y, z) arrays of shape (m, k).
+    The lift values may leave [0, 2*pi); the inverse-branch chain then
+    continues the leaf across the seam, which is what extended leaf
+    windows require.
     """
     digits = np.atleast_2d(np.asarray(digits, dtype=int))
     lifts = np.asarray(lifts, dtype=float)
     m, n = digits.shape
-    x = np.broadcast_to(lifts, (m,) + lifts.shape).copy()
+    x = np.broadcast_to(lifts, (m, lifts.shape[-1])).copy()
     chain = []
     for j in range(1, n + 1):
-        x = spec.eta_inverse_lift(x + TWO_PI * digits[:, n - j][(...,) + (None,) * lifts.ndim])
+        x = spec.eta_inverse_lift(x + TWO_PI * digits[:, n - j, None])
         chain.append(x)
     y = np.zeros_like(x)
     z = np.zeros_like(x)

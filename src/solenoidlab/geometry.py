@@ -162,11 +162,15 @@ def _mix(cols, spans) -> np.ndarray:
 
 
 def _box_count(points: np.ndarray, r: float, offset: float = 0.0) -> int:
+    if len(points) == 0:
+        return 0
     idx = np.floor((points - offset) / r).astype(np.int64)
     mins = idx.min(axis=0)
     idx -= mins
     spans = idx.max(axis=0).astype(np.int64) + 1
-    return int(np.unique(_mix(idx.T, spans)).size)
+    # distinct keys by sorting and comparing neighbours (np.unique is slower)
+    keys = np.sort(_mix(idx.T, spans))
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 # Chord runs generated per block of chords while counting.

@@ -6,6 +6,11 @@ on extended windows [-margin, 2*pi + margin] and across the seam.  The
 crossing set of projected leaves from different generation-one tubes (the
 pool built by ``build_gamma_pool``) drives both the transversality
 estimate and the strong-Lipschitz margin test.
+
+All crossings go through one batched engine: the (leaf a, leaf b, cell)
+candidates of a pair sample, the pool or a holonomy scan are bisected
+together by ``_bisect``, each leaf evaluated at its own lift, and every
+candidate follows its scalar trajectory, so batching changes no result.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .thermo import gibbs_weight_array, _phi_exponent
 SLOPE_STEP = 1e-5          # central-difference step along the lift
 NEAR_TANGENCY_SLOPE = 1e-6  # |slope difference| below this is a tangency
 TOUCH_TOL = 1e-9            # |y_a - y_b| below this counts as contact
+CROSSING_TOL = 1e-10        # bisection stops at this cell width
 
 
 @dataclass(frozen=True)
@@ -105,49 +111,120 @@ def leaf_point(spec: SolenoidSpec, past: Word, lift: float) -> Point3:
                   z=float(z[0, 0]))
 
 
+def _leaves(spec, pasts, margin, samples, tol):
+    """Leaves of several same-length pasts from one leaf_states call."""
+    if samples < 2:
+        raise ValueError("need at least two samples")
+    bound = _require_depth(spec, pasts[0], tol)
+    lifts = np.linspace(-margin, TWO_PI + margin, samples)
+    y, z = leaf_states(spec, np.array([p.symbols for p in pasts], dtype=int),
+                       lifts)
+    return [UnstableLeaf(spec=spec, past=p, margin=float(margin),
+                         samples=np.column_stack([lifts, y[i], z[i]]),
+                         error_bound=float(bound))
+            for i, p in enumerate(pasts)]
+
+
 def unstable_leaf(spec: SolenoidSpec, past: Word, margin: float,
                   samples: int, tol: float = 1e-9) -> UnstableLeaf:
     """Sample a leaf on an increasing lift grid over [-margin, 2*pi+margin]."""
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    bound = _require_depth(spec, past, tol)
-    lifts = np.linspace(-margin, TWO_PI + margin, samples)
-    y, z = leaf_states(spec, np.array([past.symbols], dtype=int), lifts)
-    rows = np.column_stack([lifts, y[0], z[0]])
-    return UnstableLeaf(spec=spec, past=past, margin=float(margin),
-                        samples=rows, error_bound=float(bound))
+    return _leaves(spec, [past], margin, samples, tol)[0]
 
 
-def _leaf_y(spec, symbols, lifts):
-    y, _ = leaf_states(spec, np.asarray([symbols], dtype=int),
-                       np.asarray(lifts, dtype=float))
-    return y[0]
+# ---------------------------------------------------------------------------
+# Batched crossing engine
+# ---------------------------------------------------------------------------
+
+def _pair_y(spec, dig_a, dig_b, lifts):
+    """y of leaves dig_a[i] and dig_b[i] over lifts[i], in one call if it can."""
+    c = len(dig_a)
+    if dig_a.shape[1] == dig_b.shape[1]:
+        y, _ = leaf_states(spec, np.concatenate([dig_a, dig_b]),
+                           np.concatenate([lifts, lifts]))
+        return y[:c], y[c:]
+    return leaf_states(spec, dig_a, lifts)[0], leaf_states(spec, dig_b, lifts)[0]
 
 
-def _refine_crossing(spec, sym_a, sym_b, lo, hi, tol=1e-10):
-    def gap(x):
-        return float(_leaf_y(spec, sym_a, [x])[0] - _leaf_y(spec, sym_b, [x])[0])
+def _bisect(spec, dig_a, dig_b, lo, hi, g_lo):
+    """Refine sign changes of y_a - y_b in the cells [lo, hi] together.
 
-    g_lo = gap(lo)
+    Each candidate keeps the half whose ends differ in sign until its width
+    is at most CROSSING_TOL (at most 64 halvings); only active candidates
+    are re-evaluated.  Returns the cell midpoints (zero-width cells as is).
+    """
+    lo, hi, g_lo = lo.copy(), hi.copy(), g_lo.copy()
     for _ in range(64):
-        if hi - lo <= tol:
+        act = np.flatnonzero(hi - lo > CROSSING_TOL)
+        if act.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[act] + hi[act])
+        ya, yb = _pair_y(spec, dig_a[act], dig_b[act], mid[:, None])
+        g_mid = ya[:, 0] - yb[:, 0]
+        same = (g_mid > 0.0) == (g_lo[act] > 0.0)
+        lo[act] = np.where(same, mid, lo[act])
+        g_lo[act] = np.where(same, g_mid, g_lo[act])
+        hi[act] = np.where(same, hi[act], mid)
     return 0.5 * (lo + hi)
 
 
-def _slopes_at(spec, sym_a, sym_b, x):
-    pts = np.array([x - SLOPE_STEP, x + SLOPE_STEP])
-    ya = _leaf_y(spec, sym_a, pts)
-    yb = _leaf_y(spec, sym_b, pts)
-    sa = (ya[1] - ya[0]) / (2.0 * SLOPE_STEP)
-    sb = (yb[1] - yb[0]) / (2.0 * SLOPE_STEP)
-    return float(sa), float(sb)
+def _crossings(pairs) -> list:
+    """Crossing records of every (leaf a, leaf b) pair, one sorted list each.
+
+    Sign changes of y_a - y_b on the union lift grid are bisected, all
+    pairs at once; contact runs within TOUCH_TOL (a grid point on the
+    crossing, a tangency or a coincidence stretch) keep their middle grid
+    point, and the slope gap decides which.  Leaves a share one past
+    length, as do leaves b.
+    """
+    owner, lo, hi, g_lo = [], [], [], []
+    for p, (la, lb) in enumerate(pairs):
+        if la.past.most_recent == lb.past.most_recent:
+            raise ValueError("leaves must come from distinct leading symbols")
+        a, b = max(la.lifts[0], lb.lifts[0]), min(la.lifts[-1], lb.lifts[-1])
+        if b <= a:
+            continue
+        grid = np.unique(np.concatenate([
+            la.lifts[(la.lifts >= a) & (la.lifts <= b)],
+            lb.lifts[(lb.lifts >= a) & (lb.lifts <= b)], [a, b]]))
+        if np.array_equal(grid, la.lifts) and np.array_equal(grid, lb.lifts):
+            g = la.y - lb.y
+        else:
+            ya, yb = _pair_y(la.spec, np.array([la.past.symbols]),
+                             np.array([lb.past.symbols]), grid[None, :])
+            g = ya[0] - yb[0]
+        touching = np.abs(g) < TOUCH_TOL
+        edge = np.diff(np.concatenate([[0], touching.astype(int), [0]]))
+        runs = grid[(np.flatnonzero(edge == 1) + np.flatnonzero(edge == -1)
+                     - 1) // 2]
+        sign = np.sign(g)
+        k = np.flatnonzero(~touching[:-1] & ~touching[1:]
+                           & (sign[:-1] * sign[1:] < 0.0))
+        owner.append(np.full(runs.size + k.size, p))
+        lo.append(np.concatenate([runs, grid[k]]))
+        hi.append(np.concatenate([runs, grid[k + 1]]))
+        g_lo.append(np.concatenate([np.zeros(runs.size), g[k]]))
+    out = [[] for _ in pairs]
+    owner = np.concatenate([np.zeros(0, dtype=int)] + owner)
+    if owner.size == 0:
+        return out
+    spec = pairs[0][0].spec
+    dig_a = np.array([la.past.symbols for la, _ in pairs])[owner]
+    dig_b = np.array([lb.past.symbols for _, lb in pairs])[owner]
+    x = _bisect(spec, dig_a, dig_b, np.concatenate(lo), np.concatenate(hi),
+                np.concatenate(g_lo))
+    ya, yb = _pair_y(spec, dig_a, dig_b, np.stack(
+        [x - SLOPE_STEP, x + SLOPE_STEP, x], axis=1))
+    diff = np.abs((ya[:, 1] - ya[:, 0]) / (2.0 * SLOPE_STEP)
+                  - (yb[:, 1] - yb[:, 0]) / (2.0 * SLOPE_STEP))
+    for i, p in enumerate(owner):
+        out[p].append(IntersectionRecord(
+            x_lift=float(x[i]), y=float(ya[i, 2]),
+            angle=float(math.atan(diff[i])),
+            past_a=pairs[p][0].past, past_b=pairs[p][1].past,
+            near_tangency=bool(diff[i] < NEAR_TANGENCY_SLOPE)))
+    for recs in out:
+        recs.sort(key=lambda r: r.x_lift)
+    return out
 
 
 def leaf_intersections(leaf_a: UnstableLeaf, leaf_b: UnstableLeaf) -> list:
@@ -157,59 +234,7 @@ def leaf_intersections(leaf_a: UnstableLeaf, leaf_b: UnstableLeaf) -> list:
     the curves stay within TOUCH_TOL (coincident or tangent graphs, no
     sign change) are reported as near-tangency records.
     """
-    if leaf_a.past.most_recent == leaf_b.past.most_recent:
-        raise ValueError("leaves must come from distinct leading symbols")
-    spec = leaf_a.spec
-    lo = max(leaf_a.lifts[0], leaf_b.lifts[0])
-    hi = min(leaf_a.lifts[-1], leaf_b.lifts[-1])
-    if hi <= lo:
-        return []
-    grid = np.unique(np.concatenate([
-        leaf_a.lifts[(leaf_a.lifts >= lo) & (leaf_a.lifts <= hi)],
-        leaf_b.lifts[(leaf_b.lifts >= lo) & (leaf_b.lifts <= hi)],
-        [lo, hi]]))
-    sym_a, sym_b = leaf_a.past.symbols, leaf_b.past.symbols
-    g = _leaf_y(spec, sym_a, grid) - _leaf_y(spec, sym_b, grid)
-
-    records = []
-    touching = np.abs(g) < TOUCH_TOL
-    # contact runs: a grid point sitting on the crossing, a tangency, or a
-    # coincidence stretch; the slope gap decides which.
-    k = 0
-    while k < len(grid):
-        if touching[k]:
-            start = k
-            while k < len(grid) and touching[k]:
-                k += 1
-            mid = grid[(start + k - 1) // 2]
-            sa, sb = _slopes_at(spec, sym_a, sym_b, mid)
-            diff = abs(sa - sb)
-            records.append(IntersectionRecord(
-                x_lift=float(mid),
-                y=float(_leaf_y(spec, sym_a, [mid])[0]),
-                angle=float(math.atan(diff)),
-                past_a=leaf_a.past, past_b=leaf_b.past,
-                near_tangency=bool(diff < NEAR_TANGENCY_SLOPE)))
-        else:
-            k += 1
-
-    sign = np.sign(g)
-    for k in range(len(grid) - 1):
-        if touching[k] or touching[k + 1]:
-            continue
-        if sign[k] * sign[k + 1] < 0.0:
-            x_star = _refine_crossing(spec, sym_a, sym_b,
-                                      float(grid[k]), float(grid[k + 1]))
-            sa, sb = _slopes_at(spec, sym_a, sym_b, x_star)
-            diff = abs(sa - sb)
-            records.append(IntersectionRecord(
-                x_lift=float(x_star),
-                y=float(_leaf_y(spec, sym_a, [x_star])[0]),
-                angle=float(math.atan(diff)),
-                past_a=leaf_a.past, past_b=leaf_b.past,
-                near_tangency=bool(diff < NEAR_TANGENCY_SLOPE)))
-    records.sort(key=lambda r: r.x_lift)
-    return records
+    return _crossings([(leaf_a, leaf_b)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,29 +270,16 @@ def min_transversal_angle(spec: SolenoidSpec, n_past: int, pair_budget: int,
     clash = lead_b == lead_a
     idx_b = np.where(clash, idx_b - lead_b + (lead_b + shift) % spec.d, idx_b)
 
-    leaf_cache = {}
+    idx = sorted(set(int(i) for i in np.concatenate([idx_a, idx_b])))
+    leaves = dict(zip(idx, _leaves(
+        spec, [Word.from_index(i, spec.d, n_past) for i in idx], margin,
+        samples, tol=spec.contraction_sup() ** n_past * 1.0001 + 1e-300)))
+    pairs = [(leaves[int(ia)], leaves[int(ib)])
+             for ia, ib in zip(idx_a, idx_b) if ia != ib]
 
-    def leaf_of(i):
-        if i not in leaf_cache:
-            word = Word.from_index(int(i), spec.d, n_past)
-            leaf_cache[i] = unstable_leaf(
-                spec, word, margin, samples,
-                tol=spec.contraction_sup() ** n_past * 1.0001 + 1e-300)
-        return leaf_cache[i]
-
-    alpha = math.inf
-    tangencies = 0
-    found = False
-    for ia, ib in zip(idx_a, idx_b):
-        if ia == ib:
-            continue
-        for rec in leaf_intersections(leaf_of(ia), leaf_of(ib)):
-            if rec.near_tangency:
-                tangencies += 1
-            else:
-                found = True
-                alpha = min(alpha, rec.angle)
-    return (alpha if found else 0.0), tangencies
+    records = [r for recs in _crossings(pairs) for r in recs]
+    angles = [r.angle for r in records if not r.near_tangency]
+    return (min(angles) if angles else 0.0), len(records) - len(angles)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +304,9 @@ class GammaPool:
     """Weighted sample of leaves evaluated on a shared lift grid.
 
     The pool is built once per run and shared read-only; the margin test
-    intersects a target leaf against the pool curves, so every distance
-    query amounts to a sign scan plus a local bisection refinement.
+    intersects target leaves against the pool curves: a sign scan on the
+    shared grid, then one batched bisection (``_bisect``) of the cells
+    nearest each query point, for all queried words at once.
     """
 
     spec: SolenoidSpec
@@ -317,65 +330,81 @@ def build_gamma_pool(spec: SolenoidSpec, n_past: int, budget: int,
     rng = np.random.default_rng(seed)
     idx, _ = _sample_words(spec, n_past, budget, rng)
     idx = sorted(set(int(i) for i in idx))
-    digits = np.array([Word.from_index(i, spec.d, n_past).symbols
-                       for i in idx], dtype=int)
-    grid = np.linspace(-margin, TWO_PI + margin, samples)
-    y, _ = leaf_states(spec, digits, grid)
-    leading = digits[:, -1]
-    records = []
     tol = spec.contraction_sup() ** n_past * 1.0001 + 1e-300
-    leaves = [unstable_leaf(spec, Word.from_index(i, spec.d, n_past),
-                            margin, samples, tol=tol) for i in idx]
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if leading[a] == leading[b]:
-                continue
-            records.extend(leaf_intersections(leaves[a], leaves[b]))
-    return GammaPool(spec=spec, n_past=n_past, margin=margin, grid=grid,
-                     digits=digits, leading=leading, y_curves=y,
-                     records=records)
+    leaves = _leaves(spec, [Word.from_index(i, spec.d, n_past) for i in idx],
+                     margin, samples, tol)
+    digits = np.array([leaf.past.symbols for leaf in leaves], dtype=int)
+    leading = digits[:, -1]
+    pairs = [(leaves[a], leaves[b]) for a in range(len(idx))
+             for b in range(a + 1, len(idx)) if leading[a] != leading[b]]
+    return GammaPool(spec=spec, n_past=n_past, margin=margin,
+                     grid=leaves[0].lifts.copy(), digits=digits, leading=leading,
+                     y_curves=np.array([leaf.y for leaf in leaves]),
+                     records=[r for recs in _crossings(pairs) for r in recs])
 
 
-def _nearest_crossing(spec, target_syms, pool: GammaPool, lead: int,
-                      x_ref: float) -> float:
-    """Distance from x_ref to the nearest pool crossing on the target leaf."""
-    mask = pool.leading != lead
-    if not mask.any():
-        return math.nan
-    y_target = _leaf_y(spec, target_syms, pool.grid)
-    diffs = y_target[None, :] - pool.y_curves[mask]
-    signs = np.sign(diffs)
-    change = signs[:, :-1] * signs[:, 1:] < 0.0
-    rows, cols = np.nonzero(change)
-    if rows.size == 0:
-        return math.inf
-    mids = 0.5 * (pool.grid[cols] + pool.grid[cols + 1])
-    order = np.argsort(np.abs(mids - x_ref))[:4]
-    pool_digits = pool.digits[mask]
+def _nearest_crossings(spec, digits, pool: GammaPool, x_ref):
+    """Distance from each x_ref[i] to the nearest pool crossing on leaf i.
 
-    # synchronized bisection over the candidate cells
-    los = pool.grid[cols[order]].astype(float)
-    his = pool.grid[cols[order] + 1].astype(float)
-    rows_sel = rows[order]
-    tdig = np.asarray([target_syms], dtype=int)
-    pdig = pool_digits[rows_sel]
+    Each target leaf (a row of digits) is scanned for sign changes against
+    the pool leaves from other tubes; the four cells whose midpoints lie
+    nearest its x_ref are refined, all leaves in one ``_bisect`` call.  NaN
+    marks a leaf without such pool leaves, +inf one without a crossing.
+    """
+    y_t, _ = leaf_states(spec, digits, pool.grid)
+    dist = np.full(len(digits), np.nan)
+    rows_t, rows_p, cells, g_lo = [], [], [], []
+    for w in range(len(digits)):
+        other = np.flatnonzero(pool.leading != digits[w, -1])
+        if other.size == 0:
+            continue
+        diffs = y_t[w] - pool.y_curves[other]
+        signs = np.sign(diffs)
+        rows, cols = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
+        dist[w] = math.inf
+        if rows.size == 0:
+            continue
+        mids = 0.5 * (pool.grid[cols] + pool.grid[cols + 1])
+        order = np.argsort(np.abs(mids - x_ref[w]))[:4]
+        rows_t.append(np.full(order.size, w))
+        rows_p.append(other[rows[order]])
+        cells.append(cols[order])
+        g_lo.append(diffs[rows[order], cols[order]])
+    if rows_t:
+        rows_t, cells = np.concatenate(rows_t), np.concatenate(cells)
+        x = _bisect(spec, digits[rows_t], pool.digits[np.concatenate(rows_p)],
+                    pool.grid[cells], pool.grid[cells + 1],
+                    np.concatenate(g_lo))
+        np.minimum.at(dist, rows_t, np.abs(x - x_ref[rows_t]))
+    return dist
 
-    def gap(xs):
-        yt, _ = leaf_states(spec, tdig, xs)
-        yp, _ = leaf_states(spec, pdig, xs)
-        return yt[0] - np.diagonal(yp)
 
-    g_lo = gap(los)
-    for _ in range(48):
-        if np.max(his - los) <= 1e-10:
-            break
-        mids = 0.5 * (los + his)
-        g_mid = gap(mids)
-        same = (g_mid > 0.0) == (g_lo > 0.0)
-        los = np.where(same, mids, los)
-        g_lo = np.where(same, g_mid, g_lo)
-        his = np.where(same, his, mids)
-    return float(np.min(np.abs(0.5 * (los + his) - x_ref)))
+def _margins(spec, digits, n_min, n_max, L, pool, x):
+    """Worst margin ratio of every word (rows of digits), and usability.
+
+    The backward chains from x are descended only n_max steps; the depth-n
+    ratio is dist * eta_n / L with eta_n the product of eta' along the
+    first n steps.  A word is usable when some depth found pool leaves
+    from other tubes; with no pool none is.
+    """
+    m, length = digits.shape
+    if length <= n_max:
+        raise WordTooShortError("past must be longer than the test depth")
+    worst = np.full(m, math.inf)
+    usable = np.zeros(m, dtype=bool)
+    if pool is None or pool.size == 0 or n_max < n_min:
+        return worst, usable
+    chain = [np.full(m, np.mod(x, TWO_PI), dtype=float)]
+    for k in range(1, n_max + 1):
+        chain.append(spec.eta_inverse_lift(
+            chain[-1] + TWO_PI * digits[:, length - k]))
+    eta = np.cumprod(spec.eta_prime(np.stack(chain[1:], axis=1)), axis=1)
+    for n in range(n_min, n_max + 1):
+        dist = _nearest_crossings(spec, digits[:, :length - n], pool, chain[n])
+        usable |= ~np.isnan(dist)
+        ratio = dist * eta[:, n - 1] / L
+        worst = np.where(np.isfinite(ratio), np.minimum(worst, ratio), worst)
+    return worst, usable
 
 
 def strong_lipschitz_test(spec: SolenoidSpec, past: Word, n_max: int,
@@ -392,32 +421,13 @@ def strong_lipschitz_test(spec: SolenoidSpec, past: Word, n_max: int,
     and the ratio is exactly linear in 1/L).  +inf means no crossing at
     all near the orbit; an unusable pool yields the indeterminate flag.
     """
-    if past.generation <= n_max:
-        raise WordTooShortError("past must be longer than the test depth")
-    if pool is None or pool.size == 0:
+    worst, usable = _margins(spec, np.array([past.symbols], dtype=int),
+                             n_min, n_max, L, pool, x)
+    if not usable[0]:
         return StrongLipschitzResult(is_strong=None, worst_margin=math.nan,
                                      indeterminate=True)
-    chain = [float(np.mod(x, TWO_PI))]
-    for s in reversed(past.symbols):
-        chain.append(float(spec.eta_inverse_lift(chain[-1] + TWO_PI * s)))
-
-    worst = math.inf
-    usable = False
-    for n in range(n_min, n_max + 1):
-        truncated = past.symbols[:-n]
-        x_shift = chain[n]
-        eta_n = float(np.prod(spec.eta_prime(np.array(chain[1:n + 1]))))
-        dist = _nearest_crossing(spec, truncated, pool, truncated[-1], x_shift)
-        if math.isnan(dist):
-            continue
-        usable = True
-        if math.isfinite(dist):
-            worst = min(worst, dist * eta_n / L)
-    if not usable:
-        return StrongLipschitzResult(is_strong=None, worst_margin=math.nan,
-                                     indeterminate=True)
-    return StrongLipschitzResult(is_strong=bool(worst >= 1.0),
-                                 worst_margin=float(worst))
+    return StrongLipschitzResult(is_strong=bool(worst[0] >= 1.0),
+                                 worst_margin=float(worst[0]))
 
 
 def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
@@ -432,9 +442,10 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
     symbols), slides both along their leaves to the destination fiber,
     and buckets dist(q, q')/dist(p, p') by the dyadic scale of the source
     separation.  Each sampled word is also run through the
-    strong-Lipschitz margin test at depth n//2; the failing words are the
-    flagged set, whose sampled weight estimates the Gibbs mass of the
-    weak non-Lipschitz part at this generation.
+    strong-Lipschitz margin test at depth n//2 (all words in one batched
+    pass); the failing words are the flagged set, whose sampled weight
+    estimates the Gibbs mass of the weak non-Lipschitz part at this
+    generation.
     """
     rng = np.random.default_rng(seed)
     if pool is None:
@@ -444,24 +455,7 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
     share = rng.integers(0, n, size=pairs)  # shared recent depth
     d = spec.d
 
-    digits_cache = {}
-
-    def rep_pair(i, j):
-        key = (int(i), int(j))
-        if key not in digits_cache:
-            wa = Word.from_index(int(i), d, n)
-            wb = Word.from_index(int(j), d, n)
-            ya, za = leaf_states(spec, np.array([wa.symbols, wb.symbols]),
-                                 np.array([x_src, x_dst], dtype=float))
-            digits_cache[key] = (ya, za)
-        return digits_cache[key]
-
-    scale_stats = {}
-    flagged = []
-    flagged_hits = 0
-    tested = 0
-    test_depth = max(1, n // 2)
-    seen_words = {}
+    drawn = []
     for i, j_share in zip(idx_a, share):
         block = d ** int(j_share)
         # partner: same most recent j_share symbols, different next digit
@@ -469,11 +463,18 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
         new_digit = (digit + 1 + rng.integers(0, d - 1)) % d
         deep = rng.integers(0, max(1, weights.size // (block * d)))
         j = int(deep) * block * d + int(new_digit) * block + int(i % block)
-        if j == i or j >= weights.size:
-            continue
-        ys, zs = rep_pair(i, j)
-        p_dist = math.hypot(ys[0, 0] - ys[1, 0], zs[0, 0] - zs[1, 0])
-        q_dist = math.hypot(ys[0, 1] - ys[1, 1], zs[0, 1] - zs[1, 1])
+        if j != i and j < weights.size:
+            drawn.append((int(i), j))
+    ys, zs = leaf_states(spec, np.array(
+        [Word.from_index(k, d, n).symbols for pair in drawn for k in pair],
+        dtype=int).reshape(-1, n), np.array([x_src, x_dst], dtype=float))
+    dy, dz = ys[0::2] - ys[1::2], zs[0::2] - zs[1::2]
+
+    scale_stats = {}
+    tested = []
+    for p, (i, _) in enumerate(drawn):
+        p_dist = math.hypot(dy[p, 0], dz[p, 0])
+        q_dist = math.hypot(dy[p, 1], dz[p, 1])
         if p_dist == 0.0:
             continue
         ratio = q_dist / p_dist
@@ -483,23 +484,21 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
         stats["count"] += 1
         stats["ratio_max"] = max(stats["ratio_max"], ratio)
         stats["ratio_sum"] += ratio
+        tested.append(i)
 
-        if int(i) not in seen_words:
-            word = Word.from_index(int(i), d, n)
-            res = strong_lipschitz_test(spec, word, test_depth, L, pool,
-                                        x=x_src, n_min=test_depth)
-            seen_words[int(i)] = (word, res)
-        word, res = seen_words[int(i)]
-        tested += 1
-        if res.is_strong is False:
-            flagged_hits += 1
-            if word not in flagged:
-                flagged.append(word)
+    words = {i: Word.from_index(i, d, n) for i in tested}
+    test_depth = max(1, n // 2)
+    worst, usable = _margins(spec, np.array(
+        [w.symbols for w in words.values()], dtype=int).reshape(-1, n),
+        test_depth, test_depth, L, pool, x_src)
+    failing = {i for i, w, u in zip(words, worst, usable) if u and w < 1.0}
+    flagged = [w for i, w in words.items() if i in failing]
+    flagged_hits = sum(i in failing for i in tested)
 
     for stats in scale_stats.values():
         stats["ratio_mean"] = stats["ratio_sum"] / stats["count"]
         del stats["ratio_sum"]
-    flagged_weight = flagged_hits / tested if tested else 0.0
+    flagged_weight = flagged_hits / len(tested) if tested else 0.0
     return HolonomyReport(
         x_src=float(x_src), x_dst=float(x_dst), scale_stats=scale_stats,
         strong_lipschitz_fraction=1.0 - flagged_weight,

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from solenoidlab import (SolenoidSpec, Word, WordTooShortError, apply_map,
-                         benchmark_a, benchmark_b, point_from_backward_word)
+                         benchmark_a, benchmark_b, benchmark_c,
+                         point_from_backward_word)
 from solenoidlab import lamination as lam
+from solenoidlab import thermo
 
 TWO_PI = 2 * math.pi
 
@@ -214,3 +216,96 @@ def test_scan_flagged_weight_decays_without_bunching():
     assert r8.flagged_weight > 0.0
     assert r14.flagged_weight <= 0.5 * r8.flagged_weight
     assert r14.flagged_words
+
+
+def _closed_form_leaf_a(symbols, x):
+    """benchmark_a leaf (y, y') at lift x: eta = 2x, lam' = 0.4, u = 0.5 cos.
+
+    With the most recent symbol first, x_(-j) = (x + 2 pi sum_i s_i 2**(i-1))
+    / 2**j, so y = sum_j 0.4**(j-1) 0.5 cos(x_(-j)) and
+    y' = -sum_j 0.4**(j-1) 0.5 sin(x_(-j)) / 2**j.
+    """
+    y = slope = 0.0
+    offset = 0.0
+    for j, s in enumerate(reversed(symbols), start=1):
+        offset += s * 2.0 ** (j - 1)
+        xj = (x + TWO_PI * offset) / 2.0 ** j
+        y += 0.4 ** (j - 1) * 0.5 * math.cos(xj)
+        slope -= 0.4 ** (j - 1) * 0.5 * math.sin(xj) / 2.0 ** j
+    return y, slope
+
+
+def test_pool_angles_match_closed_form_slopes():
+    pool = lam.build_gamma_pool(benchmark_a(), 10, 24, seed=1)
+    assert len(pool.records) > 0
+    for rec in pool.records:
+        ya, sa = _closed_form_leaf_a(rec.past_a.symbols, rec.x_lift)
+        yb, sb = _closed_form_leaf_a(rec.past_b.symbols, rec.x_lift)
+        assert abs(rec.angle - math.atan(abs(sa - sb))) < 1e-8
+        assert abs(rec.y - ya) < 1e-12
+        assert abs(ya - yb) < 1e-9  # refined onto the crossing
+        assert not rec.near_tangency
+
+
+def test_leaf_intersections_reproduce_pool_records():
+    spec = benchmark_b()
+    pool = lam.build_gamma_pool(spec, 10, 16, seed=1)
+    leaves = [lam.unstable_leaf(spec, Word(tuple(int(s) for s in row)),
+                                pool.margin, pool.grid.size, tol=1e-3)
+              for row in pool.digits]
+    expected = []
+    for a in range(pool.size):
+        for b in range(a + 1, pool.size):
+            if pool.leading[a] == pool.leading[b]:
+                continue
+            recs = lam.leaf_intersections(leaves[a], leaves[b])
+            assert recs == [r for r in pool.records
+                            if (r.past_a, r.past_b) == (leaves[a].past,
+                                                        leaves[b].past)]
+            expected.extend(recs)
+    assert expected == pool.records
+
+
+def _scan_flags_word_by_word(spec, x_src, n, pairs, seed, L, pool):
+    """Flagged words and weight of a scan, testing one word at a time."""
+    rng = np.random.default_rng(seed)
+    weights = thermo.gibbs_weight_array(spec, thermo._phi_exponent(spec, n), n)
+    idx_a = rng.choice(weights.size, size=pairs, replace=True, p=weights)
+    share = rng.integers(0, n, size=pairs)
+    d, depth = spec.d, max(1, n // 2)
+    flagged, hits, tested = [], 0, 0
+    for i, j_share in zip(idx_a, share):
+        block = d ** int(j_share)
+        new_digit = ((i // block) % d + 1 + rng.integers(0, d - 1)) % d
+        deep = rng.integers(0, max(1, weights.size // (block * d)))
+        j = int(deep) * block * d + int(new_digit) * block + int(i % block)
+        if j == i or j >= weights.size:
+            continue
+        word = Word.from_index(int(i), d, n)
+        pa = lam.leaf_point(spec, word, x_src)
+        pb = lam.leaf_point(spec, Word.from_index(j, d, n), x_src)
+        if math.hypot(pa.y - pb.y, pa.z - pb.z) == 0.0:
+            continue
+        res = lam.strong_lipschitz_test(spec, word, depth, L, pool, x=x_src,
+                                        n_min=depth)
+        tested += 1
+        if res.is_strong is False:
+            hits += 1
+            if word not in flagged:
+                flagged.append(word)
+    return flagged, hits / tested
+
+
+@pytest.mark.parametrize("spec, depths", [(benchmark_b(), (8, 12)),
+                                          (benchmark_c(), (8,))])
+def test_scan_flags_match_word_by_word_margin_tests(spec, depths):
+    # benchmark_c's base derivative varies, so eta_n differs between words
+    pool = lam.build_gamma_pool(spec, 10, 16, seed=1)
+    for n in depths:
+        rep = lam.holonomy_lipschitz_scan(spec, 0.0, math.pi, n, 80, seed=2,
+                                          pool=pool)
+        flagged, weight = _scan_flags_word_by_word(spec, 0.0, n, 80, 2, 0.5,
+                                                   pool)
+        assert rep.flagged_words == flagged
+        assert rep.flagged_weight == weight
+    assert flagged  # the comparison saw failing words

@@ -175,15 +175,22 @@ def _write(path, text):
         fh.write(text)
 
 
+_CSV_BLOCK_ROWS = 8192
+
+
 def _cloud_csv(path, cloud, header_cols):
+    """Write a cloud as CSV; '%.12g' % v equals f"{v:.12g}" for any float."""
+    points = cloud.points
+    row = ",".join(["%.12g"] * points.shape[1]) + "\n"
     with open(path, "w") as fh:
         prov = cloud.provenance
         fh.write(f"# spec_hash={prov.get('spec_hash')} "
                  f"generation={prov.get('generation')} "
                  f"fiber={prov.get('fiber')}\n")
         fh.write(",".join(header_cols) + "\n")
-        for row in cloud.points:
-            fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+        for start in range(0, len(points), _CSV_BLOCK_ROWS):
+            block = points[start:start + _CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _model_summary(model, flags):
@@ -215,7 +222,9 @@ def _cmd_pressure(cfg, stages, out_dir):
     lines = [f"# spec_hash={spec.spec_hash()} generation={cfg.depth_n}",
              "t,p_lo,p_hi"]
     lines += [f"{t:.12g},{lo:.12g},{hi:.12g}" for t, lo, hi in rows]
-    _write(os.path.join(out_dir, "pressure_curve.csv"), "\n".join(lines) + "\n")
+    stages.run("write_curve", _write,
+               os.path.join(out_dir, "pressure_curve.csv"),
+               "\n".join(lines) + "\n")
     table_depth = min(cfg.depth_n, 8)
     stages.run("cylinder_table", write_cylinder_table, spec, table_depth,
                os.path.join(out_dir, "cylinders.csv"))
@@ -246,8 +255,10 @@ def _cmd_dimension(cfg, stages, out_dir):
                       full_depth, full_fibers, threads=cfg.threads)
     full_fit = stages.run("full_fit", geometry.box_dimension, full,
                           cfg.k_scales, cfg.offset_average)
-    _cloud_csv(os.path.join(out_dir, "slice_cloud.csv"), sl, ("y", "z"))
-    _cloud_csv(os.path.join(out_dir, "attractor_cloud.csv"), full,
+    stages.run("write_slice_cloud", _cloud_csv,
+               os.path.join(out_dir, "slice_cloud.csv"), sl, ("y", "z"))
+    stages.run("write_attractor_cloud", _cloud_csv,
+               os.path.join(out_dir, "attractor_cloud.csv"), full,
                ("x", "y", "z"))
     return {
         "slice": {"fiber": cfg.slice_fiber, "n": cfg.depth_n,

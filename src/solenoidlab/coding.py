@@ -105,8 +105,7 @@ def descend_levels(spec: SolenoidSpec, lifts: np.ndarray, n: int) -> list:
     Returns a list of n arrays; level j has shape lifts.shape + (d**j,) and
     holds the depth-j preimage lift for every combination of the j most
     recent branch symbols, indexed by sum_k i_(-k) * d**(k-1).  That code
-    equals the lexicographic word index reduced mod d**j, so level arrays
-    tile directly into word-indexed arrays.
+    equals the lexicographic word index reduced mod d**j.
     """
     d = spec.d
     lifts = np.asarray(lifts, dtype=float)
@@ -120,38 +119,34 @@ def descend_levels(spec: SolenoidSpec, lifts: np.ndarray, n: int) -> list:
     return levels
 
 
-def chain_at_depth(levels: list, j: int, n: int, d: int) -> np.ndarray:
-    """Word-indexed array of depth-j preimages from `descend_levels` output."""
-    reps = d ** (n - j)
-    return np.tile(levels[j - 1], (1,) * (levels[j - 1].ndim - 1) + (reps,))
+def _fiber_forward(spec, chain, shape):
+    """Anchor discs' centers (x_(-n), 0, 0) iterated forward along chains.
 
-
-def fiber_forward(spec: SolenoidSpec, levels: list, n: int):
-    """Iterate anchor discs' centers forward along every chain.
-
-    Anchors start at (x_(-n), 0, 0); returns (y, z) arrays with shape
-    lifts.shape + (d**n,) holding the representative of every word.
+    chain[j-1] holds the depth-j base points and broadcasts to `shape`,
+    the shape of the returned (y, z) arrays; the maps evaluate their trig
+    on the chain points themselves, never on broadcast copies.
     """
-    d = spec.d
-    shape = levels[-1].shape[:-1] + (d ** n,)
-    y = np.zeros(shape)
-    z = np.zeros(shape)
-    for j in range(n, 0, -1):
-        xj = chain_at_depth(levels, j, n, d)
-        y_new = spec.lam(xj, y) + spec.u(xj)
-        z_new = spec.nu(xj, y, z) + spec.v(xj)
-        y, z = y_new, z_new
+    y = z = np.zeros(shape)
+    for xj in reversed(chain):
+        y, z = (spec.lam(xj, y) + spec.u(xj),
+                spec.nu(xj, y, z) + spec.v(xj))
     return y, z
 
 
 def word_representatives(spec: SolenoidSpec, lifts, n: int):
-    """Representatives of all d**n backward words over each base lift."""
-    if n == 0:
-        lifts = np.atleast_1d(np.asarray(lifts, dtype=float))
-        shape = lifts.shape + (1,)
-        return np.zeros(shape), np.zeros(shape)
-    levels = descend_levels(spec, np.atleast_1d(lifts), n)
-    return fiber_forward(spec, levels, n)
+    """Representatives of all d**n backward words over each base lift.
+
+    The word axis is viewed as n axes of size d, the most recent symbol
+    last, so level j of the descent, placed on the last j axes, broadcasts
+    over the d**(n-j) deeper pasts that share it.
+    """
+    lifts = np.atleast_1d(np.asarray(lifts, dtype=float))
+    d = spec.d
+    chain = [x.reshape(lifts.shape + (1,) * (n - j) + (d,) * j)
+             for j, x in enumerate(descend_levels(spec, lifts, n), 1)]
+    y, z = _fiber_forward(spec, chain, lifts.shape + (d,) * n)
+    shape = lifts.shape + (d ** n,)
+    return y.reshape(shape), z.reshape(shape)
 
 
 def leaf_states(spec: SolenoidSpec, digits: np.ndarray, lifts: np.ndarray):
@@ -172,14 +167,7 @@ def leaf_states(spec: SolenoidSpec, digits: np.ndarray, lifts: np.ndarray):
     for j in range(1, n + 1):
         x = spec.eta_inverse_lift(x + TWO_PI * digits[:, n - j, None])
         chain.append(x)
-    y = np.zeros_like(x)
-    z = np.zeros_like(x)
-    for j in range(n, 0, -1):
-        xj = chain[j - 1]
-        y_new = spec.lam(xj, y) + spec.u(xj)
-        z_new = spec.nu(xj, y, z) + spec.v(xj)
-        y, z = y_new, z_new
-    return y, z
+    return _fiber_forward(spec, chain, x.shape)
 
 
 # ---------------------------------------------------------------------------

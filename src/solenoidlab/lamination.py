@@ -103,12 +103,17 @@ def _require_depth(spec, past, tol):
     return bound
 
 
+def _leaf_points(spec, past, lifts):
+    """Leaf representatives over several base lifts, from one call."""
+    lifts = np.array(lifts, dtype=float)
+    y, z = leaf_states(spec, np.array([past.symbols], dtype=int), lifts)
+    return [Point3(x=float(np.mod(x, TWO_PI)), y=float(y[0, i]),
+                   z=float(z[0, i])) for i, x in enumerate(lifts)]
+
+
 def leaf_point(spec: SolenoidSpec, past: Word, lift: float) -> Point3:
     """Leaf representative over one base lift (no tolerance gate)."""
-    y, z = leaf_states(spec, np.array([past.symbols], dtype=int),
-                       np.array([float(lift)]))
-    return Point3(x=float(np.mod(lift, TWO_PI)), y=float(y[0, 0]),
-                  z=float(z[0, 0]))
+    return _leaf_points(spec, past, [lift])[0]
 
 
 def _leaves(spec, pasts, margin, samples, tol):
@@ -294,8 +299,7 @@ def holonomy_map(spec: SolenoidSpec, past: Word, x_src: float, x_dst: float,
     longer than one turn stay on the same leaf continuation.
     """
     _require_depth(spec, past, tol)
-    p = leaf_point(spec, past, x_src)
-    q = leaf_point(spec, past, x_dst)
+    p, q = _leaf_points(spec, past, [x_src, x_dst])
     return p, q
 
 

@@ -24,7 +24,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from .coding import ENUMERATION_CAP, Word, enumerate_cylinders
+from .coding import (ENUMERATION_CAP, Word, descend_levels,
+                     enumerate_cylinders)
 from .errors import CapExceededError, SpecInvalidError
 from .maps import SolenoidSpec
 from .numerics import (TWO_PI, interval_cos, interval_mul, interval_sin,
@@ -97,7 +98,6 @@ def _base_pieces(spec, m):
     return lo, hi
 
 
-@lru_cache(maxsize=8)
 def birkhoff_table(spec: SolenoidSpec, n: int,
                    cap: int = ENUMERATION_CAP) -> BirkhoffTable:
     """Build (and cache) the generation-n bound table for all d**n words.
@@ -108,68 +108,62 @@ def birkhoff_table(spec: SolenoidSpec, n: int,
     word lands inside a single piece, so the piecewise bounds keep the
     exact sub/super-additivity under concatenation that bracket nesting
     relies on, while the per-level intervals shrink by roughly d**3.
+
+    The cap is checked before the cache, which is keyed by (spec, n) alone,
+    so each table is built once however `cap` is passed.
     """
     if n < 1:
         raise ValueError("table generation must be >= 1")
+    if spec.d ** n > cap:
+        raise CapExceededError(f"{spec.d}**{n} cylinders exceed the cap {cap}")
+    return _birkhoff_table(spec, n)
+
+
+@lru_cache(maxsize=8)
+def _birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
     d = spec.d
     count = d ** n
-    if count > cap:
-        raise CapExceededError(f"{d}**{n} cylinders exceed the cap {cap}")
-
-    m = min(BASE_SPLIT_DEPTH, n)
-    lo, hi = _base_pieces(spec, m)
-    lo = lo[:, None]
-    hi = hi[:, None]
-    n_pieces = lo.shape[0]
-    levels = []
-    for _ in range(n):
-        lo = spec.eta_inverse_lift(
-            np.concatenate([lo + TWO_PI * b for b in range(d)], axis=1))
-        hi = spec.eta_inverse_lift(
-            np.concatenate([hi + TWO_PI * b for b in range(d)], axis=1))
-        levels.append((lo, hi))
+    lo, hi = _base_pieces(spec, min(BASE_SPLIT_DEPTH, n))
+    n_pieces = lo.size
+    # Level j stacks the lo and hi endpoint descents: (2, n_pieces, d**j).
+    levels = descend_levels(spec, np.stack([lo, hi]), n)
 
     track_y = spec.lam2 != 0.0 or spec.nu2 != 0.0
-    acc = {name: [np.zeros((n_pieces, count)), np.zeros((n_pieces, count))]
-           for name in ("eta", "lam", "nu")}
+    # Sums of (eta, lam, nu) x (inf, sup) per base piece and word.
+    acc = np.zeros((3, 2, n_pieces, count))
     y_lo = np.full((n_pieces, count), -1.0)
     y_hi = np.full((n_pieces, count), 1.0)
 
     for j in range(n, 0, -1):
-        xlo, xhi = levels[j - 1]
-        reps = count // xlo.shape[1]
-        xlo = np.tile(xlo, (1, reps))
-        xhi = np.tile(xhi, (1, reps))
+        # Word w takes column w mod d**j of level j: view the word axis as
+        # (d**(n-j), d**j) and let the level broadcast over it.
+        shape = (n_pieces, count // d ** j, d ** j)
+        sums = acc.reshape((3, 2) + shape)
+        y_lo, y_hi = y_lo.reshape(shape), y_hi.reshape(shape)
+        xlo, xhi = levels[j - 1][:, :, None, :]
         s_lo, s_hi = interval_sin(xlo, xhi)
         c_lo, c_hi = interval_cos(xlo, xhi)
-
         e_lo, e_hi = _scale_interval(c_lo, c_hi, spec.eta_eps)
-        e_lo, e_hi = _log_interval(d + e_lo, d + e_hi, "eta'")
-        acc["eta"][0] += e_lo
-        acc["eta"][1] += e_hi
-
-        l_lo, l_hi = _scale_interval(s_lo, s_hi, spec.lam1)
-        l_lo, l_hi = spec.lam0 + l_lo, spec.lam0 + l_hi
+        # a: the y-free part of lam', also the slope of the fiber step below
+        a_lo, a_hi = _scale_interval(s_lo, s_hi, spec.lam1)
+        a_lo, a_hi = spec.lam0 + a_lo, spec.lam0 + a_hi
+        v_lo, v_hi = _scale_interval(c_lo, c_hi, spec.nu1)
+        v_lo, v_hi = spec.nu0 + v_lo, spec.nu0 + v_hi
+        l_lo, l_hi = a_lo, a_hi
         if track_y:
             t_lo, t_hi = _scale_interval(y_lo, y_hi, 2.0 * spec.lam2)
             l_lo, l_hi = l_lo + t_lo, l_hi + t_hi
-        l_lo, l_hi = _log_interval(l_lo, l_hi, "lam'")
-        acc["lam"][0] += l_lo
-        acc["lam"][1] += l_hi
-
-        v_lo, v_hi = _scale_interval(c_lo, c_hi, spec.nu1)
-        v_lo, v_hi = spec.nu0 + v_lo, spec.nu0 + v_hi
-        if track_y:
             t_lo, t_hi = _scale_interval(y_lo, y_hi, spec.nu2)
             v_lo, v_hi = v_lo + t_lo, v_hi + t_hi
-        v_lo, v_hi = _log_interval(v_lo, v_hi, "nu'")
-        acc["nu"][0] += v_lo
-        acc["nu"][1] += v_hi
+        for k, (lo_k, hi_k, what) in enumerate((
+                (d + e_lo, d + e_hi, "eta'"), (l_lo, l_hi, "lam'"),
+                (v_lo, v_hi, "nu'"))):
+            log_lo, log_hi = _log_interval(lo_k, hi_k, what)
+            sums[k, 0] += log_lo
+            sums[k, 1] += log_hi
 
         if track_y and j > 1:
             # One fiber step of the interval enclosure: y <- lam(x, y) + u(x).
-            a_lo, a_hi = _scale_interval(s_lo, s_hi, spec.lam1)
-            a_lo, a_hi = spec.lam0 + a_lo, spec.lam0 + a_hi
             p_lo, p_hi = interval_mul(a_lo, a_hi, y_lo, y_hi)
             q_lo, q_hi = interval_square(y_lo, y_hi)
             q_lo, q_hi = _scale_interval(q_lo, q_hi, spec.lam2)
@@ -178,13 +172,16 @@ def birkhoff_table(spec: SolenoidSpec, n: int,
             y_hi = np.clip(p_hi + q_hi + u_hi, -1.0, 1.0)
 
     arrays = {}
-    for name in ("eta", "lam", "nu"):
-        for k, side in enumerate(("inf", "sup")):
-            arr = acc[name][k].min(axis=0) if side == "inf" \
-                else acc[name][k].max(axis=0)
-            arr.flags.writeable = False
-            arrays[f"{name}_{side}"] = arr
+    for k, name in enumerate(("eta", "lam", "nu")):
+        arrays[f"{name}_inf"] = acc[k, 0].min(axis=0)
+        arrays[f"{name}_sup"] = acc[k, 1].max(axis=0)
+    for arr in arrays.values():
+        arr.flags.writeable = False
     return BirkhoffTable(spec=spec, n=n, **arrays)
+
+
+birkhoff_table.cache_info = _birkhoff_table.cache_info
+birkhoff_table.cache_clear = _birkhoff_table.cache_clear
 
 
 def birkhoff_bounds(spec: SolenoidSpec, word: Word, xi: str):

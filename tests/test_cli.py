@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from solenoidlab import ConfigError, SpecInvalidError
+from solenoidlab import ConfigError, PointCloud, SpecInvalidError
 from solenoidlab import cli
 
 T0_A = math.log(2.0) / math.log(2.5)
@@ -75,6 +76,8 @@ def test_pressure_command_emits_csvs(tmp_path):
     assert curve[0].startswith(f"# spec_hash={cfg.spec.spec_hash()}")
     assert curve[1] == "t,p_lo,p_hi"
     assert len(curve) == 2 + cfg.t_points
+    assert {"pressure_curve", "write_curve",
+            "cylinder_table"} <= set(report.timings)
     cyl = (tmp_path / "out" / "cylinders.csv").read_text().splitlines()
     assert cyl[1] == "word,interval_lo,interval_hi"
     # pressure at t=0 equals log d on both sides
@@ -96,7 +99,10 @@ def test_report_schema_and_determinism(tmp_path):
     cfg2 = cli.load_config(path)
     cli.run_command(cfg2, "report")
     assert out.read_bytes() == first
-    assert os.path.exists(tmp_path / "out" / "report_timings.json")
+    timings = json.loads(
+        (tmp_path / "out" / "report_timings.json").read_text())
+    assert {"write_slice_cloud",
+            "write_attractor_cloud"} <= set(timings["timings_ms"])
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -119,3 +125,32 @@ def test_main_overrides(tmp_path):
     assert rep["inputs"]["depth_n"] == 7
     assert rep["inputs"]["seed"] == 11
     assert rep["results"]["n"] == 7
+
+
+def reference_cloud_csv(cloud, header_cols):
+    prov = cloud.provenance
+    lines = [f"# spec_hash={prov.get('spec_hash')} "
+             f"generation={prov.get('generation')} "
+             f"fiber={prov.get('fiber')}", ",".join(header_cols)]
+    lines += [",".join(f"{v:.12g}" for v in row) for row in cloud.points]
+    return "\n".join(lines) + "\n"
+
+
+def test_cloud_csv_matches_per_value_format(tmp_path):
+    rng = np.random.default_rng(5)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+               -2.2250738585072e-309, 1e300, -1e300, 1e-300, 0.1, 1 / 3,
+               123456789012345.6, -7.0]
+    rows = cli._CSV_BLOCK_ROWS + 7
+    for k, cols in ((2, ("y", "z")), (3, ("x", "y", "z"))):
+        values = rng.standard_normal(rows * k) * 10.0 ** rng.integers(
+            -20, 20, rows * k)
+        values[:len(special)] = special
+        for n in (0, 1, len(special), rows):
+            cloud = PointCloud(dim=k, points=values[:n * k].reshape(n, k),
+                               provenance={"spec_hash": "abc",
+                                           "generation": 4, "fiber": 0.5},
+                               resolution=1.0)
+            path = tmp_path / f"cloud_{k}_{n}.csv"
+            cli._cloud_csv(path, cloud, cols)
+            assert path.read_text() == reference_cloud_csv(cloud, cols)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from solenoidlab import (CapExceededError, Point3, Word, WordTooShortError,
-                         apply_map, base_itinerary, benchmark_a, benchmark_c,
-                         cylinder_base_interval, enumerate_cylinders,
-                         inverse_base, point_from_backward_word)
-from solenoidlab.coding import branch_of, word_representatives
+from solenoidlab import (CapExceededError, Point3, SolenoidSpec, Word,
+                         WordTooShortError, apply_map, base_itinerary,
+                         benchmark_a, benchmark_c, cylinder_base_interval,
+                         enumerate_cylinders, inverse_base,
+                         point_from_backward_word)
+from solenoidlab.coding import (branch_of, descend_levels,
+                                word_representatives)
 
 TWO_PI = 2 * math.pi
 
@@ -153,3 +155,28 @@ def test_word_string_roundtrip_and_index():
     assert str(w) == "1011"
     assert Word.from_string("1011") == w
     assert Word.from_index(w.index(2), 2, 4) == w
+
+
+def tiled_representatives(spec, lifts, n):
+    """Forward iteration on word-indexed copies of each chain level."""
+    levels = descend_levels(spec, lifts, n)
+    y = np.zeros(lifts.shape + (spec.d ** n,))
+    z = np.zeros_like(y)
+    for j in range(n, 0, -1):
+        xj = np.tile(levels[j - 1], (1,) * lifts.ndim + (spec.d ** (n - j),))
+        y, z = (spec.lam(xj, y) + spec.u(xj),
+                spec.nu(xj, y, z) + spec.v(xj))
+    return y, z
+
+
+def test_word_representatives_match_tiled_reference():
+    d3 = SolenoidSpec(d=3, lam0=0.25, lam1=0.03, lam2=0.02, nu0=0.15,
+                      nu2=0.03, u_amp=0.4, v_amp=0.4)
+    lifts = np.array([0.0, 1.3, 4.0, TWO_PI - 1e-3])
+    for spec, n in ((benchmark_a(), 0), (benchmark_a(), 9), (benchmark_c(), 9),
+                    (d3, 6)):
+        y, z = word_representatives(spec, lifts, n)
+        y_ref, z_ref = tiled_representatives(spec, lifts, n)
+        # bit for bit, signed zeros included
+        assert y.tobytes() == y_ref.tobytes()
+        assert z.tobytes() == z_ref.tobytes()

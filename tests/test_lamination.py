@@ -104,7 +104,10 @@ def test_holonomy_composition():
         for _ in range(5):
             word = random_word(rng, 2, 40)
             x0, x1, x2 = sorted(rng.uniform(0, TWO_PI, 3))
-            _, q1 = lam.holonomy_map(spec, word, x0, x1)
+            p0, q1 = lam.holonomy_map(spec, word, x0, x1)
+            # both endpoints come from one call, bit for bit as one by one
+            assert p0 == lam.leaf_point(spec, word, x0)
+            assert q1 == lam.leaf_point(spec, word, x1)
             _, q2 = lam.holonomy_map(spec, word, x1, x2)
             _, q_direct = lam.holonomy_map(spec, word, x0, x2)
             assert abs(q2.y - q_direct.y) < 1e-8

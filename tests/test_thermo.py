@@ -263,3 +263,85 @@ def test_quasi_multiplicativity_bounded():
     for n1, n2 in ((4, 4), (4, 8), (6, 6)):
         lo, hi = thermo.quasi_multiplicativity_stats(spec, n1, n2, t)
         assert 1.0 / 2.0 <= lo <= hi <= 2.0
+
+
+def tiled_birkhoff_arrays(spec, n):
+    """The bound table computed on word-indexed copies of each level."""
+    from solenoidlab.numerics import (TWO_PI, interval_cos, interval_mul,
+                                      interval_sin, interval_square)
+    scale, log_iv = thermo._scale_interval, thermo._log_interval
+    d, count = spec.d, spec.d ** n
+    lo, hi = thermo._base_pieces(spec, min(thermo.BASE_SPLIT_DEPTH, n))
+    lo, hi = lo[:, None], hi[:, None]
+    levels = []
+    for _ in range(n):
+        lo = spec.eta_inverse_lift(
+            np.concatenate([lo + TWO_PI * b for b in range(d)], axis=1))
+        hi = spec.eta_inverse_lift(
+            np.concatenate([hi + TWO_PI * b for b in range(d)], axis=1))
+        levels.append((lo, hi))
+    track_y = spec.lam2 != 0.0 or spec.nu2 != 0.0
+    acc = {k: [np.zeros((lo.shape[0], count)) for _ in range(2)]
+           for k in ("eta", "lam", "nu")}
+    y_lo = np.full((lo.shape[0], count), -1.0)
+    y_hi = np.full((lo.shape[0], count), 1.0)
+    for j in range(n, 0, -1):
+        reps = d ** (n - j)
+        xlo, xhi = (np.tile(x, (1, reps)) for x in levels[j - 1])
+        s_lo, s_hi = interval_sin(xlo, xhi)
+        c_lo, c_hi = interval_cos(xlo, xhi)
+        e = scale(c_lo, c_hi, spec.eta_eps)
+        terms = {"eta": log_iv(d + e[0], d + e[1], "eta'")}
+        a = scale(s_lo, s_hi, spec.lam1)
+        a = spec.lam0 + a[0], spec.lam0 + a[1]
+        lam, nu = a, scale(c_lo, c_hi, spec.nu1)
+        nu = spec.nu0 + nu[0], spec.nu0 + nu[1]
+        if track_y:
+            t = scale(y_lo, y_hi, 2.0 * spec.lam2)
+            lam = lam[0] + t[0], lam[1] + t[1]
+            t = scale(y_lo, y_hi, spec.nu2)
+            nu = nu[0] + t[0], nu[1] + t[1]
+        terms["lam"] = log_iv(*lam, "lam'")
+        terms["nu"] = log_iv(*nu, "nu'")
+        for k, (t_lo, t_hi) in terms.items():
+            acc[k][0] += t_lo
+            acc[k][1] += t_hi
+        if track_y and j > 1:
+            p = interval_mul(a[0], a[1], y_lo, y_hi)
+            q = scale(*interval_square(y_lo, y_hi), spec.lam2)
+            u = scale(c_lo, c_hi, spec.u_amp)
+            y_lo = np.clip(p[0] + q[0] + u[0], -1.0, 1.0)
+            y_hi = np.clip(p[1] + q[1] + u[1], -1.0, 1.0)
+    return {f"{k}_{side}": (acc[k][0].min(axis=0) if side == "inf"
+                            else acc[k][1].max(axis=0))
+            for k in acc for side in ("inf", "sup")}
+
+
+def test_birkhoff_table_matches_tiled_reference():
+    track_y = SolenoidSpec(d=2, eta_eps=0.3, lam0=0.3, lam1=0.04, lam2=0.03,
+                           nu0=0.12, nu1=0.02, nu2=0.03, u_amp=0.4,
+                           v_amp=0.4)
+    d3 = SolenoidSpec(d=3, lam0=0.25, lam1=0.03, lam2=0.02, nu0=0.15,
+                      nu2=0.03, u_amp=0.4, v_amp=0.4)
+    for spec, n in ((benchmark_a(), 9), (benchmark_c(), 9), (track_y, 9),
+                    (d3, 6), (track_y, 2)):
+        table = thermo.birkhoff_table(spec, n)
+        for name, ref in tiled_birkhoff_arrays(spec, n).items():
+            assert getattr(table, name).tobytes() == ref.tobytes(), name
+
+
+def test_gibbs_model_builds_each_table_once():
+    spec = benchmark_c()
+    thermo.birkhoff_table.cache_clear()
+    thermo.build_gibbs_model(spec, 7)
+    info = thermo.birkhoff_table.cache_info()
+    assert info.misses == 1 and info.hits >= 2
+
+
+def test_cap_checked_before_cached_table():
+    spec = benchmark_a()
+    thermo.birkhoff_table(spec, 8)
+    with pytest.raises(CapExceededError):
+        thermo.birkhoff_table(spec, 8, 2 ** 8 - 1)
+    with pytest.raises(CapExceededError):
+        thermo.pressure_bracket(spec, 1.0, 8, cap=2 ** 7)

@@ -74,8 +74,12 @@ class SolenoidSpec:
         if self.d - e <= 0.0:
             raise SpecInvalidError("base map is not monotone (d <= |eta_eps|)")
         t = np.asarray(targets, dtype=float)
+        hi = (t + e) / self.d
+        if e == 0.0:
+            # The bracket is the point t/d (+0.0 at t = -0.0): Newton's answer.
+            return hi
         return solve_increasing(self.eta_lift, self.eta_prime, t,
-                                (t - e) / self.d, (t + e) / self.d)
+                                (t - e) / self.d, hi)
 
     # -- fiber maps ----------------------------------------------------------
 

@@ -17,31 +17,35 @@ def solve_increasing(f, fprime, targets, lo, hi, tol=1e-13, max_iter=80):
 
     Newton iteration clamped to the bracket [lo, hi]; falls back to the
     bracket midpoint whenever a Newton step leaves the bracket.  Returns
-    the root array; raises if the iteration stalls (non-expanding base).
+    the root array, shaped like `targets`.  An element that has not
+    converged after `max_iter` steps is returned as its last iterate;
+    nothing is raised.  f and fprime are called on 1-d arrays.
     """
     targets = np.asarray(targets, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).copy()
-    x = 0.5 * (lo + hi)
-    # Elements freeze once converged, so each trajectory depends only on
-    # its own inputs and results are identical under any batch chunking.
-    frozen = np.zeros(targets.shape, dtype=bool)
+    t = targets.ravel()
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), targets.shape).ravel()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), targets.shape).ravel()
+    root = 0.5 * (lo + hi)
+    # Only the unconverged elements, `root[active]`, are iterated, so results
+    # are identical under any batch chunking.
+    active, x = np.arange(t.size), root
     for _ in range(max_iter):
-        fx = f(x) - targets
-        lo = np.where(~frozen & (fx < 0.0), x, lo)
-        hi = np.where(~frozen & (fx > 0.0), x, hi)
+        fx = f(x) - t
+        lo = np.where(fx < 0.0, x, lo)
+        hi = np.where(fx > 0.0, x, hi)
         dfx = fprime(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = fx / dfx
         x_new = x - step
         bad = ~np.isfinite(x_new) | (x_new < lo) | (x_new > hi)
         x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-        converged = np.abs(x_new - x) <= tol * np.maximum(1.0, np.abs(x_new))
-        x = np.where(frozen, x, x_new)
-        frozen |= converged
-        if bool(np.all(frozen)):
+        going = ~(np.abs(x_new - x) <= tol * np.maximum(1.0, np.abs(x_new)))
+        root[active] = x_new
+        if not going.any():
             break
-    return x
+        active, x, t = active[going], x_new[going], t[going]
+        lo, hi = lo[going], hi[going]
+    return root.reshape(targets.shape)
 
 
 def _crosses(lo, hi, theta):

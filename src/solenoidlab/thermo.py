@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .coding import (ENUMERATION_CAP, Word, descend_levels,
                      enumerate_cylinders)
@@ -125,8 +124,11 @@ def _birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
     count = d ** n
     lo, hi = _base_pieces(spec, min(BASE_SPLIT_DEPTH, n))
     n_pieces = lo.size
-    # Level j stacks the lo and hi endpoint descents: (2, n_pieces, d**j).
-    levels = descend_levels(spec, np.stack([lo, hi]), n)
+    # Adjacent pieces share endpoints, so each distinct value (by its bits)
+    # is descended once; `ends` takes level j back to (2, n_pieces, d**j).
+    bits, ends = np.unique(np.concatenate([lo, hi]).view(np.int64),
+                           return_inverse=True)
+    levels = descend_levels(spec, bits.view(float), n)
 
     track_y = spec.lam2 != 0.0 or spec.nu2 != 0.0
     # Sums of (eta, lam, nu) x (inf, sup) per base piece and word.
@@ -140,7 +142,7 @@ def _birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
         shape = (n_pieces, count // d ** j, d ** j)
         sums = acc.reshape((3, 2) + shape)
         y_lo, y_hi = y_lo.reshape(shape), y_hi.reshape(shape)
-        xlo, xhi = levels[j - 1][:, :, None, :]
+        xlo, xhi = levels[j - 1][ends].reshape(2, n_pieces, 1, -1)
         s_lo, s_hi = interval_sin(xlo, xhi)
         c_lo, c_hi = interval_cos(xlo, xhi)
         e_lo, e_hi = _scale_interval(c_lo, c_hi, spec.eta_eps)
@@ -211,13 +213,28 @@ class PressureBracket:
     p_hi: float
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) of a 1-d array in scipy.special.logsumexp's steps."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        top = a == a_max
+        m = np.count_nonzero(top)
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+        if s != 0.0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.exp(a).sum())
+    return out
+
+
 def _pressure_lo_hi(table: BirkhoffTable, t: float):
     if t >= 0.0:
-        hi = float(logsumexp(t * table.lam_sup)) / table.n
-        lo = float(logsumexp(t * table.lam_inf)) / table.n
+        hi = float(_logsumexp(t * table.lam_sup)) / table.n
+        lo = float(_logsumexp(t * table.lam_inf)) / table.n
     else:
-        hi = float(logsumexp(t * table.lam_inf)) / table.n
-        lo = float(logsumexp(t * table.lam_sup)) / table.n
+        hi = float(_logsumexp(t * table.lam_inf)) / table.n
+        lo = float(_logsumexp(t * table.lam_sup)) / table.n
     return lo, hi
 
 
@@ -283,7 +300,7 @@ def gibbs_weight_array(spec: SolenoidSpec, t: float, n: int,
     """Normalized cylinder weights exp(t*S_mid) in lexicographic word order."""
     table = birkhoff_table(spec, n, cap)
     logw = t * table.lam_mid
-    logw = logw - logsumexp(logw)
+    logw = logw - _logsumexp(logw)
     return np.exp(logw)
 
 
@@ -334,7 +351,7 @@ class GibbsModel:
     t0_lo: float
     t0_hi: float
     n: int
-    weights: dict
+    weights: np.ndarray  # read-only, lexicographic backward-word order
     chi_eta: float
     chi_lam: float
     chi_nu: float
@@ -345,7 +362,7 @@ class GibbsModel:
         return 0.5 * (self.t0_lo + self.t0_hi)
 
     def weight_array(self, spec):
-        return _weights_as_array(spec, self.weights, self.n)
+        return self.weights
 
 
 def build_gibbs_model(spec: SolenoidSpec, n: int, tol: float = 1e-6,
@@ -354,9 +371,8 @@ def build_gibbs_model(spec: SolenoidSpec, n: int, tol: float = 1e-6,
     t0 = 0.5 * (t0_lo + t0_hi)
     arr = gibbs_weight_array(spec, t0, n, cap)
     chi_eta, chi_lam, chi_nu, entropy = lyapunov_exponents(spec, arr, n)
-    words = enumerate_cylinders(spec, n, "backward", cap)
-    return GibbsModel(t0_lo=t0_lo, t0_hi=t0_hi, n=n,
-                      weights=dict(zip(words, arr.tolist())),
+    arr.flags.writeable = False
+    return GibbsModel(t0_lo=t0_lo, t0_hi=t0_hi, n=n, weights=arr,
                       chi_eta=chi_eta, chi_lam=chi_lam, chi_nu=chi_nu,
                       entropy=entropy)
 
@@ -418,7 +434,7 @@ def _tilt_stats(table: BirkhoffTable, t0: float, psi: str, s: float):
     base = t0 * table.lam_mid
     psi_sum = table.psi_mid(psi)
     logw = base + s * psi_sum
-    norm = logsumexp(logw)
+    norm = _logsumexp(logw)
     w = np.exp(logw - norm)
     mean_psi = float(w @ psi_sum) / n
     pressure = float(norm) / n

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,3 +156,16 @@ def test_cloud_csv_matches_per_value_format(tmp_path):
             path = tmp_path / f"cloud_{k}_{n}.csv"
             cli._cloud_csv(path, cloud, cols)
             assert path.read_text() == reference_cloud_csv(cloud, cols)
+
+
+def test_cli_import_does_not_load_scipy():
+    import solenoidlab
+    src = os.path.dirname(os.path.dirname(solenoidlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, solenoidlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

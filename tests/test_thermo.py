@@ -119,9 +119,15 @@ def test_pressure_brackets_nest_with_fiber_dependence():
         assert big.p_lo >= small.p_lo - 1e-9
 
 
-def test_pressure_cap():
+def test_pressure_cap(monkeypatch):
+    def no_table(spec, n):
+        pytest.fail(f"a {spec.d}**{n} table was built before the cap check")
+
+    monkeypatch.setattr(thermo, "_birkhoff_table", no_table)
     with pytest.raises(CapExceededError):
         thermo.pressure_bracket(benchmark_a(), 1.0, 25)
+    with pytest.raises(CapExceededError):
+        thermo.pressure_bracket(benchmark_a(), 1.0, 12, cap=2 ** 10)
 
 
 def test_bowen_closed_forms():
@@ -178,6 +184,18 @@ def test_entropy_stabilizes_in_generation():
         values.append(m.entropy)
     assert abs(values[-1] - values[0]) < 0.05
     assert abs(values[-1] - values[1]) < 0.05
+
+
+def test_gibbs_model_holds_the_weight_array():
+    spec = benchmark_c()
+    m = thermo.build_gibbs_model(spec, 8)
+    arr = thermo.gibbs_weight_array(spec, m.t0_mid, 8)
+    assert m.weight_array(spec) is m.weights
+    assert m.weights.tobytes() == arr.tobytes()
+    assert not m.weights.flags.writeable
+    words = thermo.gibbs_weights(spec, m.t0_mid, 8)
+    assert [w.index(2) for w in words] == list(range(2 ** 8))
+    assert list(words.values()) == arr.tolist()
 
 
 def test_entropy_dimension_identity():
@@ -266,7 +284,11 @@ def test_quasi_multiplicativity_bounded():
 
 
 def tiled_birkhoff_arrays(spec, n):
-    """The bound table computed on word-indexed copies of each level."""
+    """The bound table computed on word-indexed copies of each level.
+
+    Both endpoints of every base piece are descended on their own (2 * d**3
+    lifts), where the table descends each shared endpoint once.
+    """
     from solenoidlab.numerics import (TWO_PI, interval_cos, interval_mul,
                                       interval_sin, interval_square)
     scale, log_iv = thermo._scale_interval, thermo._log_interval
@@ -345,3 +367,26 @@ def test_cap_checked_before_cached_table():
         thermo.birkhoff_table(spec, 8, 2 ** 8 - 1)
     with pytest.raises(CapExceededError):
         thermo.pressure_bracket(spec, 1.0, 8, cap=2 ** 7)
+
+
+def test_logsumexp_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(17)
+    edge = [np.array(v) for v in (
+        [0.0], [-np.inf], [np.inf], [np.nan], [-np.inf, -np.inf],
+        [np.inf, 1.0], [np.inf, -np.inf], [1.0, np.nan], [-np.inf, 2.0, 2.0],
+        [710.0, 710.0], [-800.0, -800.5], [1e308, 1e308])]
+    cases = edge + [rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), rng.integers(1, 300))
+                    for _ in range(2000)]
+    for k in range(500):
+        a = rng.normal(0.0, 5.0, rng.integers(2, 200))
+        a[rng.integers(0, a.size, 3)] = a.max()  # tied maxima
+        if k % 3 == 0:
+            a[rng.integers(0, a.size)] = -np.inf
+        cases.append(a)
+    table = thermo.birkhoff_table(benchmark_c(), 12)
+    cases += [0.658 * table.lam_sup, -2.0 * table.lam_inf]
+    for a in cases:
+        ours = np.asarray(thermo._logsumexp(a))
+        ref = np.asarray(special.logsumexp(a))
+        assert ours.tobytes() == ref.tobytes(), a

@@ -22,9 +22,9 @@ from .lamination import (HolonomyReport, IntersectionRecord, UnstableLeaf,
 from .maps import (MapJet, Point3, SolenoidSpec, ValidationReport, apply_map,
                    benchmark_a, benchmark_b, benchmark_c, inverse_base,
                    iterate, validate_spec)
-from .thermo import (GibbsModel, PressureBracket, RegimeFlags, birkhoff_bounds,
+from .thermo import (GibbsModel, PressureBracket, RegimeFlags,
                      build_gibbs_model, classify_regime, deviation_decay,
-                     gibbs_weights, lyapunov_exponents, nl_dimension_bound,
+                     lyapunov_exponents, nl_dimension_bound,
                      pressure_bracket, rate_function, solve_bowen)
 
 __version__ = "0.1.0"
@@ -34,8 +34,8 @@ __all__ = [
     "validate_spec", "apply_map", "inverse_base", "iterate",
     "Word", "LeafPointResult", "point_from_backward_word", "base_itinerary",
     "enumerate_cylinders", "cylinder_base_interval",
-    "PressureBracket", "GibbsModel", "RegimeFlags", "birkhoff_bounds",
-    "pressure_bracket", "solve_bowen", "gibbs_weights", "lyapunov_exponents",
+    "PressureBracket", "GibbsModel", "RegimeFlags",
+    "pressure_bracket", "solve_bowen", "lyapunov_exponents",
     "build_gibbs_model", "classify_regime", "rate_function",
     "nl_dimension_bound", "deviation_decay",
     "PointCloud", "DimensionFit", "slice_cloud", "attractor_cloud",

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, lamination, thermo
-from .coding import write_cylinder_table
+from .coding import Word, leaf_states, write_cylinder_table
 from .errors import (CapExceededError, ConfigError, SolenoidError,
                      SpecInvalidError)
 from .maps import SolenoidSpec, validate_spec
@@ -282,15 +282,17 @@ def _cmd_transversality(cfg, stages, out_dir):
 
 def _dump_leaves(cfg, out_dir):
     rng = np.random.default_rng(cfg.seed)
+    digits = np.array([rng.integers(0, cfg.spec.d, max(cfg.n_past, 24))
+                       for _ in range(4)])
+    lifts = np.linspace(-cfg.leaf_margin, 2 * math.pi + cfg.leaf_margin,
+                        cfg.leaf_samples)
+    y, z = leaf_states(cfg.spec, digits, lifts)
     lines = [f"# spec_hash={cfg.spec.spec_hash()} generation={cfg.n_past}",
              "leaf,x_lift,y,z"]
-    from .coding import Word
-    for k in range(4):
-        word = Word(tuple(rng.integers(0, cfg.spec.d, max(cfg.n_past, 24))))
-        leaf = lamination.unstable_leaf(cfg.spec, word, cfg.leaf_margin,
-                                        cfg.leaf_samples, tol=1.0)
-        for row in leaf.samples:
-            lines.append(f"{word},{row[0]:.12g},{row[1]:.12g},{row[2]:.12g}")
+    for row, y_row, z_row in zip(digits, y, z):
+        word = Word(tuple(row))
+        lines += [f"{word},{x:.12g},{yx:.12g},{zx:.12g}"
+                  for x, yx, zx in zip(lifts, y_row, z_row)]
     _write(os.path.join(out_dir, "leaves.csv"), "\n".join(lines) + "\n")
 
 
@@ -311,23 +313,24 @@ def _cmd_holonomy(cfg, stages, out_dir):
 
 
 def _holonomy_laws(cfg, leaves: int = 25):
-    from .coding import Word
+    """Holonomy x0 -> x0 and x0 -> x1 -> x2 against x0 -> x2, per leaf.
+
+    Both sides of each law end at a leaf point, so one leaf_states call
+    evaluates leaf i at (x0, x0, x2, x2).
+    """
+    length = 40
+    lamination._require_depth(cfg.spec, length, 1e-9)
     rng = np.random.default_rng(cfg.seed)
-    worst_identity = 0.0
-    worst_composition = 0.0
+    digits, lifts = [], []
     for _ in range(leaves):
-        word = Word(tuple(rng.integers(0, cfg.spec.d, 40)))
-        x0, x1, x2 = np.sort(rng.uniform(0.0, 2 * math.pi, 3))
-        p, q = lamination.holonomy_map(cfg.spec, word, x0, x0)
-        worst_identity = max(worst_identity,
-                             math.hypot(p.y - q.y, p.z - q.z))
-        _, q1 = lamination.holonomy_map(cfg.spec, word, x0, x1)
-        _, q2 = lamination.holonomy_map(cfg.spec, word, x1, x2)
-        _, qd = lamination.holonomy_map(cfg.spec, word, x0, x2)
-        worst_composition = max(worst_composition,
-                                math.hypot(q2.y - qd.y, q2.z - qd.z))
-    return {"leaves": leaves, "identity_max_error": worst_identity,
-            "composition_max_error": worst_composition}
+        digits.append(rng.integers(0, cfg.spec.d, length))
+        x0, _, x2 = np.sort(rng.uniform(0.0, 2 * math.pi, 3))
+        lifts.append((x0, x0, x2, x2))
+    y, z = leaf_states(cfg.spec, np.array(digits), np.array(lifts))
+    worst = [max([0.0, *map(math.hypot, y[:, k] - y[:, k + 1],
+                            z[:, k] - z[:, k + 1])]) for k in (0, 2)]
+    return {"leaves": leaves, "identity_max_error": worst[0],
+            "composition_max_error": worst[1]}
 
 
 def _cmd_deviations(cfg, stages, out_dir):

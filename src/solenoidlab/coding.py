@@ -10,6 +10,11 @@ used throughout the bulk routines.
 
 Forward words list the branch intervals visited by the forward orbit of a
 base point, starting with the interval containing the point itself.
+
+Every backward chain comes from one descent, ``descend_levels``.  Without
+digits each level fans out over all d branches (cloud representatives, the
+Birkhoff table, forward cylinder endpoints); given digit rows each row
+follows its own word (leaves, margin chains, single cylinder intervals).
 """
 
 from __future__ import annotations
@@ -99,23 +104,28 @@ def branch_of(spec: SolenoidSpec, x) -> np.ndarray:
 # Bulk backward-chain machinery
 # ---------------------------------------------------------------------------
 
-def descend_levels(spec: SolenoidSpec, lifts: np.ndarray, n: int) -> list:
-    """Backward chains of every length-n word over the given base lifts.
+def descend_levels(spec: SolenoidSpec, lifts: np.ndarray, n: int,
+                   digits: np.ndarray | None = None) -> list:
+    """The n levels x <- eta^-1(x + 2*pi*b) of the backward descent from lifts.
 
-    Returns a list of n arrays; level j has shape lifts.shape + (d**j,) and
-    holds the depth-j preimage lift for every combination of the j most
-    recent branch symbols, indexed by sum_k i_(-k) * d**(k-1).  That code
-    equals the lexicographic word index reduced mod d**j.
+    Without digits every level fans out over all d branches: level j has
+    shape lifts.shape + (d**j,), column sum_k i_(-k) * d**(k-1) following
+    the j most recent symbols, i.e. the lexicographic word index mod d**j.
+    Given digit rows (m, n), deepest symbol first, row i takes branch
+    digits[i, n - j] at level j; lifts of shape (k,) or (m, k) give levels
+    of shape (m, k).
     """
-    d = spec.d
     lifts = np.asarray(lifts, dtype=float)
+    x = lifts[..., None] if digits is None else lifts
     levels = []
-    current = lifts[..., None]  # depth 0, one column
-    for _ in range(n):
-        stacked = np.concatenate(
-            [current + TWO_PI * b for b in range(d)], axis=-1)
-        current = spec.eta_inverse_lift(stacked)
-        levels.append(current)
+    for j in range(1, n + 1):
+        if digits is None:
+            x = np.concatenate([x + TWO_PI * b for b in range(spec.d)],
+                               axis=-1)
+        else:
+            x = x + TWO_PI * digits[:, n - j, None]
+        x = spec.eta_inverse_lift(x)
+        levels.append(x)
     return levels
 
 
@@ -154,20 +164,15 @@ def leaf_states(spec: SolenoidSpec, digits: np.ndarray, lifts: np.ndarray):
 
     digits has shape (m, n) with the deepest symbol first; lifts is a real
     array of shape (k,) shared by every leaf, or of shape (m, k) with one
-    row of lifts per digits row.  Returns (y, z) arrays of shape (m, k).
-    The lift values may leave [0, 2*pi); the inverse-branch chain then
-    continues the leaf across the seam, which is what extended leaf
-    windows require.
+    row of lifts per digits row.  Returns (y, z) arrays of shape (m, k),
+    forward along the rows-mode descent of ``descend_levels``.  The lift
+    values may leave [0, 2*pi); the inverse-branch chain then continues the
+    leaf across the seam, which is what extended leaf windows require.
     """
     digits = np.atleast_2d(np.asarray(digits, dtype=int))
     lifts = np.asarray(lifts, dtype=float)
-    m, n = digits.shape
-    x = np.broadcast_to(lifts, (m, lifts.shape[-1])).copy()
-    chain = []
-    for j in range(1, n + 1):
-        x = spec.eta_inverse_lift(x + TWO_PI * digits[:, n - j, None])
-        chain.append(x)
-    return _fiber_forward(spec, chain, x.shape)
+    chain = descend_levels(spec, lifts, digits.shape[1], digits)
+    return _fiber_forward(spec, chain, (len(digits), lifts.shape[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +195,6 @@ def point_from_backward_word(spec: SolenoidSpec, word: Word, x: float,
     if bound >= tol:
         raise WordTooShortError(
             f"need (sup lam')^n < {tol:g}; length {n} gives {bound:g}")
-    if n == 0:
-        x0 = float(np.mod(x, TWO_PI))
-        return LeafPointResult(point=Point3(x=x0, y=0.0, z=0.0), error_bound=1.0)
     digits = np.array([word.symbols], dtype=int)
     y, z = leaf_states(spec, digits, np.array([np.mod(x, TWO_PI)]))
     point = Point3(x=float(np.mod(x, TWO_PI)), y=float(y[0, 0]), z=float(z[0, 0]))
@@ -222,6 +224,19 @@ def enumerate_cylinders(spec: SolenoidSpec, n: int, direction: Direction,
             for s in itertools.product(range(spec.d), repeat=n)]
 
 
+def cylinder_endpoints(spec: SolenoidSpec, m: int):
+    """(lo, hi) of all d**m generation-m forward cylinders, lexicographic.
+
+    The last level L of the branch points' (m-1)-level descent has shape
+    (d + 1, d**(m-1)); word c * d + s spans [L[s, c], L[s + 1, c]].
+    """
+    if m < 1:
+        raise ValueError("cylinder generation must be >= 1")
+    a = np.array(branch_points(spec))
+    ends = descend_levels(spec, a, m - 1)[-1] if m > 1 else a[:, None]
+    return ends[:-1].T.ravel(), ends[1:].T.ravel()
+
+
 def cylinder_base_interval(spec: SolenoidSpec, word: Word):
     """Endpoints of the base interval whose points share the given itinerary."""
     if word.direction != "forward":
@@ -229,19 +244,19 @@ def cylinder_base_interval(spec: SolenoidSpec, word: Word):
     _check_symbols(spec, word)
     a = branch_points(spec)
     syms = word.symbols
-    lo, hi = a[syms[-1]], a[syms[-1] + 1]
-    for s in reversed(syms[:-1]):
-        lo, hi = (float(spec.eta_inverse_lift(lo + TWO_PI * s)),
-                  float(spec.eta_inverse_lift(hi + TWO_PI * s)))
+    ends = np.array([a[syms[-1]], a[syms[-1] + 1]])
+    levels = descend_levels(spec, ends, len(syms) - 1,
+                            np.array([syms[:-1]], dtype=int))
+    lo, hi = levels[-1][0] if levels else ends
     return float(lo), float(hi)
 
 
 def write_cylinder_table(spec: SolenoidSpec, n: int, path, cap=ENUMERATION_CAP):
     """Emit the generation-n base intervals as CSV (word, interval_lo, interval_hi)."""
     words = enumerate_cylinders(spec, n, "forward", cap=cap)
+    lo, hi = cylinder_endpoints(spec, n)
     with open(path, "w") as fh:
         fh.write(f"# spec_hash={spec.spec_hash()} generation={n}\n")
         fh.write("word,interval_lo,interval_hi\n")
-        for w in words:
-            lo, hi = cylinder_base_interval(spec, w)
-            fh.write(f"{w},{lo:.12g},{hi:.12g}\n")
+        for w, lo_w, hi_w in zip(words, lo.tolist(), hi.tolist()):
+            fh.write(f"{w},{lo_w:.12g},{hi_w:.12g}\n")

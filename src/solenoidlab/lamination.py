@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import Word, leaf_states
+from .coding import Word, descend_levels, leaf_states
 from .errors import WordTooShortError
 from .maps import Point3, SolenoidSpec
 from .numerics import TWO_PI
@@ -95,11 +95,11 @@ class HolonomyReport:
         }
 
 
-def _require_depth(spec, past, tol):
-    bound = spec.contraction_sup() ** past.generation
+def _require_depth(spec, n, tol):
+    bound = spec.contraction_sup() ** n
     if bound >= tol:
         raise WordTooShortError(
-            f"past of length {past.generation} gives error {bound:g} >= {tol:g}")
+            f"past of length {n} gives error {bound:g} >= {tol:g}")
     return bound
 
 
@@ -120,7 +120,7 @@ def _leaves(spec, pasts, margin, samples, tol):
     """Leaves of several same-length pasts from one leaf_states call."""
     if samples < 2:
         raise ValueError("need at least two samples")
-    bound = _require_depth(spec, pasts[0], tol)
+    bound = _require_depth(spec, pasts[0].generation, tol)
     lifts = np.linspace(-margin, TWO_PI + margin, samples)
     y, z = leaf_states(spec, np.array([p.symbols for p in pasts], dtype=int),
                        lifts)
@@ -298,7 +298,7 @@ def holonomy_map(spec: SolenoidSpec, past: Word, x_src: float, x_dst: float,
     x_dst is interpreted as a lift relative to the x_src window, so paths
     longer than one turn stay on the same leaf continuation.
     """
-    _require_depth(spec, past, tol)
+    _require_depth(spec, past.generation, tol)
     p, q = _leaf_points(spec, past, [x_src, x_dst])
     return p, q
 
@@ -398,13 +398,13 @@ def _margins(spec, digits, n_min, n_max, L, pool, x):
     usable = np.zeros(m, dtype=bool)
     if pool is None or pool.size == 0 or n_max < n_min:
         return worst, usable
-    chain = [np.full(m, np.mod(x, TWO_PI), dtype=float)]
-    for k in range(1, n_max + 1):
-        chain.append(spec.eta_inverse_lift(
-            chain[-1] + TWO_PI * digits[:, length - k]))
-    eta = np.cumprod(spec.eta_prime(np.stack(chain[1:], axis=1)), axis=1)
+    start = np.full((m, 1), np.mod(x, TWO_PI))
+    chain = np.concatenate([start] + descend_levels(
+        spec, start, n_max, digits[:, length - n_max:]), axis=1)
+    eta = np.cumprod(spec.eta_prime(chain[:, 1:]), axis=1)
     for n in range(n_min, n_max + 1):
-        dist = _nearest_crossings(spec, digits[:, :length - n], pool, chain[n])
+        dist = _nearest_crossings(spec, digits[:, :length - n], pool,
+                                  chain[:, n])
         usable |= ~np.isnan(dist)
         ratio = dist * eta[:, n - 1] / L
         worst = np.where(np.isfinite(ratio), np.minimum(worst, ratio), worst)

@@ -171,9 +171,6 @@ class Point3:
     def in_domain(self):
         return self.y * self.y + self.z * self.z < 1.0
 
-    def as_array(self):
-        return np.array([self.x, self.y, self.z])
-
 
 @dataclass(frozen=True)
 class MapJet:

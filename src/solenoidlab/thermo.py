@@ -23,8 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coding import (ENUMERATION_CAP, Word, descend_levels,
-                     enumerate_cylinders)
+from .coding import ENUMERATION_CAP, cylinder_endpoints, descend_levels
 from .errors import CapExceededError, SpecInvalidError
 from .maps import SolenoidSpec
 from .numerics import (TWO_PI, interval_cos, interval_mul, interval_sin,
@@ -86,17 +85,6 @@ def _log_interval(lo, hi, what):
 BASE_SPLIT_DEPTH = 3
 
 
-def _base_pieces(spec, m):
-    """Endpoints of the generation-m forward cylinders partitioning the base."""
-    from .coding import cylinder_base_interval
-    words = enumerate_cylinders(spec, m, "forward")
-    lo = np.empty(len(words))
-    hi = np.empty(len(words))
-    for k, w in enumerate(words):
-        lo[k], hi[k] = cylinder_base_interval(spec, w)
-    return lo, hi
-
-
 def birkhoff_table(spec: SolenoidSpec, n: int,
                    cap: int = ENUMERATION_CAP) -> BirkhoffTable:
     """Build (and cache) the generation-n bound table for all d**n words.
@@ -122,7 +110,7 @@ def birkhoff_table(spec: SolenoidSpec, n: int,
 def _birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
     d = spec.d
     count = d ** n
-    lo, hi = _base_pieces(spec, min(BASE_SPLIT_DEPTH, n))
+    lo, hi = cylinder_endpoints(spec, min(BASE_SPLIT_DEPTH, n))
     n_pieces = lo.size
     # Adjacent pieces share endpoints, so each distinct value (by its bits)
     # is descended once; `ends` takes level j back to (2, n_pieces, d**j).
@@ -184,21 +172,6 @@ def _birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
 
 birkhoff_table.cache_info = _birkhoff_table.cache_info
 birkhoff_table.cache_clear = _birkhoff_table.cache_clear
-
-
-def birkhoff_bounds(spec: SolenoidSpec, word: Word, xi: str):
-    """Rigorous (inf, sup) of the summed log-derivative over one cylinder.
-
-    xi is one of "eta", "lam", "nu".
-    """
-    if word.direction != "backward":
-        raise ValueError("birkhoff_bounds expects a backward word")
-    if xi not in ("eta", "lam", "nu"):
-        raise ValueError(f"unknown derivative name {xi!r}")
-    table = birkhoff_table(spec, word.generation)
-    idx = word.index(spec.d)
-    return (float(getattr(table, f"{xi}_inf")[idx]),
-            float(getattr(table, f"{xi}_sup")[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -304,28 +277,13 @@ def gibbs_weight_array(spec: SolenoidSpec, t: float, n: int,
     return np.exp(logw)
 
 
-def gibbs_weights(spec: SolenoidSpec, t: float, n: int,
-                  cap: int = ENUMERATION_CAP) -> dict:
-    """Cylinder weight table keyed by backward Word, summing to one."""
-    arr = gibbs_weight_array(spec, t, n, cap)
-    words = enumerate_cylinders(spec, n, "backward", cap)
-    return dict(zip(words, arr.tolist()))
-
-
 def _weights_as_array(spec, weights, n):
-    if isinstance(weights, np.ndarray):
-        arr = weights
-    elif isinstance(weights, dict):
-        if len(weights) != spec.d ** n:
-            raise ValueError("weight table does not cover all words")
-        arr = np.empty(spec.d ** n)
-        for w, val in weights.items():
-            arr[w.index(spec.d)] = val
-    else:
-        arr = np.asarray(weights, dtype=float)
-    if abs(float(arr.sum()) - 1.0) > 1e-9:
+    if weights.shape != (spec.d ** n,):
+        raise ValueError(f"need one weight per word, {spec.d}**{n} = "
+                         f"{spec.d ** n}; got shape {weights.shape}")
+    if abs(float(weights.sum()) - 1.0) > 1e-9:
         raise ValueError("weights must be normalized to sum 1")
-    return arr
+    return weights
 
 
 def lyapunov_exponents(spec: SolenoidSpec, weights, n: int):
@@ -360,9 +318,6 @@ class GibbsModel:
     @property
     def t0_mid(self):
         return 0.5 * (self.t0_lo + self.t0_hi)
-
-    def weight_array(self, spec):
-        return self.weights
 
 
 def build_gibbs_model(spec: SolenoidSpec, n: int, tol: float = 1e-6,

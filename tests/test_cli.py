@@ -7,12 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from solenoidlab import ConfigError, PointCloud, SpecInvalidError
+from solenoidlab import (ConfigError, PointCloud, SolenoidSpec,
+                         SpecInvalidError, Word, WordTooShortError,
+                         holonomy_map, unstable_leaf)
 from solenoidlab import cli
 
 T0_A = math.log(2.0) / math.log(2.5)
 
 BENCH_A = {"d": 2, "lam0": 0.4, "nu0": 0.25, "u_amp": 0.5, "v_amp": 0.5}
+BENCH_C = {"d": 2, "eta_eps": 0.3, "lam0": 0.35, "lam1": 0.05, "nu0": 0.15,
+           "u_amp": 0.5, "v_amp": 0.5}
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -127,6 +131,55 @@ def test_main_overrides(tmp_path):
     assert rep["inputs"]["depth_n"] == 7
     assert rep["inputs"]["seed"] == 11
     assert rep["results"]["n"] == 7
+
+
+def reference_laws(spec, seed, leaves=25):
+    """The holonomy laws, one holonomy_map call per slide."""
+    rng = np.random.default_rng(seed)
+    worst_identity = worst_composition = 0.0
+    for _ in range(leaves):
+        word = Word(tuple(rng.integers(0, spec.d, 40)))
+        x0, x1, x2 = np.sort(rng.uniform(0.0, 2 * math.pi, 3))
+        p, q = holonomy_map(spec, word, x0, x0)
+        worst_identity = max(worst_identity, math.hypot(p.y - q.y, p.z - q.z))
+        _, q2 = holonomy_map(spec, word, x1, x2)
+        _, qd = holonomy_map(spec, word, x0, x2)
+        worst_composition = max(worst_composition,
+                                math.hypot(q2.y - qd.y, q2.z - qd.z))
+    return {"leaves": leaves, "identity_max_error": worst_identity,
+            "composition_max_error": worst_composition}
+
+
+def reference_leaves_csv(cfg):
+    """leaves.csv built from one unstable_leaf call per leaf."""
+    rng = np.random.default_rng(cfg.seed)
+    lines = [f"# spec_hash={cfg.spec.spec_hash()} generation={cfg.n_past}",
+             "leaf,x_lift,y,z"]
+    for _ in range(4):
+        word = Word(tuple(rng.integers(0, cfg.spec.d, max(cfg.n_past, 24))))
+        leaf = unstable_leaf(cfg.spec, word, cfg.leaf_margin,
+                             cfg.leaf_samples, tol=1.0)
+        lines += [f"{word},{x:.12g},{y:.12g},{z:.12g}"
+                  for x, y, z in leaf.samples]
+    return lines
+
+
+def test_holonomy_and_leaf_dump_match_one_leaf_references(tmp_path):
+    for spec in (BENCH_A, BENCH_C):
+        cfg = cli.load_config(write_config(tmp_path, spec=spec,
+                                           dump_leaves=True))
+        holo = cli.run_command(cfg, "holonomy")
+        assert holo.results["laws"] == reference_laws(cfg.spec, cfg.seed)
+        cli.run_command(cfg, "transversality")
+        rows = (tmp_path / "out" / "leaves.csv").read_text().splitlines()
+        assert rows == reference_leaves_csv(cfg)
+        assert len(rows) == 2 + 4 * cfg.leaf_samples
+    # the depth gate: 40 symbols of a 0.6-contracting leaf miss 1e-9
+    loose = SolenoidSpec(d=2, lam0=0.6, nu0=0.25, u_amp=0.3, v_amp=0.3)
+    with pytest.raises(WordTooShortError):
+        reference_laws(loose, 0)
+    with pytest.raises(WordTooShortError):
+        cli._holonomy_laws(cli.RunConfig(spec=loose))
 
 
 def reference_cloud_csv(cloud, header_cols):

@@ -8,8 +8,9 @@ from solenoidlab import (CapExceededError, Point3, SolenoidSpec, Word,
                          benchmark_a, benchmark_c, cylinder_base_interval,
                          enumerate_cylinders, inverse_base,
                          point_from_backward_word)
-from solenoidlab.coding import (branch_of, descend_levels,
+from solenoidlab.coding import (branch_of, cylinder_endpoints, descend_levels,
                                 word_representatives)
+from solenoidlab.maps import branch_points
 
 TWO_PI = 2 * math.pi
 
@@ -180,3 +181,44 @@ def test_word_representatives_match_tiled_reference():
         # bit for bit, signed zeros included
         assert y.tobytes() == y_ref.tobytes()
         assert z.tobytes() == z_ref.tobytes()
+
+
+def scalar_cylinder_interval(spec, word):
+    """One forward cylinder, descended endpoint by endpoint in scalars."""
+    a = branch_points(spec)
+    syms = word.symbols
+    lo, hi = a[syms[-1]], a[syms[-1] + 1]
+    for s in reversed(syms[:-1]):
+        lo, hi = (float(spec.eta_inverse_lift(lo + TWO_PI * s)),
+                  float(spec.eta_inverse_lift(hi + TWO_PI * s)))
+    return float(lo), float(hi)
+
+
+def test_cylinder_endpoints_match_scalar_reference():
+    d3 = SolenoidSpec(d=3, eta_eps=0.4, lam0=0.2, lam1=0.03, lam2=0.02,
+                      nu0=0.08, nu2=0.02, u_amp=0.4, v_amp=0.4)
+    for spec in (benchmark_a(), benchmark_c(), d3):
+        for m in range(1, 6):
+            words = enumerate_cylinders(spec, m, "forward")
+            ref = np.array([scalar_cylinder_interval(spec, w) for w in words])
+            lo, hi = cylinder_endpoints(spec, m)
+            # bit for bit, signed zeros included
+            assert lo.tobytes() == ref[:, 0].tobytes()
+            assert hi.tobytes() == ref[:, 1].tobytes()
+            for k in (0, len(words) // 3, len(words) - 1):
+                pair = np.array(cylinder_base_interval(spec, words[k]))
+                assert pair.tobytes() == ref[k].tobytes()
+
+
+def test_descend_levels_rows_follow_their_digits():
+    spec = benchmark_c()
+    n = 7
+    lifts = np.array([0.0, 1.3, TWO_PI + 0.4])
+    fan = descend_levels(spec, lifts, n)
+    rows = np.array([[0] * n, [1, 0, 1, 1, 0, 0, 1], [1] * n])
+    index = rows @ spec.d ** np.arange(n - 1, -1, -1)
+    levels = descend_levels(spec, lifts, n, rows)
+    for j in range(1, n + 1):
+        # row i at depth j is the fan-out column of its j most recent symbols
+        expected = fan[j - 1][:, index % spec.d ** j].T
+        assert levels[j - 1].tobytes() == expected.tobytes()

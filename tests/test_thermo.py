@@ -6,6 +6,7 @@ import pytest
 from solenoidlab import (CapExceededError, SolenoidSpec, Word, benchmark_a,
                          benchmark_b, benchmark_c)
 from solenoidlab import thermo
+from solenoidlab.coding import cylinder_endpoints
 
 LOG2 = math.log(2.0)
 T0_A = math.log(2.0) / math.log(2.5)
@@ -39,20 +40,28 @@ def brute_birkhoff_range(spec, word, xi, n_grid=4000, n_y=9):
     return lo, hi
 
 
+def table_bounds(spec, word, xi):
+    """(inf, sup) of the summed log-derivative xi over one backward word."""
+    table = thermo.birkhoff_table(spec, word.generation)
+    idx = word.index(spec.d)
+    return (float(getattr(table, f"{xi}_inf")[idx]),
+            float(getattr(table, f"{xi}_sup")[idx]))
+
+
 def test_birkhoff_constant_potentials():
     spec = benchmark_a()
     for n in (1, 4, 9):
         w = Word((0,) * n)
-        lo, hi = thermo.birkhoff_bounds(spec, w, "lam")
+        lo, hi = table_bounds(spec, w, "lam")
         assert abs(lo - n * math.log(0.4)) < 1e-12
         assert abs(hi - n * math.log(0.4)) < 1e-12
-        lo, hi = thermo.birkhoff_bounds(spec, w, "eta")
+        lo, hi = table_bounds(spec, w, "eta")
         assert abs(lo - n * LOG2) < 1e-12 and abs(hi - n * LOG2) < 1e-12
 
 
 def test_birkhoff_nonlinear_branch_interval():
     spec = benchmark_c()
-    lo, hi = thermo.birkhoff_bounds(spec, Word((0,)), "lam")
+    lo, hi = table_bounds(spec, Word((0,)), "lam")
     assert math.log(0.30) <= lo <= hi <= math.log(0.40)
     # branch 0 is the positive-sine half circle for this family
     assert abs(lo - math.log(0.35)) < 5e-3
@@ -67,10 +76,10 @@ def test_birkhoff_bounds_enclose_sampled_range():
         for _ in range(3):
             w = Word(tuple(rng.integers(0, 2, n)))
             s_lo, s_hi = brute_birkhoff_range(spec, w, "lam")
-            r_lo, r_hi = thermo.birkhoff_bounds(spec, w, "lam")
+            r_lo, r_hi = table_bounds(spec, w, "lam")
             assert r_lo <= s_lo + 1e-9 and s_hi <= r_hi + 1e-9
             s_lo, s_hi = brute_birkhoff_range(spec, w, "nu")
-            r_lo, r_hi = thermo.birkhoff_bounds(spec, w, "nu")
+            r_lo, r_hi = table_bounds(spec, w, "nu")
             assert r_lo <= s_lo + 1e-9 and s_hi <= r_hi + 1e-9
 
 
@@ -150,9 +159,9 @@ def test_bowen_intervals_nest_in_generation():
 
 def test_gibbs_weights_uniform_for_constant_family():
     spec = benchmark_a()
-    w = thermo.gibbs_weights(spec, 0.9, 3)
-    assert len(w) == 8
-    assert all(abs(v - 0.125) < 1e-12 for v in w.values())
+    w = thermo.gibbs_weight_array(spec, 0.9, 3)
+    assert w.shape == (8,)
+    assert np.all(np.abs(w - 0.125) < 1e-12)
     arr = thermo.gibbs_weight_array(spec, 0.9, 8)
     assert abs(arr.sum() - 1.0) < 1e-12
 
@@ -190,12 +199,21 @@ def test_gibbs_model_holds_the_weight_array():
     spec = benchmark_c()
     m = thermo.build_gibbs_model(spec, 8)
     arr = thermo.gibbs_weight_array(spec, m.t0_mid, 8)
-    assert m.weight_array(spec) is m.weights
+    assert m.weights.shape == (2 ** 8,)
     assert m.weights.tobytes() == arr.tobytes()
     assert not m.weights.flags.writeable
-    words = thermo.gibbs_weights(spec, m.t0_mid, 8)
-    assert [w.index(2) for w in words] == list(range(2 ** 8))
-    assert list(words.values()) == arr.tolist()
+
+
+def test_weight_array_length_must_be_d_to_the_n():
+    from solenoidlab import geometry
+    spec = benchmark_a()
+    short = thermo.gibbs_weight_array(spec, T0_A, 7)
+    with pytest.raises(ValueError, match=r"2\*\*8 = 256"):
+        thermo.lyapunov_exponents(spec, short, 8)
+    with pytest.raises(ValueError, match=r"2\*\*8 = 256"):
+        geometry.local_density_stats(spec, short, 0.0, 8, [0.5])
+    with pytest.raises(ValueError, match="sum 1"):
+        thermo.lyapunov_exponents(spec, np.full(2 ** 8, 1.0 / 2 ** 7), 8)
 
 
 def test_entropy_dimension_identity():
@@ -293,7 +311,7 @@ def tiled_birkhoff_arrays(spec, n):
                                       interval_sin, interval_square)
     scale, log_iv = thermo._scale_interval, thermo._log_interval
     d, count = spec.d, spec.d ** n
-    lo, hi = thermo._base_pieces(spec, min(thermo.BASE_SPLIT_DEPTH, n))
+    lo, hi = cylinder_endpoints(spec, min(thermo.BASE_SPLIT_DEPTH, n))
     lo, hi = lo[:, None], hi[:, None]
     levels = []
     for _ in range(n):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from . import geometry, lamination, thermo
 from .coding import Word, leaf_states, write_cylinder_table
 from .errors import (CapExceededError, ConfigError, SolenoidError,
                      SpecInvalidError)
-from .maps import SolenoidSpec, validate_spec
+from .maps import Point3, SolenoidSpec, apply_map, validate_spec
 
 COMMANDS = ("validate", "pressure", "bowen", "dimension", "transversality",
             "holonomy", "deviations", "report")
@@ -175,22 +176,122 @@ def _write(path, text):
         fh.write(text)
 
 
+def _write_json(path, obj):
+    _write(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+
+
 _CSV_BLOCK_ROWS = 8192
+# One value per 20-byte slot, read as five uint32 words: [sign, "0.0"],
+# ["00", lead digit, point], 4 digits, 4 digits, [3 digits, separator].
+# Zero bytes are padding; '%.12g' of a float64 is at most 19 bytes long.
+_SLOT = 20
+_SCALE = 10.0 ** np.arange(15, 10, -1)   # 10**(11 - e), e = -4 .. 0
+
+
+def _digit_table(width):
+    """uint32 words holding the ASCII digits of 0 .. 10**width - 1.
+
+    Entry k + 10**width is entry k with its trailing zeros blanked to 0.
+    """
+    digits = np.indices((10,) * width, np.uint8).reshape(width, -1).T
+    trailing = np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] == 0
+    table = np.zeros((2, 10 ** width, 4), np.uint8)
+    table[:, :, :width] = digits + np.uint8(ord("0"))
+    table[1, :, :width][trailing] = 0
+    return table.view(np.uint32).ravel()
+
+
+def _head_table():
+    """Slot words 0 and 1, indexed ((neg * 5 + e + 4) * 10 + lead) * 2 + point."""
+    head = np.zeros((2, 5, 10, 2, 8), np.uint8)
+    head[1, ..., 0] = ord("-")
+    for e in range(-4, 0):
+        prefix = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+        head[:, e + 4, :, :, 1:1 + len(prefix)] = prefix
+    head[..., 6] = (np.arange(10) + ord("0"))[:, None]
+    head[:, 4, :, 1, 7] = ord(".")
+    return head.reshape(-1, 8).view(np.uint32).T.copy()
+
+
+@functools.cache
+def _format_tables():
+    """The lookup tables of `_csv_block`, built on first use."""
+    return _head_table(), _digit_table(4), _digit_table(3)
+
+
+def _mantissas(a):
+    """(mantissa, e + 4, fast) of the 12-digit rounding of each |v| = a.
+
+    `fast` marks the values whose mantissa and exponent e are exact (see
+    `_cloud_csv`); elsewhere the mantissa is a placeholder 1e11.
+    """
+    e4 = ((a >= 1e-3).astype(np.intp) + (a >= 1e-2) + (a >= 1e-1)
+          + (a >= 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a * _SCALE[e4]
+        floor = np.floor(s)
+        frac = s - floor
+    mant = floor + (frac > 0.5)
+    fast = (s >= 1e11) & (mant < 1e12) & (np.abs(frac - 0.5) > 2.5e-4)
+    return np.where(fast, mant, 1e11).astype(np.int64), e4, fast
+
+
+def _csv_block(block):
+    """The bytes of '%.12g' % v for every value of `block`, as CSV rows."""
+    m, k = block.shape
+    v = block.ravel()
+    mant, e4, fast = _mantissas(np.abs(v))
+    hi, lo = np.divmod(mant, 10 ** 7)
+    lead, g1 = np.divmod(hi, 10 ** 4)
+    g2, g3 = np.divmod(lo, 1000)
+    zeros7 = lo == 0              # g1 ends the digits; with g1 = 0, no point
+    code = (((v < 0) * 5 + e4) * 10 + lead) * 2 + ((g1 != 0) | ~zeros7)
+    head, digits4, digits3 = _format_tables()
+    words = np.empty((m * k, _SLOT // 4), np.uint32)
+    words[:, 0] = head[0][code]
+    words[:, 1] = head[1][code]
+    words[:, 2] = digits4[g1 + 10 ** 4 * zeros7]
+    words[:, 3] = digits4[g2 + 10 ** 4 * (g3 == 0)]
+    words[:, 4] = digits3[g3 + 10 ** 3]
+    slots = words.view(np.uint8)
+    slots.reshape(m, k, _SLOT)[:, :, -1] = np.frombuffer(
+        b"," * (k - 1) + b"\n", np.uint8)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = np.array(["%.12g" % x for x in v[slow].tolist()], dtype="S19")
+        slots[slow, :-1] = text.view(np.uint8).reshape(-1, _SLOT - 1)
+    # Deleting the zero padding with bytes.translate takes about half the
+    # time of the boolean mask slots[slots != 0] on cloud blocks.
+    return slots.tobytes().translate(None, b"\0")
 
 
 def _cloud_csv(path, cloud, header_cols):
-    """Write a cloud as CSV; '%.12g' % v equals f"{v:.12g}" for any float."""
-    points = cloud.points
-    row = ",".join(["%.12g"] * points.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        prov = cloud.provenance
+    """Write a cloud as CSV, each value exactly as '%.12g' % v formats it.
+
+    The numpy path guesses e in -4 .. 0 from the thresholds 1e-3, 1e-2,
+    0.1 and 1 on |v|.  s = |v| * 10**(11 - e) is then one rounding of the
+    exact S (the power of ten is exact).  Only s in [1e11, 1e12) stays on
+    the path, which holds for finite 1e-4 <= |v| < 10; there s < 2**40
+    puts |s - S| within half an ulp, 2**-14 = 6.1e-5.  When the fraction
+    of s lies more than 2.5e-4 from 1/2, S rounds to the same integer as s,
+    so the 12-digit mantissa is M = floor(s) + (fraction > 1/2), and no
+    exact tie (which '%.12g' breaks to even) gets this far.  For
+    M < 1e12 the rounded value M * 10**(e - 11) has exponent e, and
+    '%.12g' prints it in fixed point with 11 - e decimals, its trailing
+    zeros (and a bare point) dropped.  Every other value takes Python's
+    '%.12g' itself: near-ties, M carrying to 1e12, and s outside
+    [1e11, 1e12), i.e. a misjudged exponent, ±0, |v| < 1e-4 or >= 10,
+    nan and ±inf.
+    """
+    points = np.asarray(cloud.points, dtype=float)
+    prov = cloud.provenance
+    with open(path, "wb") as fh:
         fh.write(f"# spec_hash={prov.get('spec_hash')} "
                  f"generation={prov.get('generation')} "
-                 f"fiber={prov.get('fiber')}\n")
-        fh.write(",".join(header_cols) + "\n")
+                 f"fiber={prov.get('fiber')}\n".encode())
+        fh.write((",".join(header_cols) + "\n").encode())
         for start in range(0, len(points), _CSV_BLOCK_ROWS):
-            block = points[start:start + _CSV_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_csv_block(points[start:start + _CSV_BLOCK_ROWS]))
 
 
 def _model_summary(model, flags):
@@ -275,7 +376,7 @@ def _cmd_transversality(cfg, stages, out_dir):
         cfg.n_past, cfg.pair_budget, seed=cfg.seed,
         samples=cfg.leaf_samples, margin=cfg.leaf_margin)
     if cfg.dump_leaves:
-        _dump_leaves(cfg, out_dir)
+        stages.run("write_leaves", _dump_leaves, cfg, out_dir)
     return {"n_past": cfg.n_past, "pair_budget": cfg.pair_budget,
             "alpha0_est": alpha, "near_tangency_count": tangencies}
 
@@ -287,8 +388,8 @@ def _dump_leaves(cfg, out_dir):
     lifts = np.linspace(-cfg.leaf_margin, 2 * math.pi + cfg.leaf_margin,
                         cfg.leaf_samples)
     y, z = leaf_states(cfg.spec, digits, lifts)
-    lines = [f"# spec_hash={cfg.spec.spec_hash()} generation={cfg.n_past}",
-             "leaf,x_lift,y,z"]
+    lines = [f"# spec_hash={cfg.spec.spec_hash()} "
+             f"generation={digits.shape[1]}", "leaf,x_lift,y,z"]
     for row, y_row, z_row in zip(digits, y, z):
         word = Word(tuple(row))
         lines += [f"{word},{x:.12g},{yx:.12g},{zx:.12g}"
@@ -303,34 +404,35 @@ def _cmd_holonomy(cfg, stages, out_dir):
                       cfg.x_src, cfg.x_dst, cfg.depth_n, cfg.scan_pairs,
                       seed=cfg.seed, L=cfg.scan_L, pool=pool)
     checks = stages.run("laws", _holonomy_laws, cfg)
-    _write(os.path.join(out_dir, "gamma_pool.json"), json.dumps(_jsonable({
-        "spec_hash": cfg.spec.spec_hash(), "n_past": pool.n_past,
-        "margin": pool.margin,
-        "records": [r.to_dict() for r in pool.records]}),
-        sort_keys=True, indent=2) + "\n")
+    stages.run("write_gamma_pool", _write_json,
+               os.path.join(out_dir, "gamma_pool.json"),
+               {"spec_hash": cfg.spec.spec_hash(), "n_past": pool.n_past,
+                "margin": pool.margin,
+                "records": [r.to_dict() for r in pool.records]})
     return {"scan": scan.to_dict(), "laws": checks,
             "gamma_records": len(pool.records)}
 
 
 def _holonomy_laws(cfg, leaves: int = 25):
-    """Holonomy x0 -> x0 and x0 -> x1 -> x2 against x0 -> x2, per leaf.
+    """The map against the leaf coding, on leaves with 40-symbol pasts.
 
-    Both sides of each law end at a leaf point, so one leaf_states call
-    evaluates leaf i at (x0, x0, x2, x2).
+    The image of leaf w's point over x must be leaf w + (c,)'s point over
+    eta(x), where c = floor(eta_lift(x) / 2 pi) is the branch of x.
     """
-    length = 40
-    lamination._require_depth(cfg.spec, length, 1e-9)
+    spec, length = cfg.spec, 40
+    lamination._require_depth(spec, length, 1e-9)
     rng = np.random.default_rng(cfg.seed)
-    digits, lifts = [], []
-    for _ in range(leaves):
-        digits.append(rng.integers(0, cfg.spec.d, length))
-        x0, _, x2 = np.sort(rng.uniform(0.0, 2 * math.pi, 3))
-        lifts.append((x0, x0, x2, x2))
-    y, z = leaf_states(cfg.spec, np.array(digits), np.array(lifts))
-    worst = [max([0.0, *map(math.hypot, y[:, k] - y[:, k + 1],
-                            z[:, k] - z[:, k + 1])]) for k in (0, 2)]
-    return {"leaves": leaves, "identity_max_error": worst[0],
-            "composition_max_error": worst[1]}
+    digits = rng.integers(0, spec.d, (leaves, length))
+    xs = rng.uniform(0.0, 2 * math.pi, leaves)
+    y, z = leaf_states(spec, digits, xs[:, None])
+    images = [apply_map(spec, Point3(*p)).image
+              for p in zip(xs.tolist(), y[:, 0].tolist(), z[:, 0].tolist())]
+    branch = np.floor(spec.eta_lift(xs) / (2 * math.pi)).astype(int)
+    y1, z1 = leaf_states(spec, np.column_stack([digits, branch]),
+                         np.array([[q.x] for q in images]))
+    worst = max(math.hypot(q.y - yq, q.z - zq)
+                for q, yq, zq in zip(images, y1[:, 0], z1[:, 0]))
+    return {"leaves": leaves, "forward_max_error": worst}
 
 
 def _cmd_deviations(cfg, stages, out_dir):

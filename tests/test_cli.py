@@ -9,7 +9,8 @@ import pytest
 
 from solenoidlab import (ConfigError, PointCloud, SolenoidSpec,
                          SpecInvalidError, Word, WordTooShortError,
-                         holonomy_map, unstable_leaf)
+                         apply_map, attractor_cloud, benchmark_a, benchmark_c,
+                         point_from_backward_word, unstable_leaf)
 from solenoidlab import cli
 
 T0_A = math.log(2.0) / math.log(2.5)
@@ -134,29 +135,27 @@ def test_main_overrides(tmp_path):
 
 
 def reference_laws(spec, seed, leaves=25):
-    """The holonomy laws, one holonomy_map call per slide."""
+    """The forward law, one point_from_backward_word and apply_map per leaf."""
     rng = np.random.default_rng(seed)
-    worst_identity = worst_composition = 0.0
-    for _ in range(leaves):
-        word = Word(tuple(rng.integers(0, spec.d, 40)))
-        x0, x1, x2 = np.sort(rng.uniform(0.0, 2 * math.pi, 3))
-        p, q = holonomy_map(spec, word, x0, x0)
-        worst_identity = max(worst_identity, math.hypot(p.y - q.y, p.z - q.z))
-        _, q2 = holonomy_map(spec, word, x1, x2)
-        _, qd = holonomy_map(spec, word, x0, x2)
-        worst_composition = max(worst_composition,
-                                math.hypot(q2.y - qd.y, q2.z - qd.z))
-    return {"leaves": leaves, "identity_max_error": worst_identity,
-            "composition_max_error": worst_composition}
+    digits = rng.integers(0, spec.d, (leaves, 40))
+    worst = 0.0
+    for row, x in zip(digits.tolist(), rng.uniform(0.0, 2 * math.pi, leaves)):
+        p = point_from_backward_word(spec, Word(tuple(row)), x).point
+        q = apply_map(spec, p).image
+        c = math.floor(spec.eta_lift(x) / (2 * math.pi))
+        r = point_from_backward_word(spec, Word((*row, c)), q.x).point
+        worst = max(worst, math.hypot(q.y - r.y, q.z - r.z))
+    return {"leaves": leaves, "forward_max_error": worst}
 
 
 def reference_leaves_csv(cfg):
     """leaves.csv built from one unstable_leaf call per leaf."""
     rng = np.random.default_rng(cfg.seed)
-    lines = [f"# spec_hash={cfg.spec.spec_hash()} generation={cfg.n_past}",
+    length = max(cfg.n_past, 24)
+    lines = [f"# spec_hash={cfg.spec.spec_hash()} generation={length}",
              "leaf,x_lift,y,z"]
     for _ in range(4):
-        word = Word(tuple(rng.integers(0, cfg.spec.d, max(cfg.n_past, 24))))
+        word = Word(tuple(rng.integers(0, cfg.spec.d, length)))
         leaf = unstable_leaf(cfg.spec, word, cfg.leaf_margin,
                              cfg.leaf_samples, tol=1.0)
         lines += [f"{word},{x:.12g},{y:.12g},{z:.12g}"
@@ -170,9 +169,14 @@ def test_holonomy_and_leaf_dump_match_one_leaf_references(tmp_path):
                                            dump_leaves=True))
         holo = cli.run_command(cfg, "holonomy")
         assert holo.results["laws"] == reference_laws(cfg.spec, cfg.seed)
-        cli.run_command(cfg, "transversality")
+        assert holo.results["laws"]["forward_max_error"] < 1e-12
+        assert {"gamma_pool", "scan", "laws",
+                "write_gamma_pool"} <= set(holo.timings)
+        trans = cli.run_command(cfg, "transversality")
+        assert {"transversality", "write_leaves"} <= set(trans.timings)
         rows = (tmp_path / "out" / "leaves.csv").read_text().splitlines()
         assert rows == reference_leaves_csv(cfg)
+        assert rows[0].endswith(" generation=24")
         assert len(rows) == 2 + 4 * cfg.leaf_samples
     # the depth gate: 40 symbols of a 0.6-contracting leaf miss 1e-9
     loose = SolenoidSpec(d=2, lam0=0.6, nu0=0.25, u_amp=0.3, v_amp=0.3)
@@ -209,6 +213,49 @@ def test_cloud_csv_matches_per_value_format(tmp_path):
             path = tmp_path / f"cloud_{k}_{n}.csv"
             cli._cloud_csv(path, cloud, cols)
             assert path.read_text() == reference_cloud_csv(cloud, cols)
+
+
+def assert_csv_matches_reference(tmp_path, points, cols):
+    cloud = PointCloud(dim=len(cols), points=points,
+                       provenance={"spec_hash": "abc", "generation": 4,
+                                   "fiber": 0.5}, resolution=1.0)
+    path = tmp_path / "cloud.csv"
+    cli._cloud_csv(path, cloud, cols)
+    assert path.read_text() == reference_cloud_csv(cloud, cols)
+
+
+def test_cloud_csv_fast_path_edges_and_ties(tmp_path):
+    rng = np.random.default_rng(11)
+    values = [1e-4, 10.0, 9.9999999999995, 0.000099999999999996]
+    values += [np.nextafter(v, t) for v in (1e-4, 10.0) for t in (0.0, 20.0)]
+    u = rng.uniform(-1.0, 1.0, 2000)
+    ties = [np.round(u, 12) + 5e-13]
+    for e in range(-4, 1):      # a 12th-digit tie in every decade of the path
+        u = rng.uniform(10.0 ** e, 10.0 ** (e + 1), 400)
+        ties.append(np.round(u, 11 - e) + 5 * 10.0 ** (e - 12))
+    ties = np.concatenate(ties)
+    values = np.concatenate([values, ties, np.nextafter(ties, -np.inf),
+                             np.nextafter(ties, np.inf)])
+    values = np.concatenate([values, -values])
+    assert_csv_matches_reference(tmp_path, values.reshape(-1, 2), ("y", "z"))
+
+
+def test_cloud_csv_matches_reference_on_uniform_samples(tmp_path):
+    rng = np.random.default_rng(12)
+    rows = cli._CSV_BLOCK_ROWS + 7
+    assert_csv_matches_reference(tmp_path, rng.uniform(-1.0, 1.0, (rows, 2)),
+                                 ("y", "z"))
+    assert_csv_matches_reference(
+        tmp_path, rng.uniform(0.0, 2 * math.pi, (rows, 3)), ("x", "y", "z"))
+
+
+def test_cloud_csv_matches_reference_on_benchmark_clouds(tmp_path):
+    for spec in (benchmark_a(), benchmark_c()):
+        cloud = attractor_cloud(spec, 8, 64)
+        assert_csv_matches_reference(tmp_path, cloud.points, ("x", "y", "z"))
+        # under 1% (mostly the x = 0 fibre) takes '%.12g' itself
+        _, _, fast = cli._mantissas(np.abs(cloud.points.ravel()))
+        assert np.mean(~fast) < 0.01
 
 
 def test_cli_import_does_not_load_scipy():

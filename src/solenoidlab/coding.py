@@ -15,6 +15,8 @@ Every backward chain comes from one descent, ``descend_levels``.  Without
 digits each level fans out over all d branches (cloud representatives, the
 Birkhoff table, forward cylinder endpoints); given digit rows each row
 follows its own word (leaves, margin chains, single cylinder intervals).
+Leaf slopes dy/dx (the jets behind crossing refinement and angles) ride
+along the same descent and forward pass, in ``_leaf_jets``.
 """
 
 from __future__ import annotations
@@ -129,18 +131,25 @@ def descend_levels(spec: SolenoidSpec, lifts: np.ndarray, n: int,
     return levels
 
 
-def _fiber_forward(spec, chain, shape):
+def _fiber_forward(spec, chain, shape, dx=None):
     """Anchor discs' centers (x_(-n), 0, 0) iterated forward along chains.
 
     chain[j-1] holds the depth-j base points and broadcasts to `shape`,
     the shape of the returned (y, z) arrays; the maps evaluate their trig
-    on the chain points themselves, never on broadcast copies.
+    on the chain points themselves, never on broadcast copies.  Given
+    dx[j-1] = d x_(-j) / dx, the slope dy/dx rides along by the chain rule
+    through lam and u and is returned third; y and z do not change.
     """
     y = z = np.zeros(shape)
-    for xj in reversed(chain):
+    dy = None if dx is None else np.zeros(shape)
+    for j in reversed(range(len(chain))):
+        xj = chain[j]
+        if dx is not None:
+            dy = ((spec.lam1 * np.cos(xj) * y - spec.u_amp * np.sin(xj))
+                  * dx[j] + spec.lam_prime(xj, y) * dy)
         y, z = (spec.lam(xj, y) + spec.u(xj),
                 spec.nu(xj, y, z) + spec.v(xj))
-    return y, z
+    return (y, z) if dx is None else (y, z, dy)
 
 
 def word_representatives(spec: SolenoidSpec, lifts, n: int):
@@ -159,6 +168,13 @@ def word_representatives(spec: SolenoidSpec, lifts, n: int):
     return y.reshape(shape), z.reshape(shape)
 
 
+def _leaf_chain(spec, digits, lifts):
+    digits = np.atleast_2d(np.asarray(digits, dtype=int))
+    lifts = np.asarray(lifts, dtype=float)
+    chain = descend_levels(spec, lifts, digits.shape[1], digits)
+    return chain, (len(digits), lifts.shape[-1])
+
+
 def leaf_states(spec: SolenoidSpec, digits: np.ndarray, lifts: np.ndarray):
     """Evaluate several leaves (rows of `digits`) over an array of base lifts.
 
@@ -168,11 +184,24 @@ def leaf_states(spec: SolenoidSpec, digits: np.ndarray, lifts: np.ndarray):
     forward along the rows-mode descent of ``descend_levels``.  The lift
     values may leave [0, 2*pi); the inverse-branch chain then continues the
     leaf across the seam, which is what extended leaf windows require.
+    ``_leaf_jets`` is the same evaluation plus the exact leaf slopes.
     """
-    digits = np.atleast_2d(np.asarray(digits, dtype=int))
-    lifts = np.asarray(lifts, dtype=float)
-    chain = descend_levels(spec, lifts, digits.shape[1], digits)
-    return _fiber_forward(spec, chain, (len(digits), lifts.shape[-1]))
+    return _fiber_forward(spec, *_leaf_chain(spec, digits, lifts))
+
+
+def _leaf_jets(spec, digits, lifts):
+    """``leaf_states`` plus the leaf slopes dy/dx: (y, z, dy), from one descent.
+
+    d x_(-j) / dx = d x_(-j+1) / dx / eta'(x_(-j)) along the chain, and
+    ``_fiber_forward`` carries dy/dx next to y; y and z are bit for bit
+    those of ``leaf_states``.
+    """
+    chain, shape = _leaf_chain(spec, digits, lifts)
+    dx, dxj = [], 1.0
+    for xj in chain:
+        dxj = dxj / spec.eta_prime(xj)
+        dx.append(dxj)
+    return _fiber_forward(spec, chain, shape, dx)
 
 
 # ---------------------------------------------------------------------------

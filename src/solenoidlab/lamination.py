@@ -8,9 +8,12 @@ pool built by ``build_gamma_pool``) drives both the transversality
 estimate and the strong-Lipschitz margin test.
 
 All crossings go through one batched engine: the (leaf a, leaf b, cell)
-candidates of a pair sample, the pool or a holonomy scan are bisected
-together by ``_bisect``, each leaf evaluated at its own lift, and every
-candidate follows its scalar trajectory, so batching changes no result.
+candidates of a pair sample, the pool or a holonomy scan are refined
+together by ``_refine``, a bracketed Newton iteration on y_a - y_b whose
+derivative comes from the exact leaf slopes (``coding._leaf_jets``).
+Each leaf is evaluated at its own lift and every candidate follows its
+scalar trajectory, so batching changes no result.  Crossing angles are
+atan |y_a' - y_b'| from the same slopes, with no finite differences.
 """
 
 from __future__ import annotations
@@ -20,16 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import Word, descend_levels, leaf_states
+from .coding import Word, _leaf_jets, descend_levels, leaf_states
 from .errors import WordTooShortError
 from .maps import Point3, SolenoidSpec
 from .numerics import TWO_PI
 from .thermo import gibbs_weight_array, _phi_exponent
 
-SLOPE_STEP = 1e-5          # central-difference step along the lift
 NEAR_TANGENCY_SLOPE = 1e-6  # |slope difference| below this is a tangency
 TOUCH_TOL = 1e-9            # |y_a - y_b| below this counts as contact
-CROSSING_TOL = 1e-10        # bisection stops at this cell width
+CROSSING_TOL = 1e-10        # refinement stops at this step or bracket width
 
 
 @dataclass(frozen=True)
@@ -140,46 +142,64 @@ def unstable_leaf(spec: SolenoidSpec, past: Word, margin: float,
 # Batched crossing engine
 # ---------------------------------------------------------------------------
 
-def _pair_y(spec, dig_a, dig_b, lifts):
-    """y of leaves dig_a[i] and dig_b[i] over lifts[i], in one call if it can."""
+def _pair(kernel, spec, dig_a, dig_b, lifts):
+    """kernel outputs of leaves dig_a[i] and dig_b[i] over lifts[i].
+
+    One kernel call when the pasts share a length; returns the output
+    tuples of the a and b leaves.
+    """
     c = len(dig_a)
     if dig_a.shape[1] == dig_b.shape[1]:
-        y, _ = leaf_states(spec, np.concatenate([dig_a, dig_b]),
-                           np.concatenate([lifts, lifts]))
-        return y[:c], y[c:]
-    return leaf_states(spec, dig_a, lifts)[0], leaf_states(spec, dig_b, lifts)[0]
+        out = kernel(spec, np.concatenate([dig_a, dig_b]),
+                     np.concatenate([lifts, lifts]))
+        return [o[:c] for o in out], [o[c:] for o in out]
+    return kernel(spec, dig_a, lifts), kernel(spec, dig_b, lifts)
 
 
-def _bisect(spec, dig_a, dig_b, lo, hi, g_lo):
-    """Refine sign changes of y_a - y_b in the cells [lo, hi] together.
+def _refine(spec, dig_a, dig_b, lo, hi, g_lo):
+    """Refine sign changes of g = y_a - y_b in the cells [lo, hi] together.
 
-    Each candidate keeps the half whose ends differ in sign until its width
-    is at most CROSSING_TOL (at most 64 halvings); only active candidates
-    are re-evaluated.  Returns the cell midpoints (zero-width cells as is).
+    Bracketed Newton with g' from the leaf jets: each candidate starts at
+    its cell midpoint and keeps the part of its bracket whose ends differ
+    in sign; a step that lands strictly outside the bracket (or is not
+    finite) is replaced by the bracket midpoint.  A candidate stops once a
+    step inside the bracket is at most CROSSING_TOL / 2 or the bracket is
+    at most CROSSING_TOL wide (at most 64 rounds); only active candidates
+    are re-evaluated.  Returns the last iterates (zero-width cells as is).
     """
     lo, hi, g_lo = lo.copy(), hi.copy(), g_lo.copy()
+    x = 0.5 * (lo + hi)
+    act = np.flatnonzero(hi - lo > CROSSING_TOL)
     for _ in range(64):
-        act = np.flatnonzero(hi - lo > CROSSING_TOL)
         if act.size == 0:
             break
-        mid = 0.5 * (lo[act] + hi[act])
-        ya, yb = _pair_y(spec, dig_a[act], dig_b[act], mid[:, None])
-        g_mid = ya[:, 0] - yb[:, 0]
-        same = (g_mid > 0.0) == (g_lo[act] > 0.0)
-        lo[act] = np.where(same, mid, lo[act])
-        g_lo[act] = np.where(same, g_mid, g_lo[act])
-        hi[act] = np.where(same, hi[act], mid)
-    return 0.5 * (lo + hi)
+        xa = x[act]
+        (ya, _, sa), (yb, _, sb) = _pair(_leaf_jets, spec, dig_a[act],
+                                         dig_b[act], xa[:, None])
+        g = ya[:, 0] - yb[:, 0]
+        same = (g > 0.0) == (g_lo[act] > 0.0)
+        lo[act] = np.where(same, xa, lo[act])
+        g_lo[act] = np.where(same, g, g_lo[act])
+        hi[act] = np.where(same, hi[act], xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / (sa[:, 0] - sb[:, 0])
+        x_new = xa - step
+        outside = ~((x_new >= lo[act]) & (x_new <= hi[act]))
+        x[act] = np.where(outside, 0.5 * (lo[act] + hi[act]), x_new)
+        going = outside | ~(np.abs(step) <= 0.5 * CROSSING_TOL)
+        act = act[going & (hi[act] - lo[act] > CROSSING_TOL)]
+    return x
 
 
 def _crossings(pairs) -> list:
     """Crossing records of every (leaf a, leaf b) pair, one sorted list each.
 
-    Sign changes of y_a - y_b on the union lift grid are bisected, all
-    pairs at once; contact runs within TOUCH_TOL (a grid point on the
-    crossing, a tangency or a coincidence stretch) keep their middle grid
-    point, and the slope gap decides which.  Leaves a share one past
-    length, as do leaves b.
+    Sign changes of y_a - y_b on the union lift grid are refined by
+    ``_refine``, all pairs at once; contact runs within TOUCH_TOL (a grid
+    point on the crossing, a tangency or a coincidence stretch) keep their
+    middle grid point, and the slope gap decides which.  Each record's y
+    and angle atan |y_a' - y_b'| come from one jet evaluation at the
+    refined point.  Leaves a share one past length, as do leaves b.
     """
     owner, lo, hi, g_lo = [], [], [], []
     for p, (la, lb) in enumerate(pairs):
@@ -194,8 +214,10 @@ def _crossings(pairs) -> list:
         if np.array_equal(grid, la.lifts) and np.array_equal(grid, lb.lifts):
             g = la.y - lb.y
         else:
-            ya, yb = _pair_y(la.spec, np.array([la.past.symbols]),
-                             np.array([lb.past.symbols]), grid[None, :])
+            (ya, _), (yb, _) = _pair(leaf_states, la.spec,
+                                     np.array([la.past.symbols]),
+                                     np.array([lb.past.symbols]),
+                                     grid[None, :])
             g = ya[0] - yb[0]
         touching = np.abs(g) < TOUCH_TOL
         edge = np.diff(np.concatenate([[0], touching.astype(int), [0]]))
@@ -215,15 +237,14 @@ def _crossings(pairs) -> list:
     spec = pairs[0][0].spec
     dig_a = np.array([la.past.symbols for la, _ in pairs])[owner]
     dig_b = np.array([lb.past.symbols for _, lb in pairs])[owner]
-    x = _bisect(spec, dig_a, dig_b, np.concatenate(lo), np.concatenate(hi),
+    x = _refine(spec, dig_a, dig_b, np.concatenate(lo), np.concatenate(hi),
                 np.concatenate(g_lo))
-    ya, yb = _pair_y(spec, dig_a, dig_b, np.stack(
-        [x - SLOPE_STEP, x + SLOPE_STEP, x], axis=1))
-    diff = np.abs((ya[:, 1] - ya[:, 0]) / (2.0 * SLOPE_STEP)
-                  - (yb[:, 1] - yb[:, 0]) / (2.0 * SLOPE_STEP))
+    (ya, _, sa), (_, _, sb) = _pair(_leaf_jets, spec, dig_a, dig_b,
+                                    x[:, None])
+    diff = np.abs(sa[:, 0] - sb[:, 0])
     for i, p in enumerate(owner):
         out[p].append(IntersectionRecord(
-            x_lift=float(x[i]), y=float(ya[i, 2]),
+            x_lift=float(x[i]), y=float(ya[i, 0]),
             angle=float(math.atan(diff[i])),
             past_a=pairs[p][0].past, past_b=pairs[p][1].past,
             near_tangency=bool(diff[i] < NEAR_TANGENCY_SLOPE)))
@@ -235,9 +256,11 @@ def _crossings(pairs) -> list:
 def leaf_intersections(leaf_a: UnstableLeaf, leaf_b: UnstableLeaf) -> list:
     """Crossings of the projected leaves over their common lift range.
 
-    Sign changes of y_a - y_b are refined by bisection; contact runs where
-    the curves stay within TOUCH_TOL (coincident or tangent graphs, no
-    sign change) are reported as near-tangency records.
+    Sign changes of y_a - y_b are refined by bracketed Newton steps on the
+    exact leaf slopes, to within CROSSING_TOL; the angle is the arctangent
+    of the slope gap there.  Contact runs where the curves stay within
+    TOUCH_TOL (coincident or tangent graphs, no sign change) are reported
+    as near-tangency records.
     """
     return _crossings([(leaf_a, leaf_b)])[0]
 
@@ -309,8 +332,8 @@ class GammaPool:
 
     The pool is built once per run and shared read-only; the margin test
     intersects target leaves against the pool curves: a sign scan on the
-    shared grid, then one batched bisection (``_bisect``) of the cells
-    nearest each query point, for all queried words at once.
+    shared grid, then one batched Newton refinement (``_refine``) of the
+    cells nearest each query point, for all queried words at once.
     """
 
     spec: SolenoidSpec
@@ -352,8 +375,9 @@ def _nearest_crossings(spec, digits, pool: GammaPool, x_ref):
 
     Each target leaf (a row of digits) is scanned for sign changes against
     the pool leaves from other tubes; the four cells whose midpoints lie
-    nearest its x_ref are refined, all leaves in one ``_bisect`` call.  NaN
-    marks a leaf without such pool leaves, +inf one without a crossing.
+    nearest its x_ref are refined, all leaves in one ``_refine`` call, to
+    within CROSSING_TOL of the crossing.  NaN marks a leaf without such
+    pool leaves, +inf one without a crossing.
     """
     y_t, _ = leaf_states(spec, digits, pool.grid)
     dist = np.full(len(digits), np.nan)
@@ -376,7 +400,7 @@ def _nearest_crossings(spec, digits, pool: GammaPool, x_ref):
         g_lo.append(diffs[rows[order], cols[order]])
     if rows_t:
         rows_t, cells = np.concatenate(rows_t), np.concatenate(cells)
-        x = _bisect(spec, digits[rows_t], pool.digits[np.concatenate(rows_p)],
+        x = _refine(spec, digits[rows_t], pool.digits[np.concatenate(rows_p)],
                     pool.grid[cells], pool.grid[cells + 1],
                     np.concatenate(g_lo))
         np.minimum.at(dist, rows_t, np.abs(x - x_ref[rows_t]))

@@ -6,8 +6,9 @@ import pytest
 from solenoidlab import (SolenoidSpec, Word, WordTooShortError, apply_map,
                          benchmark_a, benchmark_b, benchmark_c,
                          point_from_backward_word)
+from solenoidlab import coding, thermo
 from solenoidlab import lamination as lam
-from solenoidlab import thermo
+from solenoidlab.coding import leaf_states
 
 TWO_PI = 2 * math.pi
 
@@ -244,7 +245,7 @@ def test_pool_angles_match_closed_form_slopes():
     for rec in pool.records:
         ya, sa = _closed_form_leaf_a(rec.past_a.symbols, rec.x_lift)
         yb, sb = _closed_form_leaf_a(rec.past_b.symbols, rec.x_lift)
-        assert abs(rec.angle - math.atan(abs(sa - sb))) < 1e-8
+        assert abs(rec.angle - math.atan(abs(sa - sb))) < 1e-12
         assert abs(rec.y - ya) < 1e-12
         assert abs(ya - yb) < 1e-9  # refined onto the crossing
         assert not rec.near_tangency
@@ -312,3 +313,161 @@ def test_scan_flags_match_word_by_word_margin_tests(spec, depths):
         assert rep.flagged_words == flagged
         assert rep.flagged_weight == weight
     assert flagged  # the comparison saw failing words
+
+
+# ---------------------------------------------------------------------------
+# Newton refinement against the bisection engine it replaced
+# ---------------------------------------------------------------------------
+
+SLOPE_STEP = 1e-5  # the central-difference step of the bisection engine
+D3 = SolenoidSpec(d=3, eta_eps=0.4, lam0=0.2, lam1=0.03, lam2=0.02,
+                  nu0=0.08, nu2=0.02, u_amp=0.4, v_amp=0.4)
+
+
+def _bisect_reference(spec, dig_a, dig_b, lo, hi, g_lo):
+    """Halve each sign-change cell down to CROSSING_TOL; return midpoints."""
+    lo, hi, g_lo = lo.copy(), hi.copy(), g_lo.copy()
+    for _ in range(64):
+        act = np.flatnonzero(hi - lo > lam.CROSSING_TOL)
+        if act.size == 0:
+            break
+        mid = 0.5 * (lo[act] + hi[act])
+        ya, _ = leaf_states(spec, dig_a[act], mid[:, None])
+        yb, _ = leaf_states(spec, dig_b[act], mid[:, None])
+        g_mid = ya[:, 0] - yb[:, 0]
+        same = (g_mid > 0.0) == (g_lo[act] > 0.0)
+        lo[act] = np.where(same, mid, lo[act])
+        g_lo[act] = np.where(same, g_mid, g_lo[act])
+        hi[act] = np.where(same, hi[act], mid)
+    return 0.5 * (lo + hi)
+
+
+def _central_jets(spec, digits, lifts):
+    """Leaf y, z and central-difference slopes at step SLOPE_STEP."""
+    y, z = leaf_states(spec, digits, lifts)
+    y_plus, _ = leaf_states(spec, digits, lifts + SLOPE_STEP)
+    y_minus, _ = leaf_states(spec, digits, lifts - SLOPE_STEP)
+    return y, z, (y_plus - y_minus) / (2.0 * SLOPE_STEP)
+
+
+def _with_engine(monkeypatch, reference, fn, *args, **kwargs):
+    """fn's result and every crossing record it made, with either engine."""
+    records = []
+    crossings = lam._crossings
+
+    def spy(pairs):
+        out = crossings(pairs)
+        records.extend(r for recs in out for r in recs)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(lam, "_crossings", spy)
+        if reference:
+            m.setattr(lam, "_refine", _bisect_reference)
+            m.setattr(lam, "_leaf_jets", _central_jets)
+        return fn(*args, **kwargs), records
+
+
+def _assert_records_match(new, ref, slope_tol):
+    assert len(new) == len(ref) > 0
+    for r, s in zip(new, ref):
+        assert (r.past_a, r.past_b, r.near_tangency) == \
+            (s.past_a, s.past_b, s.near_tangency)
+        assert abs(r.x_lift - s.x_lift) <= lam.CROSSING_TOL
+        assert abs(r.y - s.y) <= 1e-9
+        assert abs(r.angle - s.angle) <= slope_tol
+
+
+@pytest.mark.parametrize("spec, n", [(benchmark_a(), 10), (benchmark_c(), 10),
+                                     (D3, 7)], ids=["A", "C", "d3"])
+def test_newton_refinement_matches_bisection_reference(monkeypatch, spec, n):
+    pool, new = _with_engine(monkeypatch, False, lam.build_gamma_pool, spec,
+                             n, 16, seed=1)
+    ref_pool, ref = _with_engine(monkeypatch, True, lam.build_gamma_pool,
+                                 spec, n, 16, seed=1)
+    assert new == pool.records and ref == ref_pool.records
+    # jets against central differences (their own error is about 1e-11)
+    _assert_records_match(new, ref, 1e-9)
+
+    (alpha, tang), new = _with_engine(monkeypatch, False,
+                                      lam.min_transversal_angle, spec, n - 2,
+                                      30, seed=3)
+    (ref_alpha, ref_tang), ref = _with_engine(
+        monkeypatch, True, lam.min_transversal_angle, spec, n - 2, 30, seed=3)
+    _assert_records_match(new, ref, 1e-9)
+    assert tang == ref_tang
+    assert abs(alpha - ref_alpha) <= 1e-9
+
+    rng = np.random.default_rng(5)
+    digits = rng.integers(0, spec.d, (40, 6))
+    x_ref = rng.uniform(0.0, TWO_PI, 40)
+    dist = lam._nearest_crossings(spec, digits, pool, x_ref)
+    ref_dist, _ = _with_engine(monkeypatch, True, lam._nearest_crossings,
+                               spec, digits, pool, x_ref)
+    assert np.array_equal(np.isfinite(dist), np.isfinite(ref_dist))
+    assert np.isfinite(dist).sum() > 20
+    finite = np.isfinite(dist)
+    assert np.all(np.abs(dist[finite] - ref_dist[finite])
+                  <= lam.CROSSING_TOL)
+
+
+def test_refinement_work_guard(monkeypatch):
+    # A crossing takes a few Newton rounds, not ~29 bisection halvings;
+    # each round is one leaf evaluation (one descent) of its candidates.
+    rounds, inside = [], []
+    descend, refine = coding.descend_levels, lam._refine
+
+    def counting_descend(*args, **kwargs):
+        if inside:
+            rounds[-1] += 1
+        return descend(*args, **kwargs)
+
+    def counting_refine(*args, **kwargs):
+        rounds.append(0)
+        inside.append(True)
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(coding, "descend_levels", counting_descend)
+    monkeypatch.setattr(lam, "_refine", counting_refine)
+    pool = lam.build_gamma_pool(benchmark_c(), 10, 24, seed=1)
+    assert len(pool.records) > 0
+    assert rounds and max(rounds) <= 8
+
+
+def test_leaf_jets_match_closed_form_and_leaf_states():
+    spec = benchmark_a()
+    rng = np.random.default_rng(6)
+    digits = rng.integers(0, 2, (5, 30))
+    lifts = rng.uniform(-0.5, TWO_PI + 0.5, (5, 4))
+    y, z, dy = coding._leaf_jets(spec, digits, lifts)
+    y_ref, z_ref = leaf_states(spec, digits, lifts)
+    assert y.tobytes() == y_ref.tobytes() and z.tobytes() == z_ref.tobytes()
+    for i, row in enumerate(digits):
+        for k, x in enumerate(lifts[i]):
+            assert abs(dy[i, k] - _closed_form_leaf_a(tuple(row), x)[1]) \
+                < 1e-12
+    # C has no closed form: central differences (error about 1e-11)
+    _, _, dy = coding._leaf_jets(benchmark_c(), digits, lifts)
+    _, _, dy_ref = _central_jets(benchmark_c(), digits, lifts)
+    assert np.max(np.abs(dy - dy_ref)) < 1e-9
+
+
+@pytest.mark.parametrize("spec", [benchmark_a(), benchmark_b(),
+                                  benchmark_c()], ids=["A", "B", "C"])
+def test_holonomy_map_forward_law(spec):
+    # f maps leaf w's point over x to leaf w + (c,)'s point over eta(x),
+    # c = floor(eta_lift(x) / 2 pi) the branch of x
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        word = random_word(rng, spec.d, 40)
+        x0, x = rng.uniform(0.0, TWO_PI, 2)
+        _, p = lam.holonomy_map(spec, word, x0, x)
+        image = apply_map(spec, p).image
+        c = int(math.floor(float(spec.eta_lift(x)) / TWO_PI))
+        _, q = lam.holonomy_map(spec, Word(word.symbols + (c,)), x0, image.x)
+        assert abs(q.x - image.x) < 1e-12
+        assert abs(q.y - image.y) < 1e-12
+        assert abs(q.z - image.z) < 1e-12

@@ -8,6 +8,11 @@ the fiber coordinate, the y-range of the cylinder is propagated by
 interval iteration from the anchor disc, so the bounds stay rigorous and
 the per-word slack stays summable in the depth.
 
+A table keeps six read-only arrays, 48 * d**n bytes.  It is built in
+blocks of at most BLOCK_WORDS words that each descend their own deep
+chain levels, so the memory the build needs on top of the table is
+O(BLOCK_WORDS) rather than a multiple of d**n.
+
 Sup-sums are subadditive under word concatenation and inf-sums are
 superadditive, which gives nested pressure brackets: the true pressure of
 the weighted cylinder sums lies between p_lo and p_hi at every
@@ -84,6 +89,10 @@ def _log_interval(lo, hi, what):
 
 BASE_SPLIT_DEPTH = 3
 
+# Words per block of the table build: the widest word axis that a block's
+# accumulators and descent levels hold at once (see `birkhoff_table`).
+BLOCK_WORDS = 2 ** 12
+
 
 def birkhoff_table(spec: SolenoidSpec, n: int,
                    cap: int = ENUMERATION_CAP) -> BirkhoffTable:
@@ -95,6 +104,14 @@ def birkhoff_table(spec: SolenoidSpec, n: int,
     word lands inside a single piece, so the piecewise bounds keep the
     exact sub/super-additivity under concatenation that bracket nesting
     relies on, while the per-level intervals shrink by roughly d**3.
+
+    The words are built in blocks of at most BLOCK_WORDS: block k holds
+    the words whose b most recent symbols are k, b the fewest that make
+    d**(n-b) fit.  One descent gives levels 1..b; each block descends its
+    own levels b+1..n from its level-b column, sums over the levels and
+    reduces over pieces.  Every lift and every sum is the one an all-words
+    build would compute, bit for bit, but memory beyond the retained
+    48 * d**n bytes of the six read-only arrays is O(BLOCK_WORDS).
 
     The cap is checked before the cache, which is keyed by (spec, n) alone,
     so each table is built once however `cap` is passed.
@@ -109,25 +126,59 @@ def birkhoff_table(spec: SolenoidSpec, n: int,
 @lru_cache(maxsize=8)
 def _birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
     d = spec.d
-    count = d ** n
     lo, hi = cylinder_endpoints(spec, min(BASE_SPLIT_DEPTH, n))
     n_pieces = lo.size
     # Adjacent pieces share endpoints, so each distinct value (by its bits)
-    # is descended once; `ends` takes level j back to (2, n_pieces, d**j).
+    # is descended once; `ends` takes a level back to (2, n_pieces, ...).
     bits, ends = np.unique(np.concatenate([lo, hi]).view(np.int64),
                            return_inverse=True)
-    levels = descend_levels(spec, bits.view(float), n)
+    lifts = bits.view(float)
+    b = 0
+    while d ** (n - b) > BLOCK_WORDS:
+        b += 1
+    top = descend_levels(spec, lifts, b)
+    # (eta, lam, nu) x (inf, sup) per word; block k fills columns k::d**b,
+    # since the deeper symbols of a word are its higher base-d digits.
+    out = np.empty((3, 2, d ** n))
+    for k in range(d ** b):
+        # Level j <= b is the single column k mod d**j of the shared levels;
+        # level j > b of the block's descent is the all-words level's
+        # columns k::d**b.
+        levels = [x[:, k % d ** j, None] for j, x in enumerate(top, 1)]
+        levels += descend_levels(spec, top[-1][:, k] if b else lifts, n - b)
+        sums = _block_sums(spec, levels, ends, n_pieces)
+        out[:, 0, k::d ** b] = sums[:, 0].min(axis=1)
+        out[:, 1, k::d ** b] = sums[:, 1].max(axis=1)
+    out.flags.writeable = False
+    return BirkhoffTable(spec=spec, n=n, eta_inf=out[0, 0], eta_sup=out[0, 1],
+                         lam_inf=out[1, 0], lam_sup=out[1, 1],
+                         nu_inf=out[2, 0], nu_sup=out[2, 1])
 
+
+birkhoff_table.cache_info = _birkhoff_table.cache_info
+birkhoff_table.cache_clear = _birkhoff_table.cache_clear
+
+
+def _block_sums(spec, levels, ends, n_pieces):
+    """Sums of (eta, lam, nu) x (inf, sup) per base piece and block word.
+
+    levels[j-1] holds the level-j lifts of the distinct piece endpoints,
+    one column per class of block words, the word q taking column
+    q mod (column count); the last level has one column per word.
+    Returns shape (3, 2, n_pieces, words).
+    """
+    d, n = spec.d, len(levels)
+    count = levels[-1].shape[-1]
     track_y = spec.lam2 != 0.0 or spec.nu2 != 0.0
-    # Sums of (eta, lam, nu) x (inf, sup) per base piece and word.
     acc = np.zeros((3, 2, n_pieces, count))
     y_lo = np.full((n_pieces, count), -1.0)
     y_hi = np.full((n_pieces, count), 1.0)
 
     for j in range(n, 0, -1):
-        # Word w takes column w mod d**j of level j: view the word axis as
-        # (d**(n-j), d**j) and let the level broadcast over it.
-        shape = (n_pieces, count // d ** j, d ** j)
+        # View the word axis as (words // cols, cols) and let the level
+        # broadcast over it.
+        cols = levels[j - 1].shape[-1]
+        shape = (n_pieces, count // cols, cols)
         sums = acc.reshape((3, 2) + shape)
         y_lo, y_hi = y_lo.reshape(shape), y_hi.reshape(shape)
         xlo, xhi = levels[j - 1][ends].reshape(2, n_pieces, 1, -1)
@@ -161,17 +212,7 @@ def _birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
             y_lo = np.clip(p_lo + q_lo + u_lo, -1.0, 1.0)
             y_hi = np.clip(p_hi + q_hi + u_hi, -1.0, 1.0)
 
-    arrays = {}
-    for k, name in enumerate(("eta", "lam", "nu")):
-        arrays[f"{name}_inf"] = acc[k, 0].min(axis=0)
-        arrays[f"{name}_sup"] = acc[k, 1].max(axis=0)
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    return BirkhoffTable(spec=spec, n=n, **arrays)
-
-
-birkhoff_table.cache_info = _birkhoff_table.cache_info
-birkhoff_table.cache_clear = _birkhoff_table.cache_clear
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,17 +358,57 @@ def tiled_birkhoff_arrays(spec, n):
             for k in acc for side in ("inf", "sup")}
 
 
+def one_block_depth(d):
+    """Deepest generation whose d**n words the table builds as one block."""
+    n = 0
+    while d ** (n + 1) <= thermo.BLOCK_WORDS:
+        n += 1
+    return n
+
+
 def test_birkhoff_table_matches_tiled_reference():
     track_y = SolenoidSpec(d=2, eta_eps=0.3, lam0=0.3, lam1=0.04, lam2=0.03,
                            nu0=0.12, nu1=0.02, nu2=0.03, u_amp=0.4,
                            v_amp=0.4)
     d3 = SolenoidSpec(d=3, lam0=0.25, lam1=0.03, lam2=0.02, nu0=0.15,
                       nu2=0.03, u_amp=0.4, v_amp=0.4)
+    # One and two generations past a single block, so the blocked build runs.
+    n2, n3 = one_block_depth(2), one_block_depth(3)
     for spec, n in ((benchmark_a(), 9), (benchmark_c(), 9), (track_y, 9),
-                    (d3, 6), (track_y, 2)):
+                    (d3, 6), (track_y, 2),
+                    (benchmark_c(), n2 + 1), (benchmark_c(), n2 + 2),
+                    (track_y, n2 + 1), (track_y, n2 + 2),
+                    (d3, n3 + 1), (d3, n3 + 2)):
         table = thermo.birkhoff_table(spec, n)
         for name, ref in tiled_birkhoff_arrays(spec, n).items():
             assert getattr(table, name).tobytes() == ref.tobytes(), name
+
+
+def test_blocked_table_arrays_are_read_only():
+    table = thermo.birkhoff_table(benchmark_c(), one_block_depth(2) + 1)
+    for name in ("eta_inf", "eta_sup", "lam_inf", "lam_sup", "nu_inf",
+                 "nu_sup"):
+        arr = getattr(table, name)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+
+
+def test_table_build_memory_stays_near_its_output():
+    spec = benchmark_c()
+    thermo.birkhoff_table(spec, 3)  # warm imports and small caches
+    thermo.birkhoff_table.cache_clear()
+    tracemalloc.start()
+    try:
+        table = thermo.birkhoff_table(spec, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(getattr(table, f"{k}_{s}").nbytes
+                 for k in ("eta", "lam", "nu") for s in ("inf", "sup"))
+    assert output == 48 * 2 ** 16
+    assert peak <= 8 * output, f"traced peak {peak / output:.1f}x the output"
 
 
 def test_gibbs_model_builds_each_table_once():

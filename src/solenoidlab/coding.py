@@ -138,18 +138,20 @@ def _fiber_forward(spec, chain, shape, dx=None):
     the shape of the returned (y, z) arrays; the maps evaluate their trig
     on the chain points themselves, never on broadcast copies.  Given
     dx[j-1] = d x_(-j) / dx, the slope dy/dx rides along by the chain rule
-    through lam and u and is returned third; y and z do not change.
+    through lam and u and (y, dy) is returned instead: z, which no slope
+    user reads, is not computed; y does not change.
     """
     y = z = np.zeros(shape)
     dy = None if dx is None else np.zeros(shape)
     for j in reversed(range(len(chain))):
         xj = chain[j]
-        if dx is not None:
+        if dx is None:
+            z = spec.nu(xj, y, z) + spec.v(xj)
+        else:
             dy = ((spec.lam1 * np.cos(xj) * y - spec.u_amp * np.sin(xj))
                   * dx[j] + spec.lam_prime(xj, y) * dy)
-        y, z = (spec.lam(xj, y) + spec.u(xj),
-                spec.nu(xj, y, z) + spec.v(xj))
-    return (y, z) if dx is None else (y, z, dy)
+        y = spec.lam(xj, y) + spec.u(xj)
+    return (y, z) if dx is None else (y, dy)
 
 
 def word_representatives(spec: SolenoidSpec, lifts, n: int):
@@ -184,17 +186,17 @@ def leaf_states(spec: SolenoidSpec, digits: np.ndarray, lifts: np.ndarray):
     forward along the rows-mode descent of ``descend_levels``.  The lift
     values may leave [0, 2*pi); the inverse-branch chain then continues the
     leaf across the seam, which is what extended leaf windows require.
-    ``_leaf_jets`` is the same evaluation plus the exact leaf slopes.
+    ``_leaf_jets`` is the same evaluation of y, plus the exact leaf slopes.
     """
     return _fiber_forward(spec, *_leaf_chain(spec, digits, lifts))
 
 
 def _leaf_jets(spec, digits, lifts):
-    """``leaf_states`` plus the leaf slopes dy/dx: (y, z, dy), from one descent.
+    """Leaf heights and slopes (y, dy/dx) from one descent, without z.
 
     d x_(-j) / dx = d x_(-j+1) / dx / eta'(x_(-j)) along the chain, and
-    ``_fiber_forward`` carries dy/dx next to y; y and z are bit for bit
-    those of ``leaf_states``.
+    ``_fiber_forward`` carries dy/dx next to y; y is bit for bit that of
+    ``leaf_states``.
     """
     chain, shape = _leaf_chain(spec, digits, lifts)
     dx, dxj = [], 1.0

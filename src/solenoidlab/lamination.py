@@ -7,13 +7,19 @@ crossing set of projected leaves from different generation-one tubes (the
 pool built by ``build_gamma_pool``) drives both the transversality
 estimate and the strong-Lipschitz margin test.
 
-All crossings go through one batched engine: the (leaf a, leaf b, cell)
-candidates of a pair sample, the pool or a holonomy scan are refined
-together by ``_refine``, a bracketed Newton iteration on y_a - y_b whose
-derivative comes from the exact leaf slopes (``coding._leaf_jets``).
-Each leaf is evaluated at its own lift and every candidate follows its
-scalar trajectory, so batching changes no result.  Crossing angles are
-atan |y_a' - y_b'| from the same slopes, with no finite differences.
+Leaves are digit rows (deepest symbol first) evaluated by one
+``leaf_states`` call on one shared lift grid; ``Word`` objects are built
+only for output.  ``_crossings`` scans every (leaf a, leaf b) pair of a
+pair sample or of the pool on that grid at once; only
+``leaf_intersections``, whose two leaves may be sampled on different
+grids, evaluates them on the union of their grids first.  The
+(leaf a, leaf b, cell) candidates of the scan, or of a holonomy scan, are
+refined together by ``_refine``, a bracketed Newton iteration on
+y_a - y_b whose derivative comes from the exact leaf slopes
+(``coding._leaf_jets``).  Each leaf is evaluated at its own lift and
+every candidate follows its scalar trajectory, so batching changes no
+result.  Crossing angles are atan |y_a' - y_b'| from the same slopes,
+with no finite differences.
 """
 
 from __future__ import annotations
@@ -118,24 +124,28 @@ def leaf_point(spec: SolenoidSpec, past: Word, lift: float) -> Point3:
     return _leaf_points(spec, past, [lift])[0]
 
 
-def _leaves(spec, pasts, margin, samples, tol):
-    """Leaves of several same-length pasts from one leaf_states call."""
+def _grid(margin, samples):
+    """The increasing lift grid of `samples` points on [-margin, 2*pi+margin]."""
     if samples < 2:
         raise ValueError("need at least two samples")
-    bound = _require_depth(spec, pasts[0].generation, tol)
-    lifts = np.linspace(-margin, TWO_PI + margin, samples)
-    y, z = leaf_states(spec, np.array([p.symbols for p in pasts], dtype=int),
-                       lifts)
-    return [UnstableLeaf(spec=spec, past=p, margin=float(margin),
-                         samples=np.column_stack([lifts, y[i], z[i]]),
-                         error_bound=float(bound))
-            for i, p in enumerate(pasts)]
+    return np.linspace(-margin, TWO_PI + margin, samples)
+
+
+def _digit_rows(idx, d, n):
+    """Digit rows (deepest symbol first) of word indices below 2**63."""
+    return np.asarray(idx, dtype=np.int64)[:, None] \
+        // d ** np.arange(n - 1, -1, -1, dtype=np.int64) % d
 
 
 def unstable_leaf(spec: SolenoidSpec, past: Word, margin: float,
                   samples: int, tol: float = 1e-9) -> UnstableLeaf:
     """Sample a leaf on an increasing lift grid over [-margin, 2*pi+margin]."""
-    return _leaves(spec, [past], margin, samples, tol)[0]
+    lifts = _grid(margin, samples)
+    bound = _require_depth(spec, past.generation, tol)
+    y, z = leaf_states(spec, np.array([past.symbols], dtype=int), lifts)
+    return UnstableLeaf(spec=spec, past=past, margin=float(margin),
+                        samples=np.column_stack([lifts, y[0], z[0]]),
+                        error_bound=float(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +184,8 @@ def _refine(spec, dig_a, dig_b, lo, hi, g_lo):
         if act.size == 0:
             break
         xa = x[act]
-        (ya, _, sa), (yb, _, sb) = _pair(_leaf_jets, spec, dig_a[act],
-                                         dig_b[act], xa[:, None])
+        (ya, sa), (yb, sb) = _pair(_leaf_jets, spec, dig_a[act],
+                                   dig_b[act], xa[:, None])
         g = ya[:, 0] - yb[:, 0]
         same = (g > 0.0) == (g_lo[act] > 0.0)
         lo[act] = np.where(same, xa, lo[act])
@@ -191,89 +201,78 @@ def _refine(spec, dig_a, dig_b, lo, hi, g_lo):
     return x
 
 
-def _crossings(pairs) -> list:
-    """Crossing records of every (leaf a, leaf b) pair, one sorted list each.
+def _crossings(spec, grid, dig_a, dig_b, y_a, y_b) -> list:
+    """Crossing records of the leaf pairs (dig_a[p], dig_b[p]) on one grid.
 
-    Sign changes of y_a - y_b on the union lift grid are refined by
-    ``_refine``, all pairs at once; contact runs within TOUCH_TOL (a grid
-    point on the crossing, a tangency or a coincidence stretch) keep their
-    middle grid point, and the slope gap decides which.  Each record's y
-    and angle atan |y_a' - y_b'| come from one jet evaluation at the
-    refined point.  Leaves a share one past length, as do leaves b.
+    y_a and y_b (rows p) hold the leaves over the shared increasing lift
+    grid; leaves a share one past length, as do leaves b, and the two
+    leaves of a pair have distinct leading symbols.  Sign changes of
+    y_a - y_b between grid points are refined by ``_refine``, all pairs at
+    once; contact runs within TOUCH_TOL (a grid point on the crossing, a
+    tangency or a coincidence stretch) keep their middle grid point, and
+    the slope gap decides which.  Each record's y and angle
+    atan |y_a' - y_b'| come from one jet evaluation at the refined point.
+    Returns one flat list ordered by pair, then by lift.
     """
-    owner, lo, hi, g_lo = [], [], [], []
-    for p, (la, lb) in enumerate(pairs):
-        if la.past.most_recent == lb.past.most_recent:
-            raise ValueError("leaves must come from distinct leading symbols")
-        a, b = max(la.lifts[0], lb.lifts[0]), min(la.lifts[-1], lb.lifts[-1])
-        if b <= a:
-            continue
-        grid = np.unique(np.concatenate([
-            la.lifts[(la.lifts >= a) & (la.lifts <= b)],
-            lb.lifts[(lb.lifts >= a) & (lb.lifts <= b)], [a, b]]))
-        if np.array_equal(grid, la.lifts) and np.array_equal(grid, lb.lifts):
-            g = la.y - lb.y
-        else:
-            (ya, _), (yb, _) = _pair(leaf_states, la.spec,
-                                     np.array([la.past.symbols]),
-                                     np.array([lb.past.symbols]),
-                                     grid[None, :])
-            g = ya[0] - yb[0]
-        touching = np.abs(g) < TOUCH_TOL
-        edge = np.diff(np.concatenate([[0], touching.astype(int), [0]]))
-        runs = grid[(np.flatnonzero(edge == 1) + np.flatnonzero(edge == -1)
-                     - 1) // 2]
-        sign = np.sign(g)
-        k = np.flatnonzero(~touching[:-1] & ~touching[1:]
-                           & (sign[:-1] * sign[1:] < 0.0))
-        owner.append(np.full(runs.size + k.size, p))
-        lo.append(np.concatenate([runs, grid[k]]))
-        hi.append(np.concatenate([runs, grid[k + 1]]))
-        g_lo.append(np.concatenate([np.zeros(runs.size), g[k]]))
-    out = [[] for _ in pairs]
-    owner = np.concatenate([np.zeros(0, dtype=int)] + owner)
-    if owner.size == 0:
-        return out
-    spec = pairs[0][0].spec
-    dig_a = np.array([la.past.symbols for la, _ in pairs])[owner]
-    dig_b = np.array([lb.past.symbols for _, lb in pairs])[owner]
-    x = _refine(spec, dig_a, dig_b, np.concatenate(lo), np.concatenate(hi),
-                np.concatenate(g_lo))
-    (ya, _, sa), (_, _, sb) = _pair(_leaf_jets, spec, dig_a, dig_b,
-                                    x[:, None])
+    g = y_a - y_b
+    touching = np.abs(g) < TOUCH_TOL
+    t = np.pad(touching, ((0, 0), (1, 1)))
+    run_p, first = np.nonzero(t[:, 1:] & ~t[:, :-1])
+    last = np.nonzero(t[:, :-1] & ~t[:, 1:])[1] - 1
+    runs = grid[(first + last) // 2]
+    sign = np.sign(g)
+    cross_p, k = np.nonzero(~touching[:, :-1] & ~touching[:, 1:]
+                            & (sign[:, :-1] * sign[:, 1:] < 0.0))
+    owner = np.concatenate([run_p, cross_p])
+    dig_a, dig_b = dig_a[owner], dig_b[owner]
+    x = _refine(spec, dig_a, dig_b, np.concatenate([runs, grid[k]]),
+                np.concatenate([runs, grid[k + 1]]),
+                np.concatenate([np.zeros(runs.size), g[cross_p, k]]))
+    (ya, sa), (_, sb) = _pair(_leaf_jets, spec, dig_a, dig_b, x[:, None])
     diff = np.abs(sa[:, 0] - sb[:, 0])
-    for i, p in enumerate(owner):
-        out[p].append(IntersectionRecord(
-            x_lift=float(x[i]), y=float(ya[i, 0]),
-            angle=float(math.atan(diff[i])),
-            past_a=pairs[p][0].past, past_b=pairs[p][1].past,
-            near_tangency=bool(diff[i] < NEAR_TANGENCY_SLOPE)))
-    for recs in out:
-        recs.sort(key=lambda r: r.x_lift)
-    return out
+    return [IntersectionRecord(
+        x_lift=float(x[i]), y=float(ya[i, 0]),
+        angle=float(math.atan(diff[i])),
+        past_a=Word(tuple(dig_a[i].tolist())),
+        past_b=Word(tuple(dig_b[i].tolist())),
+        near_tangency=bool(diff[i] < NEAR_TANGENCY_SLOPE))
+        for i in np.lexsort((x, owner))]
 
 
 def leaf_intersections(leaf_a: UnstableLeaf, leaf_b: UnstableLeaf) -> list:
     """Crossings of the projected leaves over their common lift range.
 
-    Sign changes of y_a - y_b are refined by bracketed Newton steps on the
-    exact leaf slopes, to within CROSSING_TOL; the angle is the arctangent
-    of the slope gap there.  Contact runs where the curves stay within
-    TOUCH_TOL (coincident or tangent graphs, no sign change) are reported
-    as near-tangency records.
+    Both leaves are evaluated on the union of their lift grids within
+    that range.  Sign changes of y_a - y_b are refined by bracketed Newton
+    steps on the exact leaf slopes, to within CROSSING_TOL; the angle is
+    the arctangent of the slope gap there.  Contact runs where the curves
+    stay within TOUCH_TOL (coincident or tangent graphs, no sign change)
+    are reported as near-tangency records.
     """
-    return _crossings([(leaf_a, leaf_b)])[0]
+    if leaf_a.past.most_recent == leaf_b.past.most_recent:
+        raise ValueError("leaves must come from distinct leading symbols")
+    a = max(leaf_a.lifts[0], leaf_b.lifts[0])
+    b = min(leaf_a.lifts[-1], leaf_b.lifts[-1])
+    if b <= a:
+        return []
+    grid = np.unique(np.concatenate(
+        [leaf.lifts[(leaf.lifts >= a) & (leaf.lifts <= b)]
+         for leaf in (leaf_a, leaf_b)] + [[a, b]]))
+    dig_a, dig_b = (np.array([leaf.past.symbols], dtype=int)
+                    for leaf in (leaf_a, leaf_b))
+    (y_a, _), (y_b, _) = _pair(leaf_states, leaf_a.spec, dig_a, dig_b,
+                               grid[None, :])
+    return _crossings(leaf_a.spec, grid, dig_a, dig_b, y_a, y_b)
 
 
 # ---------------------------------------------------------------------------
 # Transversality estimate
 # ---------------------------------------------------------------------------
 
-def _sample_words(spec, n, count, rng, weights=None):
-    if weights is None:
-        weights = gibbs_weight_array(spec, _phi_exponent(spec, n), n)
-    idx = rng.choice(weights.size, size=count, replace=True, p=weights)
-    return idx, weights
+def _sample_words(spec, n, rng, size):
+    """Indices of length-n words drawn with the cylinder weights."""
+    weights = gibbs_weight_array(spec, _phi_exponent(spec, n), n)
+    return rng.choice(weights.size, size=size, replace=True, p=weights)
 
 
 def min_transversal_angle(spec: SolenoidSpec, n_past: int, pair_budget: int,
@@ -289,23 +288,19 @@ def min_transversal_angle(spec: SolenoidSpec, n_past: int, pair_budget: int,
     if pair_budget < 1:
         raise ValueError("pair budget must be >= 1")
     rng = np.random.default_rng(seed)
-    idx_a, weights = _sample_words(spec, n_past, pair_budget, rng)
-    idx_b, _ = _sample_words(spec, n_past, pair_budget, rng, weights)
+    idx_a, idx_b = _sample_words(spec, n_past, rng, (2, pair_budget))
     # force distinct leading symbols by resampling the partner's last digit
     lead_a = idx_a % spec.d
     lead_b = idx_b % spec.d
     shift = 1 + rng.integers(0, spec.d - 1, size=pair_budget)
     clash = lead_b == lead_a
     idx_b = np.where(clash, idx_b - lead_b + (lead_b + shift) % spec.d, idx_b)
-
-    idx = sorted(set(int(i) for i in np.concatenate([idx_a, idx_b])))
-    leaves = dict(zip(idx, _leaves(
-        spec, [Word.from_index(i, spec.d, n_past) for i in idx], margin,
-        samples, tol=spec.contraction_sup() ** n_past * 1.0001 + 1e-300)))
-    pairs = [(leaves[int(ia)], leaves[int(ib)])
-             for ia, ib in zip(idx_a, idx_b) if ia != ib]
-
-    records = [r for recs in _crossings(pairs) for r in recs]
+    grid = _grid(margin, samples)
+    idx, pair = np.unique(np.concatenate([idx_a, idx_b]), return_inverse=True)
+    digits = _digit_rows(idx, spec.d, n_past)
+    y, _ = leaf_states(spec, digits, grid)
+    a, b = pair.reshape(2, -1)
+    records = _crossings(spec, grid, digits[a], digits[b], y[a], y[b])
     angles = [r.angle for r in records if not r.near_tangency]
     return (min(angles) if angles else 0.0), len(records) - len(angles)
 
@@ -341,7 +336,6 @@ class GammaPool:
     margin: float
     grid: np.ndarray          # shared lifts (k,)
     digits: np.ndarray        # (b, n_past) pool pasts, deepest first
-    leading: np.ndarray       # (b,) most recent symbols
     y_curves: np.ndarray      # (b, k)
     records: list             # crossings among the pool leaves
 
@@ -349,25 +343,27 @@ class GammaPool:
     def size(self):
         return self.digits.shape[0]
 
+    @property
+    def leading(self):
+        """(b,) most recent symbols of the pool pasts."""
+        return self.digits[:, -1]
+
 
 def build_gamma_pool(spec: SolenoidSpec, n_past: int, budget: int,
                      seed: int = 0, margin: float = 0.5,
                      samples: int = 257) -> GammaPool:
     """Draw weighted pasts and precompute their leaves over the window."""
     rng = np.random.default_rng(seed)
-    idx, _ = _sample_words(spec, n_past, budget, rng)
-    idx = sorted(set(int(i) for i in idx))
-    tol = spec.contraction_sup() ** n_past * 1.0001 + 1e-300
-    leaves = _leaves(spec, [Word.from_index(i, spec.d, n_past) for i in idx],
-                     margin, samples, tol)
-    digits = np.array([leaf.past.symbols for leaf in leaves], dtype=int)
-    leading = digits[:, -1]
-    pairs = [(leaves[a], leaves[b]) for a in range(len(idx))
-             for b in range(a + 1, len(idx)) if leading[a] != leading[b]]
-    return GammaPool(spec=spec, n_past=n_past, margin=margin,
-                     grid=leaves[0].lifts.copy(), digits=digits, leading=leading,
-                     y_curves=np.array([leaf.y for leaf in leaves]),
-                     records=[r for recs in _crossings(pairs) for r in recs])
+    grid = _grid(margin, samples)
+    digits = _digit_rows(np.unique(_sample_words(spec, n_past, rng, budget)),
+                         spec.d, n_past)
+    y, _ = leaf_states(spec, digits, grid)
+    # pairs a < b from different generation-one tubes, row-major
+    a, b = np.nonzero(np.triu(digits[:, -1, None] != digits[:, -1]))
+    return GammaPool(spec=spec, n_past=n_past, margin=margin, grid=grid,
+                     digits=digits, y_curves=y,
+                     records=_crossings(spec, grid, digits[a], digits[b],
+                                        y[a], y[b]))
 
 
 def _nearest_crossings(spec, digits, pool: GammaPool, x_ref):
@@ -393,7 +389,7 @@ def _nearest_crossings(spec, digits, pool: GammaPool, x_ref):
         if rows.size == 0:
             continue
         mids = 0.5 * (pool.grid[cols] + pool.grid[cols + 1])
-        order = np.argsort(np.abs(mids - x_ref[w]))[:4]
+        order = np.argsort(np.abs(mids - x_ref[w]), kind="stable")[:4]
         rows_t.append(np.full(order.size, w))
         rows_p.append(other[rows[order]])
         cells.append(cols[order])
@@ -478,10 +474,10 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
     rng = np.random.default_rng(seed)
     if pool is None:
         pool = build_gamma_pool(spec, gamma_depth, gamma_budget, seed=seed + 1)
-    weights = gibbs_weight_array(spec, _phi_exponent(spec, n), n)
-    idx_a = rng.choice(weights.size, size=pairs, replace=True, p=weights)
+    idx_a = _sample_words(spec, n, rng, pairs)
     share = rng.integers(0, n, size=pairs)  # shared recent depth
     d = spec.d
+    size = d ** n
 
     drawn = []
     for i, j_share in zip(idx_a, share):
@@ -489,13 +485,12 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
         # partner: same most recent j_share symbols, different next digit
         digit = (i // block) % d
         new_digit = (digit + 1 + rng.integers(0, d - 1)) % d
-        deep = rng.integers(0, max(1, weights.size // (block * d)))
+        deep = rng.integers(0, max(1, size // (block * d)))
         j = int(deep) * block * d + int(new_digit) * block + int(i % block)
-        if j != i and j < weights.size:
+        if j != i and j < size:
             drawn.append((int(i), j))
-    ys, zs = leaf_states(spec, np.array(
-        [Word.from_index(k, d, n).symbols for pair in drawn for k in pair],
-        dtype=int).reshape(-1, n), np.array([x_src, x_dst], dtype=float))
+    ys, zs = leaf_states(spec, _digit_rows(np.ravel(drawn), d, n),
+                         np.array([x_src, x_dst], dtype=float))
     dy, dz = ys[0::2] - ys[1::2], zs[0::2] - zs[1::2]
 
     scale_stats = {}
@@ -514,13 +509,12 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
         stats["ratio_sum"] += ratio
         tested.append(i)
 
-    words = {i: Word.from_index(i, d, n) for i in tested}
+    words = list(dict.fromkeys(tested))
     test_depth = max(1, n // 2)
-    worst, usable = _margins(spec, np.array(
-        [w.symbols for w in words.values()], dtype=int).reshape(-1, n),
-        test_depth, test_depth, L, pool, x_src)
+    worst, usable = _margins(spec, _digit_rows(words, d, n), test_depth,
+                             test_depth, L, pool, x_src)
     failing = {i for i, w, u in zip(words, worst, usable) if u and w < 1.0}
-    flagged = [w for i, w in words.items() if i in failing]
+    flagged = [Word.from_index(i, d, n) for i in words if i in failing]
     flagged_hits = sum(i in failing for i in tested)
 
     for stats in scale_stats.values():

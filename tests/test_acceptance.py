@@ -12,9 +12,10 @@ import time
 
 import numpy as np
 
-from solenoidlab import (SolenoidSpec, Word, benchmark_a, benchmark_b,
-                         benchmark_c)
+from solenoidlab import (SolenoidSpec, Word, apply_map, benchmark_a,
+                         benchmark_b, benchmark_c)
 from solenoidlab import cli, geometry, lamination, thermo
+from solenoidlab.coding import leaf_states
 
 T0_A = math.log(2.0) / math.log(2.5)
 LOG2 = math.log(2.0)
@@ -143,10 +144,10 @@ def test_criterion_07_regime_flags():
 
 
 def test_criterion_08_holonomy_laws():
-    ok = True
-    worst = 0.0
+    worst = forward = 0.0
     for spec in (benchmark_a(), benchmark_b(), benchmark_c()):
         rng = np.random.default_rng(1)
+        pasts, starts, images = [], [], []
         for _ in range(200):
             word = Word(tuple(rng.integers(0, spec.d, 40)))
             x0, x1, x2 = np.sort(rng.uniform(0.0, 2 * math.pi, 3))
@@ -157,9 +158,21 @@ def test_criterion_08_holonomy_laws():
             _, qd = lamination.holonomy_map(spec, word, x0, x2)
             err_comp = math.hypot(q2.y - qd.y, q2.z - qd.z)
             worst = max(worst, err_id, err_comp)
-    ok = worst <= 1e-8
-    assert verdict(8, ok, f"identity+composition worst error {worst:.2e} "
-                   "<= 1e-8 over 200 leaves x 3 benchmarks")
+            pasts.append(word.symbols)
+            starts.append(x0)
+            images.append(apply_map(spec, p).image)
+        # forward law: f maps leaf w's point over x0 to leaf w + (c,)'s
+        # point over eta(x0), c = floor(eta_lift(x0) / 2 pi) the branch of
+        # x0; all 200 image leaves from one call
+        branch = np.floor(spec.eta_lift(np.array(starts)) / (2 * math.pi))
+        y, z = leaf_states(spec, np.column_stack([pasts, branch.astype(int)]),
+                           np.array([[q.x] for q in images]))
+        forward = max([forward] + [math.hypot(q.y - yq, q.z - zq) for q, yq, zq
+                                   in zip(images, y[:, 0], z[:, 0])])
+    ok = max(worst, forward) <= 1e-8
+    assert verdict(8, ok, f"identity+composition worst error {worst:.2e}, "
+                   f"forward law worst error {forward:.2e}, both <= 1e-8 "
+                   "over 200 leaves x 3 benchmarks")
 
 
 def test_criterion_09_lipschitz_stability():

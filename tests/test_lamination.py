@@ -194,7 +194,6 @@ def test_strong_lipschitz_indeterminate_without_pool():
     empty = lam.GammaPool(spec=spec, n_past=10, margin=0.5,
                           grid=np.linspace(0, TWO_PI, 9),
                           digits=np.zeros((0, 10), dtype=int),
-                          leading=np.zeros(0, dtype=int),
                           y_curves=np.zeros((0, 9)), records=[])
     word = Word(tuple(np.random.default_rng(3).integers(0, 2, 14)))
     res = lam.strong_lipschitz_test(spec, word, 6, 0.5, empty)
@@ -343,11 +342,11 @@ def _bisect_reference(spec, dig_a, dig_b, lo, hi, g_lo):
 
 
 def _central_jets(spec, digits, lifts):
-    """Leaf y, z and central-difference slopes at step SLOPE_STEP."""
-    y, z = leaf_states(spec, digits, lifts)
+    """Leaf y and central-difference slopes at step SLOPE_STEP."""
+    y, _ = leaf_states(spec, digits, lifts)
     y_plus, _ = leaf_states(spec, digits, lifts + SLOPE_STEP)
     y_minus, _ = leaf_states(spec, digits, lifts - SLOPE_STEP)
-    return y, z, (y_plus - y_minus) / (2.0 * SLOPE_STEP)
+    return y, (y_plus - y_minus) / (2.0 * SLOPE_STEP)
 
 
 def _with_engine(monkeypatch, reference, fn, *args, **kwargs):
@@ -355,9 +354,9 @@ def _with_engine(monkeypatch, reference, fn, *args, **kwargs):
     records = []
     crossings = lam._crossings
 
-    def spy(pairs):
-        out = crossings(pairs)
-        records.extend(r for recs in out for r in recs)
+    def spy(*args):
+        out = crossings(*args)
+        records.extend(out)
         return out
 
     with monkeypatch.context() as m:
@@ -437,21 +436,143 @@ def test_refinement_work_guard(monkeypatch):
     assert rounds and max(rounds) <= 8
 
 
+# ---------------------------------------------------------------------------
+# Shared-grid crossing scan against the per-pair engine it replaced
+# ---------------------------------------------------------------------------
+
+def _per_pair_crossings(pairs):
+    """Crossing records of (UnstableLeaf, UnstableLeaf) pairs, one list each.
+
+    The engine before the shared-grid scan: each pair is scanned on the
+    union of its two lift grids over the common range, reusing the stored
+    samples when both grids equal it, then all candidates are refined
+    together and each pair's records are sorted by lift.
+    """
+    owner, lo, hi, g_lo = [], [], [], []
+    for p, (la, lb) in enumerate(pairs):
+        if la.past.most_recent == lb.past.most_recent:
+            raise ValueError("leaves must come from distinct leading symbols")
+        a, b = max(la.lifts[0], lb.lifts[0]), min(la.lifts[-1], lb.lifts[-1])
+        if b <= a:
+            continue
+        grid = np.unique(np.concatenate([
+            la.lifts[(la.lifts >= a) & (la.lifts <= b)],
+            lb.lifts[(lb.lifts >= a) & (lb.lifts <= b)], [a, b]]))
+        if np.array_equal(grid, la.lifts) and np.array_equal(grid, lb.lifts):
+            g = la.y - lb.y
+        else:
+            (ya, _), (yb, _) = lam._pair(leaf_states, la.spec,
+                                         np.array([la.past.symbols]),
+                                         np.array([lb.past.symbols]),
+                                         grid[None, :])
+            g = ya[0] - yb[0]
+        touching = np.abs(g) < lam.TOUCH_TOL
+        edge = np.diff(np.concatenate([[0], touching.astype(int), [0]]))
+        runs = grid[(np.flatnonzero(edge == 1) + np.flatnonzero(edge == -1)
+                     - 1) // 2]
+        sign = np.sign(g)
+        k = np.flatnonzero(~touching[:-1] & ~touching[1:]
+                           & (sign[:-1] * sign[1:] < 0.0))
+        owner.append(np.full(runs.size + k.size, p))
+        lo.append(np.concatenate([runs, grid[k]]))
+        hi.append(np.concatenate([runs, grid[k + 1]]))
+        g_lo.append(np.concatenate([np.zeros(runs.size), g[k]]))
+    out = [[] for _ in pairs]
+    owner = np.concatenate([np.zeros(0, dtype=int)] + owner)
+    if owner.size == 0:
+        return out
+    spec = pairs[0][0].spec
+    dig_a = np.array([la.past.symbols for la, _ in pairs])[owner]
+    dig_b = np.array([lb.past.symbols for _, lb in pairs])[owner]
+    x = lam._refine(spec, dig_a, dig_b, np.concatenate(lo), np.concatenate(hi),
+                    np.concatenate(g_lo))
+    (ya, sa), (_, sb) = lam._pair(coding._leaf_jets, spec, dig_a, dig_b,
+                                  x[:, None])
+    diff = np.abs(sa[:, 0] - sb[:, 0])
+    for i, p in enumerate(owner):
+        out[p].append(lam.IntersectionRecord(
+            x_lift=float(x[i]), y=float(ya[i, 0]),
+            angle=float(math.atan(diff[i])),
+            past_a=pairs[p][0].past, past_b=pairs[p][1].past,
+            near_tangency=bool(diff[i] < lam.NEAR_TANGENCY_SLOPE)))
+    for recs in out:
+        recs.sort(key=lambda r: r.x_lift)
+    return out
+
+
+FLAT = SolenoidSpec(d=2, lam0=0.4, nu0=0.25, u_amp=0.0, v_amp=0.5)
+
+
+@pytest.mark.parametrize("spec, n", [(benchmark_a(), 10), (benchmark_c(), 10),
+                                     (D3, 7), (FLAT, 8)],
+                         ids=["A", "C", "d3", "flat"])
+def test_shared_grid_scan_matches_per_pair_engine(monkeypatch, spec, n):
+    # Each leaf of a scanned pair is sampled again on its own as an
+    # UnstableLeaf over the same grid; the per-pair engine must give the
+    # same records, bit for bit and in the same order.  FLAT's leaves all
+    # have y = 0, so every pair is one contact run.
+    calls = []
+    crossings = lam._crossings
+
+    def spy(*args):
+        calls.append((args, crossings(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lam, "_crossings", spy)
+    pool = lam.build_gamma_pool(spec, n, 16, seed=1)
+    alpha, tang = lam.min_transversal_angle(spec, n - 2, 30, seed=3)
+    assert len(calls) == 2 and calls[0][1] == pool.records
+    for (s, grid, dig_a, dig_b, _, _), records in calls:
+        def leaf(row):
+            return lam.unstable_leaf(s, Word(tuple(row.tolist())), -grid[0],
+                                     grid.size, tol=1.0)
+
+        pairs = [(leaf(ra), leaf(rb)) for ra, rb in zip(dig_a, dig_b)]
+        assert records == [r for recs in _per_pair_crossings(pairs)
+                           for r in recs]
+        assert records
+    angles = [r.angle for r in calls[1][1] if not r.near_tangency]
+    assert tang == len(calls[1][1]) - len(angles)
+    assert alpha == min(angles, default=0.0)
+
+
+def test_leaf_intersections_on_unequal_grids_match_per_pair_engine():
+    # margins, sample counts and past lengths differ, so every pair is
+    # evaluated on the union of its two grids
+    rng = np.random.default_rng(5)
+    total = 0
+    for spec in (benchmark_a(), benchmark_c(), D3):
+        for _ in range(8):
+            past_a = random_word(rng, spec.d, int(rng.integers(24, 32)))
+            lead = (past_a.most_recent + 1 + rng.integers(0, spec.d - 1)) \
+                % spec.d
+            past_b = Word(random_word(rng, spec.d, int(rng.integers(24, 32)))
+                          .symbols[:-1] + (lead,))
+            la, lb = (lam.unstable_leaf(spec, past,
+                                        float(rng.choice([0.1, 0.2, 0.35])),
+                                        int(rng.choice([129, 200, 257])))
+                      for past in (past_a, past_b))
+            recs = lam.leaf_intersections(la, lb)
+            assert recs == _per_pair_crossings([(la, lb)])[0]
+            total += len(recs)
+    assert total > 10
+
+
 def test_leaf_jets_match_closed_form_and_leaf_states():
     spec = benchmark_a()
     rng = np.random.default_rng(6)
     digits = rng.integers(0, 2, (5, 30))
     lifts = rng.uniform(-0.5, TWO_PI + 0.5, (5, 4))
-    y, z, dy = coding._leaf_jets(spec, digits, lifts)
-    y_ref, z_ref = leaf_states(spec, digits, lifts)
-    assert y.tobytes() == y_ref.tobytes() and z.tobytes() == z_ref.tobytes()
+    y, dy = coding._leaf_jets(spec, digits, lifts)
+    y_ref, _ = leaf_states(spec, digits, lifts)
+    assert y.tobytes() == y_ref.tobytes()
     for i, row in enumerate(digits):
         for k, x in enumerate(lifts[i]):
             assert abs(dy[i, k] - _closed_form_leaf_a(tuple(row), x)[1]) \
                 < 1e-12
     # C has no closed form: central differences (error about 1e-11)
-    _, _, dy = coding._leaf_jets(benchmark_c(), digits, lifts)
-    _, _, dy_ref = _central_jets(benchmark_c(), digits, lifts)
+    _, dy = coding._leaf_jets(benchmark_c(), digits, lifts)
+    _, dy_ref = _central_jets(benchmark_c(), digits, lifts)
     assert np.max(np.abs(dy - dy_ref)) < 1e-9
 
 

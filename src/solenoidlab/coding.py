@@ -244,13 +244,23 @@ def base_itinerary(spec: SolenoidSpec, x: float, n: int) -> Word:
     return Word(symbols=tuple(syms), direction="forward")
 
 
+def _check_cap(d, n, cap):
+    count = d ** n
+    if count > cap:
+        raise CapExceededError(
+            f"{d}**{n} = {count} words exceeds the cap {cap}")
+
+
+def _digit_rows(idx, d, n):
+    """Digit rows (deepest symbol first) of word indices below 2**63."""
+    return np.asarray(idx, dtype=np.int64)[:, None] \
+        // d ** np.arange(n - 1, -1, -1, dtype=np.int64) % d
+
+
 def enumerate_cylinders(spec: SolenoidSpec, n: int, direction: Direction,
                         cap: int = ENUMERATION_CAP) -> list:
     """All d**n words of length n in lexicographic order."""
-    count = spec.d ** n
-    if count > cap:
-        raise CapExceededError(
-            f"{spec.d}**{n} = {count} words exceeds the cap {cap}")
+    _check_cap(spec.d, n, cap)
     return [Word(symbols=s, direction=direction)
             for s in itertools.product(range(spec.d), repeat=n)]
 
@@ -283,9 +293,14 @@ def cylinder_base_interval(spec: SolenoidSpec, word: Word):
 
 
 def write_cylinder_table(spec: SolenoidSpec, n: int, path, cap=ENUMERATION_CAP):
-    """Emit the generation-n base intervals as CSV (word, interval_lo, interval_hi)."""
-    words = enumerate_cylinders(spec, n, "forward", cap=cap)
+    """Emit the generation-n base intervals as CSV (word, interval_lo, interval_hi).
+
+    Word labels are ``str(Word)`` of the lexicographic digit rows.
+    """
+    _check_cap(spec.d, n, cap)
     lo, hi = cylinder_endpoints(spec, n)
+    rows = _digit_rows(np.arange(spec.d ** n), spec.d, n).tolist()
+    words = [("," if max(r) > 9 else "").join(map(str, r)) for r in rows]
     with open(path, "w") as fh:
         fh.write(f"# spec_hash={spec.spec_hash()} generation={n}\n")
         fh.write("word,interval_lo,interval_hi\n")

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import Word, _leaf_jets, descend_levels, leaf_states
+from .coding import (Word, _digit_rows, _leaf_jets, descend_levels,
+                     leaf_states)
 from .errors import WordTooShortError
 from .maps import Point3, SolenoidSpec
 from .numerics import TWO_PI
@@ -129,12 +130,6 @@ def _grid(margin, samples):
     if samples < 2:
         raise ValueError("need at least two samples")
     return np.linspace(-margin, TWO_PI + margin, samples)
-
-
-def _digit_rows(idx, d, n):
-    """Digit rows (deepest symbol first) of word indices below 2**63."""
-    return np.asarray(idx, dtype=np.int64)[:, None] \
-        // d ** np.arange(n - 1, -1, -1, dtype=np.int64) % d
 
 
 def unstable_leaf(spec: SolenoidSpec, past: Word, margin: float,

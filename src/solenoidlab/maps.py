@@ -29,6 +29,9 @@ import numpy as np
 from .errors import SpecInvalidError
 from .numerics import TWO_PI, solve_increasing
 
+LIFT_NODES = 4096      # intervals of the inverse-lift start table
+LIFT_TOL = 1e-13       # relative error bound accepted from the table lift
+
 SPEC_FIELDS = ("d", "eta_eps", "lam0", "lam1", "lam2",
                "nu0", "nu1", "nu2", "u_amp", "v_amp")
 
@@ -69,17 +72,43 @@ class SolenoidSpec:
         return self.d + self.eta_eps * np.cos(np.asarray(x, dtype=float))
 
     def eta_inverse_lift(self, targets):
-        """Inverse of the lift: the unique x with eta_lift(x) = target."""
-        e = abs(self.eta_eps)
-        if self.d - e <= 0.0:
+        """Inverse of the lift: the unique x with eta_lift(x) = target.
+
+        With eta_eps != 0, x starts from t/d plus the cubic-Hermite table
+        of the periodic part (``_lift_table``), takes one Newton step and
+        keeps it when the residual bound |eta_lift(x) - t| / (d - |eta_eps|),
+        an error bound since eta' >= d - |eta_eps|, is at most
+        LIFT_TOL * max(1, |x|).  Elements that miss the check (non-finite
+        targets among them) are solved by bracketed Newton,
+        ``solve_increasing``, on [(t - |eta_eps|)/d, (t + |eta_eps|)/d].
+        """
+        d, e = self.d, abs(self.eta_eps)
+        if d - e <= 0.0:
             raise SpecInvalidError("base map is not monotone (d <= |eta_eps|)")
         t = np.asarray(targets, dtype=float)
-        hi = (t + e) / self.d
         if e == 0.0:
             # The bracket is the point t/d (+0.0 at t = -0.0): Newton's answer.
-            return hi
-        return solve_increasing(self.eta_lift, self.eta_prime, t,
-                                (t - e) / self.d, hi)
+            return (t + e) / d
+        coef, period = _lift_table(d, self.eta_eps)
+        shape, t = t.shape, t.ravel()
+        with np.errstate(invalid="ignore", over="ignore"):
+            # Phase of t in [0, period]; its node index is bounded, so the
+            # cast is safe for any target (fmin maps NaN phases to a node).
+            nodes = coef.shape[1]
+            u = np.mod(t, period) * (nodes / period)
+            i = np.fmin(u, nodes - 1).astype(np.intp)
+            r = u - i
+            c0, c1, c2, c3 = (row.take(i) for row in coef)
+            x = t / d + (c0 + r * (c1 + r * (c2 + r * c3)))
+            x = x - (self.eta_lift(x) - t) / self.eta_prime(x)
+            ok = (np.abs(self.eta_lift(x) - t) / (d - e)
+                  <= LIFT_TOL * np.maximum(1.0, np.abs(x)))
+            if not ok.all():
+                miss = ~ok
+                tm = t[miss]
+                x[miss] = solve_increasing(self.eta_lift, self.eta_prime, tm,
+                                           (tm - e) / d, (tm + e) / d)
+        return x.reshape(shape)
 
     # -- fiber maps ----------------------------------------------------------
 
@@ -145,6 +174,30 @@ class SolenoidSpec:
 
 
 assert SPEC_FIELDS == tuple(f.name for f in fields(SolenoidSpec))
+
+
+@lru_cache(maxsize=32)
+def _lift_table(d: int, eta_eps: float) -> tuple:
+    """Cubic-Hermite table of g(t) = eta^-1(t) - t/d over one period.
+
+    g has period 2*pi*d.  Column k holds the power-basis coefficients in
+    r in [0, 1] of interval [k*h, (k+1)*h], h = 2*pi*d / LIFT_NODES, from
+    the node values (bracketed Newton) and slopes 1/eta' - 1/d.  Returns
+    (coefficients (4, LIFT_NODES), period).
+    """
+    spec = SolenoidSpec(d=d, eta_eps=eta_eps)
+    e = abs(eta_eps)
+    period = TWO_PI * d
+    h = period / LIFT_NODES
+    t = h * np.arange(LIFT_NODES + 1)
+    x = solve_increasing(spec.eta_lift, spec.eta_prime, t,
+                         (t - e) / d, (t + e) / d)
+    g = x - t / d
+    m = h * (1.0 / spec.eta_prime(x) - 1.0 / d)
+    dg = g[1:] - g[:-1]
+    coef = np.stack([g[:-1], m[:-1], 3.0 * dg - 2.0 * m[:-1] - m[1:],
+                     m[:-1] + m[1:] - 2.0 * dg])
+    return coef, period
 
 
 @lru_cache(maxsize=32)
@@ -348,7 +401,7 @@ def inverse_base(spec: SolenoidSpec, x: float, branch: int) -> float:
     """The preimage of x under the base map on the given monotone branch.
 
     Returns the unique point of [a_branch, a_(branch+1)] mapping to x
-    (mod 2*pi); solved to ~1e-12 by guarded Newton on the lift.
+    (mod 2*pi), from ``SolenoidSpec.eta_inverse_lift``.
     """
     if not 0 <= branch < spec.d:
         raise ValueError(f"branch must lie in [0, {spec.d}), got {branch}")

@@ -1,8 +1,12 @@
-"""Low-level numerical helpers: guarded Newton inversion and interval trig.
+"""Low-level numerical helpers: bracketed Newton inversion and interval trig.
 
 Everything here is vectorized over numpy arrays and used by the map,
-coding, and thermodynamic modules.  The interval routines return outward
-enclosures (min, max) so callers can build rigorous sup/inf bounds.
+coding, and thermodynamic modules.  ``solve_increasing`` is not the
+inverse lift's main path: ``SolenoidSpec.eta_inverse_lift`` starts from a
+per-spec table, takes one Newton step and checks a residual bound, and
+calls it only to build that table and for the elements that miss the
+check.  The interval routines return outward enclosures (min, max) so
+callers can build rigorous sup/inf bounds.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from solenoidlab import (SolenoidSpec, Word, apply_map, benchmark_a,
+from solenoidlab import (Point3, SolenoidSpec, Word, apply_map, benchmark_a,
                          benchmark_b, benchmark_c)
 from solenoidlab import cli, geometry, lamination, thermo
 from solenoidlab.coding import leaf_states
@@ -147,24 +147,28 @@ def test_criterion_08_holonomy_laws():
     worst = forward = 0.0
     for spec in (benchmark_a(), benchmark_b(), benchmark_c()):
         rng = np.random.default_rng(1)
-        pasts, starts, images = [], [], []
+        pasts, xs = [], []
         for _ in range(200):
-            word = Word(tuple(rng.integers(0, spec.d, 40)))
-            x0, x1, x2 = np.sort(rng.uniform(0.0, 2 * math.pi, 3))
-            p, q = lamination.holonomy_map(spec, word, x0, x0)
-            err_id = math.hypot(p.y - q.y, p.z - q.z)
-            _, q1 = lamination.holonomy_map(spec, word, x0, x1)
-            _, q2 = lamination.holonomy_map(spec, word, x1, x2)
-            _, qd = lamination.holonomy_map(spec, word, x0, x2)
-            err_comp = math.hypot(q2.y - qd.y, q2.z - qd.z)
-            worst = max(worst, err_id, err_comp)
-            pasts.append(word.symbols)
-            starts.append(x0)
-            images.append(apply_map(spec, p).image)
+            pasts.append(rng.integers(0, spec.d, 40))
+            xs.append(np.sort(rng.uniform(0.0, 2 * math.pi, 3)))
+        pasts = np.array(pasts)
+        x0, x1, x2 = np.array(xs).T
+        # the slides x0 -> x0, x1 -> x2 and x0 -> x2 of all 200 leaves,
+        # endpoint pairs side by side, from one call
+        y, z = leaf_states(spec, pasts,
+                           np.column_stack([x0, x0, x1, x2, x0, x2]))
+        err_id = np.hypot(y[:, 0] - y[:, 1], z[:, 0] - z[:, 1])
+        err_comp = np.hypot(y[:, 3] - y[:, 5], z[:, 3] - z[:, 5])
+        worst = max(worst, err_id.max(), err_comp.max())
+        for word, x in zip(pasts[:3], x0):
+            p, q = lamination.holonomy_map(spec, Word(tuple(word)), x, x)
+            worst = max(worst, math.hypot(p.y - q.y, p.z - q.z))
+        images = [apply_map(spec, Point3(float(x), yp, zp)).image
+                  for x, yp, zp in zip(x0, y[:, 0], z[:, 0])]
         # forward law: f maps leaf w's point over x0 to leaf w + (c,)'s
         # point over eta(x0), c = floor(eta_lift(x0) / 2 pi) the branch of
         # x0; all 200 image leaves from one call
-        branch = np.floor(spec.eta_lift(np.array(starts)) / (2 * math.pi))
+        branch = np.floor(spec.eta_lift(x0) / (2 * math.pi))
         y, z = leaf_states(spec, np.column_stack([pasts, branch.astype(int)]),
                            np.array([[q.x] for q in images]))
         forward = max([forward] + [math.hypot(q.y - yq, q.z - zq) for q, yq, zq

@@ -9,7 +9,7 @@ from solenoidlab import (CapExceededError, Point3, SolenoidSpec, Word,
                          enumerate_cylinders, inverse_base,
                          point_from_backward_word)
 from solenoidlab.coding import (branch_of, cylinder_endpoints, descend_levels,
-                                word_representatives)
+                                word_representatives, write_cylinder_table)
 from solenoidlab.maps import branch_points
 
 TWO_PI = 2 * math.pi
@@ -222,3 +222,26 @@ def test_descend_levels_rows_follow_their_digits():
         # row i at depth j is the fan-out column of its j most recent symbols
         expected = fan[j - 1][:, index % spec.d ** j].T
         assert levels[j - 1].tobytes() == expected.tobytes()
+
+
+def word_cylinder_table(spec, n, path):
+    """The cylinder table with labels printed from enumerated `Word`s."""
+    words = enumerate_cylinders(spec, n, "forward")
+    lo, hi = cylinder_endpoints(spec, n)
+    with open(path, "w") as fh:
+        fh.write(f"# spec_hash={spec.spec_hash()} generation={n}\n")
+        fh.write("word,interval_lo,interval_hi\n")
+        for w, lo_w, hi_w in zip(words, lo.tolist(), hi.tolist()):
+            fh.write(f"{w},{lo_w:.12g},{hi_w:.12g}\n")
+
+
+def test_cylinder_table_labels_match_words(tmp_path):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    d3 = SolenoidSpec(d=3, eta_eps=0.4)
+    cases = [(spec, n) for spec in (benchmark_c(), d3) for n in range(1, 11)]
+    for spec, n in cases + [(SolenoidSpec(d=11, eta_eps=0.5), 2)]:
+        write_cylinder_table(spec, n, new)
+        word_cylinder_table(spec, n, ref)
+        assert new.read_bytes() == ref.read_bytes()
+    with pytest.raises(CapExceededError):
+        write_cylinder_table(benchmark_c(), 11, new, cap=2 ** 10)

@@ -1,8 +1,10 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 
-from solenoidlab import SolenoidSpec, benchmark_a, benchmark_c
+from solenoidlab import SolenoidSpec, benchmark_a, benchmark_c, maps
 from solenoidlab.numerics import TWO_PI, solve_increasing
 
 
@@ -116,7 +118,81 @@ def test_closed_form_lift_matches_newton_at_zero_eps():
     assert math.copysign(1.0, float(benchmark_a().eta_inverse_lift(-0.0))) == 1.0
 
 
-def test_nonlinear_lift_matches_newton():
+BIG = np.finfo(float).max
+LIFT_FAMILIES = (benchmark_c(), SolenoidSpec(d=3, eta_eps=-0.9, lam0=0.2),
+                 SolenoidSpec(d=2, eta_eps=1.8, lam0=0.2))
+
+
+def mp_lift(spec, t, x, steps=3):
+    """The root of eta_lift(x) = t at 40 digits, by Newton from float x."""
+    with mpmath.workdps(40):
+        t, x = mpmath.mpf(float(t)), mpmath.mpf(float(x))
+        for _ in range(steps):
+            step = ((spec.d * x + spec.eta_eps * mpmath.sin(x) - t)
+                    / (spec.d + spec.eta_eps * mpmath.cos(x)))
+            x -= step
+        assert abs(step) < mpmath.mpf(10) ** -30
+        return x
+
+
+def test_nonlinear_lift_matches_mpmath():
+    rng = np.random.default_rng(9)
+    for spec in LIFT_FAMILIES:
+        t = lift_targets(rng, 500)
+        new, ref = spec.eta_inverse_lift(t), reference_lift(spec, t)
+        true = [mp_lift(spec, ti, xi) for ti, xi in zip(t, ref)]
+        err_new = np.array([float(abs(x - r)) for x, r in zip(new, true)])
+        err_ref = np.array([float(abs(x - r)) for x, r in zip(ref, true)])
+        assert t.size >= 1000
+        assert np.all(err_new <= err_ref.max()
+                      + np.spacing(np.maximum(1.0, np.abs(new))))
+
+
+def residual_ok(spec, t, x):
+    res = np.abs(spec.eta_lift(x) - t) / (spec.d - abs(spec.eta_eps))
+    return res <= maps.LIFT_TOL * np.maximum(1.0, np.abs(x))
+
+
+def test_lift_fallback_matches_newton(monkeypatch):
+    # A four-interval start table leaves most targets to the bracketed
+    # fallback, which must give Newton's bits on exactly those targets.
     spec = benchmark_c()
-    t = lift_targets(np.random.default_rng(9), 2000)
-    assert same_bits(spec.eta_inverse_lift(t), reference_lift(spec, t))
+    monkeypatch.setattr(maps, "LIFT_NODES", 4)
+    coarse = maps._lift_table.__wrapped__(spec.d, spec.eta_eps)
+    monkeypatch.setattr(maps, "_lift_table", lambda d, eps: coarse)
+    seen = []
+
+    def spy(f, fprime, targets, lo, hi):
+        seen.append(targets.copy())
+        return solve_increasing(f, fprime, targets, lo, hi)
+
+    monkeypatch.setattr(maps, "solve_increasing", spy)
+    t = lift_targets(np.random.default_rng(4), 1000)
+    x = spec.eta_inverse_lift(t)
+    assert len(seen) == 1 and 0 < seen[0].size < t.size
+    fell = np.isin(t, seen[0])
+    assert same_bits(x[fell], reference_lift(spec, t[fell]))
+    assert np.all(residual_ok(spec, t[~fell], x[~fell]))
+
+
+def test_lift_edge_inputs():
+    for spec in LIFT_FAMILIES:
+        period = TWO_PI * spec.d
+        mult = period * np.array([-50.0, -3.0, -1.0, 1.0, 2.0, 7.0, 50.0])
+        t = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf,
+             BIG, -BIG],
+            mult, np.nextafter(mult, np.inf), np.nextafter(mult, -np.inf)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = spec.eta_inverse_lift(t)
+            singles = [spec.eta_inverse_lift(np.asarray(v)) for v in t]
+        assert all(s.shape == () and same_bits(s, xi)
+                   for s, xi in zip(singles, x))
+        assert math.copysign(1.0, x[1]) == 1.0
+        with np.errstate(all="ignore"):
+            ref = reference_lift(spec, t)
+            ok = residual_ok(spec, t, x)
+        fin = np.isfinite(t)
+        assert np.all(ok[fin] | (x[fin] == ref[fin]))
+        assert same_bits(x[~fin], ref[~fin])

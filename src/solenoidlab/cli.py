@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, lamination, thermo
-from .coding import Word, leaf_states, write_cylinder_table
+from .coding import Word, _require_depth, leaf_states, write_cylinder_table
 from .errors import (CapExceededError, ConfigError, SolenoidError,
                      SpecInvalidError)
 from .maps import Point3, SolenoidSpec, apply_map, validate_spec
@@ -69,13 +69,10 @@ class RunConfig:
     gamma_depth: int = 10
     x_src: float = 0.0
     x_dst: float = math.pi
-    x_samples: int = 16
-    half_width_factor: float = 1.0
     deviation_lo: int = 6
     deviation_hi: int = 12
     deviation_threshold: float = 0.05
     dump_leaves: bool = False
-    offset_average: bool = False
     # filled by load_config from a coarse model; commands recompute at depth_n
     regime: dict = field(default_factory=dict)
 
@@ -123,6 +120,22 @@ def _jsonable(obj):
     return obj
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The values a field may take, by the type of its default.  Nothing is
+# cast, so a valid config is echoed with its own values.
+_FIELD_TYPES = {
+    int: ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    float: ("a number", _is_number),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list of numbers",
+           lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
@@ -142,11 +155,16 @@ def load_config(path) -> RunConfig:
         spec = SolenoidSpec.from_dict(raw["spec"])
     except SpecInvalidError as exc:
         raise ConfigError(f"config parse error in field 'spec': {exc}")
-    known = {f.name for f in dataclasses.fields(RunConfig)} - {"regime"}
-    unknown = sorted(set(raw) - known)
+    defaults = vars(RunConfig(spec=spec))
+    unknown = sorted(k for k in raw if k not in defaults or k == "regime")
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     kwargs = {k: v for k, v in raw.items() if k != "spec"}
+    for name, value in kwargs.items():
+        what, ok = _FIELD_TYPES[type(defaults[name])]
+        if not ok(value):
+            raise ConfigError(
+                f"config field '{name}' must be {what}, got {value!r}")
     cfg = RunConfig(spec=spec, **kwargs)
     report = validate_spec(spec, cfg.grid_density)
     if not report.all_passed:
@@ -346,16 +364,15 @@ def _cmd_dimension(cfg, stages, out_dir):
     sl = stages.run("slice_cloud", geometry.slice_cloud, spec,
                     cfg.slice_fiber, cfg.depth_n)
     slice_fit = stages.run("slice_fit", geometry.box_dimension, sl,
-                           cfg.k_scales, cfg.offset_average)
+                           cfg.k_scales)
     proj_fit = stages.run("projection_fit", geometry.box_dimension,
-                          geometry.project_cloud(sl, (0,)), cfg.k_scales,
-                          cfg.offset_average)
+                          geometry.project_cloud(sl, (0,)), cfg.k_scales)
     full_depth = cfg.full_depth or cfg.depth_n
     full_fibers = cfg.full_fibers or cfg.fibers
     full = stages.run("attractor_cloud", geometry.attractor_cloud, spec,
                       full_depth, full_fibers, threads=cfg.threads)
     full_fit = stages.run("full_fit", geometry.box_dimension, full,
-                          cfg.k_scales, cfg.offset_average)
+                          cfg.k_scales)
     stages.run("write_slice_cloud", _cloud_csv,
                os.path.join(out_dir, "slice_cloud.csv"), sl, ("y", "z"))
     stages.run("write_attractor_cloud", _cloud_csv,
@@ -420,7 +437,7 @@ def _holonomy_laws(cfg, leaves: int = 25):
     eta(x), where c = floor(eta_lift(x) / 2 pi) is the branch of x.
     """
     spec, length = cfg.spec, 40
-    lamination._require_depth(spec, length, 1e-9)
+    _require_depth(spec, length, 1e-9)
     rng = np.random.default_rng(cfg.seed)
     digits = rng.integers(0, spec.d, (leaves, length))
     xs = rng.uniform(0.0, 2 * math.pi, leaves)

@@ -221,11 +221,7 @@ def point_from_backward_word(spec: SolenoidSpec, word: Word, x: float,
     if word.direction != "backward":
         raise ValueError("point_from_backward_word expects a backward word")
     _check_symbols(spec, word)
-    n = word.generation
-    bound = spec.contraction_sup() ** n  # n = 0 gives the disc radius 1
-    if bound >= tol:
-        raise WordTooShortError(
-            f"need (sup lam')^n < {tol:g}; length {n} gives {bound:g}")
+    bound = _require_depth(spec, word.generation, tol)
     digits = np.array([word.symbols], dtype=int)
     y, z = leaf_states(spec, digits, np.array([np.mod(x, TWO_PI)]))
     point = Point3(x=float(np.mod(x, TWO_PI)), y=float(y[0, 0]), z=float(z[0, 0]))
@@ -242,6 +238,15 @@ def base_itinerary(spec: SolenoidSpec, x: float, n: int) -> Word:
         syms.append(int(branch_of(spec, cur)))
         cur = float(spec.eta(cur))
     return Word(symbols=tuple(syms), direction="forward")
+
+
+def _require_depth(spec, n, tol):
+    """(sup lam')**n, the error of a length-n past; it must be below tol."""
+    bound = spec.contraction_sup() ** n  # n = 0 gives the disc radius 1
+    if bound >= tol:
+        raise WordTooShortError(
+            f"past of length {n} gives error {bound:g} >= {tol:g}")
+    return bound
 
 
 def _check_cap(d, n, cap):

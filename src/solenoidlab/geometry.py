@@ -2,13 +2,13 @@
 
 Cloud representatives come from the disc-center anchor construction, so a
 generation-n slice cloud approximates the attractor's stable section at
-resolution (sup lam')**n.  Box counting uses an origin-anchored dyadic
-grid; the scale window is auto-selected away from the too-few-boxes and
-saturation regimes and never descends below the cloud's stated
-resolution.  A full attractor cloud is fibre-major: the same word over
-adjacent fibers lies on one leaf, so its boxes are counted along the leaf
-chords between adjacent fibers and its floor is max((sup lam')**n, chord
-error), well below the fiber spacing.
+resolution (sup lam')**n.  Box counting takes one count per scale on an
+origin-anchored dyadic grid; the scale window is auto-selected away from
+the too-few-boxes and saturation regimes and never descends below the
+cloud's stated resolution.  A full attractor cloud is fibre-major: the
+same word over adjacent fibers lies on one leaf, so its boxes are counted
+along the leaf chords between adjacent fibers and its floor is
+max((sup lam')**n, chord error), well below the fiber spacing.
 """
 
 from __future__ import annotations
@@ -161,10 +161,10 @@ def _mix(cols, spans) -> np.ndarray:
     return key
 
 
-def _box_count(points: np.ndarray, r: float, offset: float = 0.0) -> int:
+def _box_count(points: np.ndarray, r: float) -> int:
     if len(points) == 0:
         return 0
-    idx = np.floor((points - offset) / r).astype(np.int64)
+    idx = np.floor(points / r).astype(np.int64)
     mins = idx.min(axis=0)
     idx -= mins
     spans = idx.max(axis=0).astype(np.int64) + 1
@@ -256,9 +256,8 @@ class _ChordCounter:
     The chord from word w over fiber f to word w over fiber f+1 follows
     one leaf; N(r) is the number of boxes the chords pass through (their
     end points included).  The seam gap from the last fiber back to 2*pi
-    is left out, because the word labels permute there.  Offset-0 counts
-    come from one fine pass whose box indices are halved level by level;
-    other offsets are counted scale by scale.
+    is left out, because the word labels permute there.  The counts come
+    from one fine pass whose box indices are halved level by level.
     """
 
     def __init__(self, points: np.ndarray, fibers: int, words: int,
@@ -278,11 +277,9 @@ class _ChordCounter:
                            if 2.0 ** -j >= resolution * (1.0 - 1e-12)),
                           default=0)
         self.n_max = n_max
-        self.counts = {}  # dyadic level j -> offset-0 count at r = 2**-j
+        self.counts = {}  # dyadic level j -> count at r = 2**-j
 
-    def __call__(self, r: float, offset: float) -> int:
-        if offset != 0.0:
-            return _interval_total(self._boxes(r, offset)[:2])
+    def __call__(self, r: float) -> int:
         j = int(round(-math.log2(r)))
         if j not in self.counts:
             self._fill(j)
@@ -306,8 +303,7 @@ class _ChordCounter:
             target = top + min(3, math.ceil(
                 math.log(self.n_max / known[top]) / math.log(growth)))
         target = max(j, min(target, self.finest))
-        self.counts.update(self._levels(self._boxes(2.0 ** -target, 0.0),
-                                        target))
+        self.counts.update(self._levels(self._boxes(2.0 ** -target), target))
 
     def _estimate(self) -> dict:
         """Counts extrapolated from the middle sixteenth of the gaps."""
@@ -318,8 +314,7 @@ class _ChordCounter:
         chord = float(np.linalg.norm(self.extent))
         level = math.ceil(-math.log2(chord)) + 2 if chord > 0 else 0
         level = max(0, min(level, self.finest))
-        boxes = self._boxes(2.0 ** -level, 0.0, first,
-                            first + sample * self.words)
+        boxes = self._boxes(2.0 ** -level, first, first + sample * self.words)
         return {lv: c * gaps / sample
                 for lv, c in self._levels(boxes, level).items()}
 
@@ -332,13 +327,13 @@ class _ChordCounter:
                 boxes = _halve(*boxes)
         return counts
 
-    def _boxes(self, r: float, offset: float, first: int = 0, stop=None):
+    def _boxes(self, r: float, first: int = 0, stop=None):
         """Boxes met by chords first..stop-1 at scale r: (starts, ends, lo, spans).
 
         Chord i runs from row i to row i + words; by default all chords.
         """
         pts, words, axes = self.points, self.words, self.axes
-        lo, hi = (np.floor((np.array(v) - offset) / r).astype(np.int64)
+        lo, hi = (np.floor(np.array(v) / r).astype(np.int64)
                   for v in zip(*self.bounds))
         spans = hi - lo + 1
         runs_per_chord = 1.0 + float(np.sum(self.extent[axes[:-1]])) / r
@@ -347,8 +342,8 @@ class _ChordCounter:
         chords = pts.shape[0] - words if stop is None else stop  # no seam chords
         for s in range(first, chords, step):
             e = min(s + step, chords)
-            block = _chord_runs(((pts[s:e] - offset) / r).T.copy(),
-                                ((pts[s + words:e + words] - offset) / r).T.copy(),
+            block = _chord_runs((pts[s:e] / r).T.copy(),
+                                (pts[s + words:e + words] / r).T.copy(),
                                 axes, lo, spans)
             starts.append(block[0])
             ends.append(block[1])
@@ -365,7 +360,7 @@ def _interval_total(intervals) -> int:
 
 
 def _halve(starts, ends, lo, spans):
-    """The same boxes one dyadic level up (offset 0), as key intervals."""
+    """The same boxes one dyadic level up, as key intervals."""
     cells, keys = [], starts
     for c in range(len(spans) - 1, -1, -1):
         cells.append(keys % spans[c] + lo[c])
@@ -379,8 +374,7 @@ def _halve(starts, ends, lo, spans):
         new_lo, new_spans)
 
 
-def box_dimension(cloud: PointCloud, k_scales: int = 12,
-                  offset_average: bool = False) -> DimensionFit:
+def box_dimension(cloud: PointCloud, k_scales: int = 12) -> DimensionFit:
     """Least-squares slope of log N(r) against log(1/r) over dyadic scales.
 
     Scales r = 2**-j are kept while 2 <= N(r) <= |cloud|/4 and r stays at
@@ -390,6 +384,8 @@ def box_dimension(cloud: PointCloud, k_scales: int = 12,
     `attractor_cloud`) N(r) counts the boxes met by the leaf chords
     between adjacent fibers rather than by the points alone, so the
     window reaches below the fiber spacing; other clouds count points.
+    Each scale is one count on the origin-anchored grid, not a mean over
+    shifted grids.
     """
     pts = cloud.points
     if len(cloud) < 100:
@@ -397,11 +393,10 @@ def box_dimension(cloud: PointCloud, k_scales: int = 12,
     if k_scales < 5:
         raise ValueError("need at least 5 scales")
     n_max = max(2.0, len(cloud) / 4.0)
-    offsets = (0.0,) if not offset_average else (0.0, 0.25, 0.5, 0.75)
     layout = cloud.provenance.get("fiber_major")
     if layout is None:
-        def count_boxes(r, offset):
-            return _box_count(pts, r, offset)
+        def count_boxes(r):
+            return _box_count(pts, r)
     else:
         count_boxes = _ChordCounter(pts, layout["fibers"], layout["words"],
                                     cloud.resolution, n_max)
@@ -411,8 +406,7 @@ def box_dimension(cloud: PointCloud, k_scales: int = 12,
         r = 2.0 ** (-j)
         if r < cloud.resolution * (1.0 - 1e-12):
             break
-        vals = [count_boxes(r, off * r) for off in offsets]
-        count = float(np.mean(vals))
+        count = float(count_boxes(r))
         counts[r] = count
         if count > n_max:
             break

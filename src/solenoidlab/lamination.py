@@ -9,17 +9,19 @@ estimate and the strong-Lipschitz margin test.
 
 Leaves are digit rows (deepest symbol first) evaluated by one
 ``leaf_states`` call on one shared lift grid; ``Word`` objects are built
-only for output.  ``_crossings`` scans every (leaf a, leaf b) pair of a
-pair sample or of the pool on that grid at once; only
-``leaf_intersections``, whose two leaves may be sampled on different
-grids, evaluates them on the union of their grids first.  The
-(leaf a, leaf b, cell) candidates of the scan, or of a holonomy scan, are
-refined together by ``_refine``, a bracketed Newton iteration on
-y_a - y_b whose derivative comes from the exact leaf slopes
-(``coding._leaf_jets``).  Each leaf is evaluated at its own lift and
-every candidate follows its scalar trajectory, so batching changes no
-result.  Crossing angles are atan |y_a' - y_b'| from the same slopes,
-with no finite differences.
+only for output.  One scan, ``_cells``, finds the candidate cells of
+y_a - y_b for many leaf pairs at once: contact runs within TOUCH_TOL as
+zero-width cells at their middle grid point, then sign changes.  It
+serves the crossing records of a pair sample or of the pool
+(``_crossings``) and the margin test's (target, pool leaf) rows
+(``_nearest_crossings``); only ``leaf_intersections``, whose two leaves
+may be sampled on different grids, evaluates them on the union of their
+grids first.  The candidates are refined together by ``_refine``, a
+bracketed Newton iteration on y_a - y_b whose derivative comes from the
+exact leaf slopes (``coding._leaf_jets``).  Each leaf is evaluated at its
+own lift and every candidate follows its scalar trajectory, so batching
+changes no result.  Crossing angles are atan |y_a' - y_b'| from the same
+slopes, with no finite differences.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import (Word, _digit_rows, _leaf_jets, descend_levels,
-                     leaf_states)
+from .coding import (Word, _digit_rows, _leaf_jets, _require_depth,
+                     descend_levels, leaf_states)
 from .errors import WordTooShortError
 from .maps import Point3, SolenoidSpec
 from .numerics import TWO_PI
@@ -39,6 +41,7 @@ from .thermo import gibbs_weight_array, _phi_exponent
 NEAR_TANGENCY_SLOPE = 1e-6  # |slope difference| below this is a tangency
 TOUCH_TOL = 1e-9            # |y_a - y_b| below this counts as contact
 CROSSING_TOL = 1e-10        # refinement stops at this step or bracket width
+SCAN_BLOCK = 1 << 18        # rows x grid points per margin-scan block
 
 
 @dataclass(frozen=True)
@@ -102,27 +105,6 @@ class HolonomyReport:
             "flagged_words": [str(w) for w in self.flagged_words],
             "flagged_weight": self.flagged_weight,
         }
-
-
-def _require_depth(spec, n, tol):
-    bound = spec.contraction_sup() ** n
-    if bound >= tol:
-        raise WordTooShortError(
-            f"past of length {n} gives error {bound:g} >= {tol:g}")
-    return bound
-
-
-def _leaf_points(spec, past, lifts):
-    """Leaf representatives over several base lifts, from one call."""
-    lifts = np.array(lifts, dtype=float)
-    y, z = leaf_states(spec, np.array([past.symbols], dtype=int), lifts)
-    return [Point3(x=float(np.mod(x, TWO_PI)), y=float(y[0, i]),
-                   z=float(z[0, i])) for i, x in enumerate(lifts)]
-
-
-def leaf_point(spec: SolenoidSpec, past: Word, lift: float) -> Point3:
-    """Leaf representative over one base lift (no tolerance gate)."""
-    return _leaf_points(spec, past, [lift])[0]
 
 
 def _grid(margin, samples):
@@ -196,20 +178,16 @@ def _refine(spec, dig_a, dig_b, lo, hi, g_lo):
     return x
 
 
-def _crossings(spec, grid, dig_a, dig_b, y_a, y_b) -> list:
-    """Crossing records of the leaf pairs (dig_a[p], dig_b[p]) on one grid.
+def _cells(grid, g):
+    """Candidate cells of the rows of g (rows, k) on the increasing grid.
 
-    y_a and y_b (rows p) hold the leaves over the shared increasing lift
-    grid; leaves a share one past length, as do leaves b, and the two
-    leaves of a pair have distinct leading symbols.  Sign changes of
-    y_a - y_b between grid points are refined by ``_refine``, all pairs at
-    once; contact runs within TOUCH_TOL (a grid point on the crossing, a
-    tangency or a coincidence stretch) keep their middle grid point, and
-    the slope gap decides which.  Each record's y and angle
-    atan |y_a' - y_b'| come from one jet evaluation at the refined point.
-    Returns one flat list ordered by pair, then by lift.
+    Returns (row, lo, hi, g_lo): first the contact runs, where |g| stays
+    below TOUCH_TOL (a grid point on the crossing, a tangency or a
+    coincidence stretch), as zero-width cells at their middle grid point;
+    then the sign changes of g between grid points that touch at neither
+    end.  Each part is ordered by row, then by lift; g_lo is g at lo
+    (0 for a contact run).
     """
-    g = y_a - y_b
     touching = np.abs(g) < TOUCH_TOL
     t = np.pad(touching, ((0, 0), (1, 1)))
     run_p, first = np.nonzero(t[:, 1:] & ~t[:, :-1])
@@ -218,11 +196,26 @@ def _crossings(spec, grid, dig_a, dig_b, y_a, y_b) -> list:
     sign = np.sign(g)
     cross_p, k = np.nonzero(~touching[:, :-1] & ~touching[:, 1:]
                             & (sign[:, :-1] * sign[:, 1:] < 0.0))
-    owner = np.concatenate([run_p, cross_p])
+    return (np.concatenate([run_p, cross_p]), np.concatenate([runs, grid[k]]),
+            np.concatenate([runs, grid[k + 1]]),
+            np.concatenate([np.zeros(runs.size), g[cross_p, k]]))
+
+
+def _crossings(spec, grid, dig_a, dig_b, y_a, y_b) -> list:
+    """Crossing records of the leaf pairs (dig_a[p], dig_b[p]) on one grid.
+
+    y_a and y_b (rows p) hold the leaves over the shared increasing lift
+    grid; leaves a share one past length, as do leaves b, and the two
+    leaves of a pair have distinct leading symbols.  The cells of
+    y_a - y_b (``_cells``) are refined by ``_refine``, all pairs at once;
+    a contact run keeps its middle grid point, and the slope gap decides
+    whether it is a crossing or a tangency.  Each record's y and angle
+    atan |y_a' - y_b'| come from one jet evaluation at the refined point.
+    Returns one flat list ordered by pair, then by lift.
+    """
+    owner, lo, hi, g_lo = _cells(grid, y_a - y_b)
     dig_a, dig_b = dig_a[owner], dig_b[owner]
-    x = _refine(spec, dig_a, dig_b, np.concatenate([runs, grid[k]]),
-                np.concatenate([runs, grid[k + 1]]),
-                np.concatenate([np.zeros(runs.size), g[cross_p, k]]))
+    x = _refine(spec, dig_a, dig_b, lo, hi, g_lo)
     (ya, sa), (_, sb) = _pair(_leaf_jets, spec, dig_a, dig_b, x[:, None])
     diff = np.abs(sa[:, 0] - sb[:, 0])
     return [IntersectionRecord(
@@ -312,8 +305,10 @@ def holonomy_map(spec: SolenoidSpec, past: Word, x_src: float, x_dst: float,
     longer than one turn stay on the same leaf continuation.
     """
     _require_depth(spec, past.generation, tol)
-    p, q = _leaf_points(spec, past, [x_src, x_dst])
-    return p, q
+    lifts = np.array([x_src, x_dst], dtype=float)
+    y, z = leaf_states(spec, np.array([past.symbols], dtype=int), lifts)
+    return tuple(Point3(x=float(np.mod(x, TWO_PI)), y=float(y[0, i]),
+                        z=float(z[0, i])) for i, x in enumerate(lifts))
 
 
 @dataclass(frozen=True)
@@ -321,9 +316,10 @@ class GammaPool:
     """Weighted sample of leaves evaluated on a shared lift grid.
 
     The pool is built once per run and shared read-only; the margin test
-    intersects target leaves against the pool curves: a sign scan on the
-    shared grid, then one batched Newton refinement (``_refine``) of the
-    cells nearest each query point, for all queried words at once.
+    intersects target leaves against the pool curves: the ``_cells`` scan
+    of the crossing records on the shared grid, then one batched Newton
+    refinement (``_refine``) of the cells nearest each query point, for
+    all queried words at once.
     """
 
     spec: SolenoidSpec
@@ -364,37 +360,32 @@ def build_gamma_pool(spec: SolenoidSpec, n_past: int, budget: int,
 def _nearest_crossings(spec, digits, pool: GammaPool, x_ref):
     """Distance from each x_ref[i] to the nearest pool crossing on leaf i.
 
-    Each target leaf (a row of digits) is scanned for sign changes against
-    the pool leaves from other tubes; the four cells whose midpoints lie
-    nearest its x_ref are refined, all leaves in one ``_refine`` call, to
-    within CROSSING_TOL of the crossing.  NaN marks a leaf without such
-    pool leaves, +inf one without a crossing.
+    Every (target leaf, pool leaf from another tube) row goes through
+    ``_cells`` on the pool grid, in blocks of whole targets that hold at
+    most SCAN_BLOCK values (or one target).  Each target keeps the four
+    cells whose midpoints lie nearest its x_ref (ties in cell order), and
+    all of them are refined in one ``_refine`` call, to within
+    CROSSING_TOL of the crossing; a contact run counts as a crossing at
+    its middle grid point.  NaN marks a leaf without such pool leaves,
+    +inf one without a crossing.
     """
     y_t, _ = leaf_states(spec, digits, pool.grid)
-    dist = np.full(len(digits), np.nan)
-    rows_t, rows_p, cells, g_lo = [], [], [], []
-    for w in range(len(digits)):
-        other = np.flatnonzero(pool.leading != digits[w, -1])
-        if other.size == 0:
-            continue
-        diffs = y_t[w] - pool.y_curves[other]
-        signs = np.sign(diffs)
-        rows, cols = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
-        dist[w] = math.inf
-        if rows.size == 0:
-            continue
-        mids = 0.5 * (pool.grid[cols] + pool.grid[cols + 1])
-        order = np.argsort(np.abs(mids - x_ref[w]), kind="stable")[:4]
-        rows_t.append(np.full(order.size, w))
-        rows_p.append(other[rows[order]])
-        cells.append(cols[order])
-        g_lo.append(diffs[rows[order], cols[order]])
-    if rows_t:
-        rows_t, cells = np.concatenate(rows_t), np.concatenate(cells)
-        x = _refine(spec, digits[rows_t], pool.digits[np.concatenate(rows_p)],
-                    pool.grid[cells], pool.grid[cells + 1],
-                    np.concatenate(g_lo))
-        np.minimum.at(dist, rows_t, np.abs(x - x_ref[rows_t]))
+    other = digits[:, -1, None] != pool.leading
+    dist = np.where(other.any(axis=1), math.inf, math.nan)
+    step = max(1, SCAN_BLOCK // max(1, pool.y_curves.size))
+    found = []
+    for s in range(0, len(digits), step):
+        tw, tp = np.nonzero(other[s:s + step])
+        row, lo, hi, g_lo = _cells(pool.grid, y_t[s + tw] - pool.y_curves[tp])
+        w = s + tw[row]
+        order = np.lexsort((np.abs(0.5 * (lo + hi) - x_ref[w]), w))
+        ws = w[order]
+        keep = order[np.arange(ws.size) - np.searchsorted(ws, ws) < 4]
+        found.append((w[keep], tp[row[keep]], lo[keep], hi[keep], g_lo[keep]))
+    if found:
+        w, p, lo, hi, g_lo = map(np.concatenate, zip(*found))
+        x = _refine(spec, digits[w], pool.digits[p], lo, hi, g_lo)
+        np.minimum.at(dist, w, np.abs(x - x_ref[w]))
     return dist
 
 

@@ -594,7 +594,7 @@ def nl_dimension_bound(spec: SolenoidSpec, model: GibbsModel,
 
 
 # ---------------------------------------------------------------------------
-# Empirical deviation decay and Gibbs quasi-multiplicativity
+# Empirical deviation decay
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -642,16 +642,3 @@ def deviation_decay(spec: SolenoidSpec, n_values, threshold: float = 0.05,
                           fractions=tuple(fractions), tau_emp=tau_emp,
                           tau_pred=tau_pred)
 
-
-def quasi_multiplicativity_stats(spec: SolenoidSpec, n1: int, n2: int,
-                                 t: float):
-    """Range of weight(w1+w2) / (weight(w1)*weight(w2)) over all pairs.
-
-    The concatenation places w1 in the deeper past.  Bounded ranges across
-    generations are the empirical Gibbs-property check.
-    """
-    w1 = gibbs_weight_array(spec, t, n1)
-    w2 = gibbs_weight_array(spec, t, n2)
-    w12 = gibbs_weight_array(spec, t, n1 + n2)
-    ratio = w12.reshape(w1.size, w2.size) / np.outer(w1, w2)
-    return float(ratio.min()), float(ratio.max())

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -57,6 +59,39 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, mystery=1)
     with pytest.raises(ConfigError, match="mystery"):
         cli.load_config(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("depth_n", "12"), ("depth_n", True), ("depth_n", 12.0),
+    ("tol", "1e-6"), ("tol", False), ("dump_leaves", 1),
+    ("eps_grid", 0.1), ("eps_grid", [0.1, "0.2"]), ("eps_grid", [True]),
+    ("output_dir", 3)])
+def test_load_config_rejects_wrong_field_types(tmp_path, field, value):
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        cli.load_config(write_config(tmp_path, **{field: value}))
+
+
+def test_load_config_keeps_values_uncast(tmp_path):
+    # float fields take ints, and the echo keeps what the config said
+    cfg = cli.load_config(write_config(tmp_path, x_dst=3, tol=1,
+                                       eps_grid=[0.1, 1], dump_leaves=True))
+    echo = cfg.echo()
+    assert (echo["x_dst"], echo["tol"], echo["eps_grid"]) == (3, 1, [0.1, 1])
+    assert type(echo["x_dst"]) is int and echo["dump_leaves"] is True
+
+
+def test_main_exits_2_on_wrong_field_type(tmp_path, capsys):
+    bad = write_config(tmp_path, depth_n="12")
+    assert cli.main(["bowen", "--config", bad]) == 2
+    assert "'depth_n'" in capsys.readouterr().err
+
+
+def test_every_config_field_is_read():
+    # an option no command reads is echoed into every report for nothing
+    source = open(cli.__file__).read()
+    read = set(re.findall(r"\bcfg\.(\w+)", source))
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"regime"}
+    assert fields - read == set()
 
 
 def test_bowen_command_contains_root(tmp_path):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from solenoidlab import (SolenoidSpec, Word, WordTooShortError, apply_map,
-                         benchmark_a, benchmark_b, benchmark_c,
+from solenoidlab import (Point3, SolenoidSpec, Word, WordTooShortError,
+                         apply_map, benchmark_a, benchmark_b, benchmark_c,
                          point_from_backward_word)
 from solenoidlab import coding, thermo
 from solenoidlab import lamination as lam
@@ -15,6 +15,14 @@ TWO_PI = 2 * math.pi
 
 def random_word(rng, d, n):
     return Word(tuple(rng.integers(0, d, n)))
+
+
+def leaf_point(spec, past, lift):
+    """Leaf representative over one base lift, from one leaf_states call."""
+    y, z = leaf_states(spec, np.array([past.symbols], dtype=int),
+                       np.array([lift], dtype=float))
+    return Point3(x=float(np.mod(lift, TWO_PI)), y=float(y[0, 0]),
+                  z=float(z[0, 0]))
 
 
 def test_leaf_fixed_point_sample():
@@ -67,8 +75,8 @@ def test_intersection_crossing_is_zero_of_gap():
     la = lam.unstable_leaf(spec, Word((0,) * 40), 0.1, 257)
     lb = lam.unstable_leaf(spec, Word((1,) + (0,) * 38 + (1,)), 0.1, 257)
     for rec in lam.leaf_intersections(la, lb):
-        ya = lam.leaf_point(spec, la.past, rec.x_lift).y
-        yb = lam.leaf_point(spec, lb.past, rec.x_lift).y
+        ya = leaf_point(spec, la.past, rec.x_lift).y
+        yb = leaf_point(spec, lb.past, rec.x_lift).y
         assert abs(ya - yb) < 1e-8
 
 
@@ -107,8 +115,8 @@ def test_holonomy_composition():
             x0, x1, x2 = sorted(rng.uniform(0, TWO_PI, 3))
             p0, q1 = lam.holonomy_map(spec, word, x0, x1)
             # both endpoints come from one call, bit for bit as one by one
-            assert p0 == lam.leaf_point(spec, word, x0)
-            assert q1 == lam.leaf_point(spec, word, x1)
+            assert p0 == leaf_point(spec, word, x0)
+            assert q1 == leaf_point(spec, word, x1)
             _, q2 = lam.holonomy_map(spec, word, x1, x2)
             _, q_direct = lam.holonomy_map(spec, word, x0, x2)
             assert abs(q2.y - q_direct.y) < 1e-8
@@ -285,8 +293,8 @@ def _scan_flags_word_by_word(spec, x_src, n, pairs, seed, L, pool):
         if j == i or j >= weights.size:
             continue
         word = Word.from_index(int(i), d, n)
-        pa = lam.leaf_point(spec, word, x_src)
-        pb = lam.leaf_point(spec, Word.from_index(j, d, n), x_src)
+        pa = leaf_point(spec, word, x_src)
+        pb = leaf_point(spec, Word.from_index(j, d, n), x_src)
         if math.hypot(pa.y - pb.y, pa.z - pb.z) == 0.0:
             continue
         res = lam.strong_lipschitz_test(spec, word, depth, L, pool, x=x_src,
@@ -556,6 +564,131 @@ def test_leaf_intersections_on_unequal_grids_match_per_pair_engine():
             assert recs == _per_pair_crossings([(la, lb)])[0]
             total += len(recs)
     assert total > 10
+
+
+# ---------------------------------------------------------------------------
+# Margin scan on the shared cells against the per-target loop it replaced
+# ---------------------------------------------------------------------------
+
+def _per_target_nearest_crossings(spec, digits, pool, x_ref):
+    """The margin scan before ``_cells``: one sign scan per target leaf.
+
+    Each target is scanned for sign changes against the pool leaves from
+    other tubes; the four cells whose midpoints lie nearest its x_ref are
+    refined, all targets in one ``_refine`` call.  Contact runs are not
+    candidates here.
+    """
+    y_t, _ = leaf_states(spec, digits, pool.grid)
+    dist = np.full(len(digits), np.nan)
+    rows_t, rows_p, cells, g_lo = [], [], [], []
+    for w in range(len(digits)):
+        other = np.flatnonzero(pool.leading != digits[w, -1])
+        if other.size == 0:
+            continue
+        diffs = y_t[w] - pool.y_curves[other]
+        signs = np.sign(diffs)
+        rows, cols = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
+        dist[w] = math.inf
+        if rows.size == 0:
+            continue
+        mids = 0.5 * (pool.grid[cols] + pool.grid[cols + 1])
+        order = np.argsort(np.abs(mids - x_ref[w]), kind="stable")[:4]
+        rows_t.append(np.full(order.size, w))
+        rows_p.append(other[rows[order]])
+        cells.append(cols[order])
+        g_lo.append(diffs[rows[order], cols[order]])
+    if rows_t:
+        rows_t, cells = np.concatenate(rows_t), np.concatenate(cells)
+        x = lam._refine(spec, digits[rows_t],
+                        pool.digits[np.concatenate(rows_p)],
+                        pool.grid[cells], pool.grid[cells + 1],
+                        np.concatenate(g_lo))
+        np.minimum.at(dist, rows_t, np.abs(x - x_ref[rows_t]))
+    return dist
+
+
+def _pool_variants(pool):
+    """The pool, the pool on [2, 2.9], and its tube-0 leaves only.
+
+    Crossings of A and C cluster near pi, so on the narrow window some
+    targets find none (+inf); tube-0 targets find no pool leaf in the
+    tube-0 pool (NaN).
+    """
+    grid = np.linspace(2.0, 2.9, 17)
+    y, _ = leaf_states(pool.spec, pool.digits, grid)
+    tube0 = pool.digits[:, -1] == 0
+    return [pool,
+            lam.GammaPool(spec=pool.spec, n_past=pool.n_past, margin=0.0,
+                          grid=grid, digits=pool.digits, y_curves=y,
+                          records=[]),
+            lam.GammaPool(spec=pool.spec, n_past=pool.n_past,
+                          margin=pool.margin, grid=pool.grid,
+                          digits=pool.digits[tube0],
+                          y_curves=pool.y_curves[tube0], records=[])]
+
+
+def _with_refine_spy(monkeypatch, fn, *args):
+    """fn's result and the candidates (rows a, rows b, lo, hi, g_lo) it
+    passed to ``_refine``, over the calls that refined any."""
+    calls, refine = [], lam._refine
+
+    def spy(*args):
+        calls.append(args[1:])
+        return refine(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(lam, "_refine", spy)
+        return fn(*args), [c for c in calls if c[2].size]
+
+
+@pytest.mark.parametrize("spec, n", [(benchmark_a(), 10), (benchmark_c(), 10),
+                                     (D3, 7)], ids=["A", "C", "d3"])
+def test_nearest_crossings_match_per_target_scan(monkeypatch, spec, n):
+    seen = np.zeros(3, dtype=int)  # NaN, +inf and finite targets
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        digits = rng.integers(0, spec.d, (60, int(rng.integers(3, 8))))
+        x_ref = rng.uniform(-0.5, TWO_PI + 0.5, 60)
+        for pool in _pool_variants(lam.build_gamma_pool(spec, n, 16,
+                                                        seed=seed)):
+            ref, ref_cells = _with_refine_spy(
+                monkeypatch, _per_target_nearest_crossings, spec, digits,
+                pool, x_ref)
+            dist, cells = _with_refine_spy(
+                monkeypatch, lam._nearest_crossings, spec, digits, pool, x_ref)
+            assert np.array_equal(dist, ref, equal_nan=True)
+            # the same four cells per target, in the same order
+            assert len(cells) == len(ref_cells)
+            for new, old in zip(cells, ref_cells):
+                assert all(np.array_equal(u, v) for u, v in zip(new, old))
+            with monkeypatch.context() as m:
+                m.setattr(lam, "SCAN_BLOCK", 1)  # one target per block
+                assert np.array_equal(
+                    lam._nearest_crossings(spec, digits, pool, x_ref), ref,
+                    equal_nan=True)
+            seen += [np.isnan(ref).sum(), np.isinf(ref).sum(),
+                     np.isfinite(ref).sum()]
+    assert np.all(seen > 0)
+
+
+def test_nearest_crossings_count_contact_runs():
+    # FLAT's leaves all have y = 0: each (target, pool leaf) row is one
+    # contact run over the whole grid, a crossing at its middle grid point
+    # (pi on the pool grid); the per-target sign scan found none.
+    pool = lam.build_gamma_pool(FLAT, 8, 16, seed=1)
+    rng = np.random.default_rng(4)
+    digits = rng.integers(0, 2, (40, 6))
+    x_ref = rng.uniform(0.0, TWO_PI, 40)
+    middle = pool.grid[(pool.grid.size - 1) // 2]
+    assert abs(middle - math.pi) < 1e-15
+    dist = lam._nearest_crossings(FLAT, digits, pool, x_ref)
+    assert np.array_equal(dist, np.abs(middle - x_ref))
+    ref = _per_target_nearest_crossings(FLAT, digits, pool, x_ref)
+    assert np.all(ref == math.inf)
+    # on 256 grid points the run's middle is point 127, below pi
+    even = lam.build_gamma_pool(FLAT, 8, 16, seed=1, samples=256)
+    assert np.array_equal(lam._nearest_crossings(FLAT, digits, even, x_ref),
+                          np.abs(even.grid[127] - x_ref))
 
 
 def test_leaf_jets_match_closed_form_and_leaf_states():

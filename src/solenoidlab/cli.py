@@ -34,7 +34,7 @@ CSV columns per command:
   pressure       pressure_curve.csv: t, p_lo, p_hi
                  cylinders.csv: word, interval_lo, interval_hi
   dimension      slice_cloud.csv: y, z       attractor_cloud.csv: x, y, z
-  transversality leaves.csv (with --dump-leaves in config): leaf, x_lift, y, z
+  transversality leaves.csv (with "dump_leaves": true): leaf, x_lift, y, z
 All emitted files carry the spec hash and generation in a header comment.
 """
 
@@ -149,6 +149,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error in {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config parse error in {path}: not a JSON object")
     if "spec" not in raw:
         raise ConfigError("config parse error: missing field 'spec'")
     try:

@@ -13,7 +13,6 @@ max((sup lam')**n, chord error), well below the fiber spacing.
 
 from __future__ import annotations
 
-import heapq
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -533,7 +532,6 @@ class OverlapReport:
 
     n: int
     x_samples: int
-    half_width_factor: float
     max_order: int
     order_histogram: dict
     max_touch_count: int
@@ -541,30 +539,27 @@ class OverlapReport:
 
     def to_dict(self):
         return {"n": self.n, "x_samples": self.x_samples,
-                "half_width_factor": self.half_width_factor,
                 "max_order": self.max_order,
                 "order_histogram": {str(k): v for k, v in
                                     sorted(self.order_histogram.items())},
                 "max_touch_count": self.max_touch_count, "h_n": self.h_n}
 
 
-def _interval_overlap_pairs(lo: np.ndarray, hi: np.ndarray):
-    """All pairs (i < j) of overlapping intervals, by a sweep over lo."""
+def _overlap_codes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Codes i * size + j of the pairs i < j of closed intervals that meet.
+
+    In the stable order by lo, the later intervals meeting the one at
+    position p are the run p+1 .. searchsorted(lo, hi[p], "right") - 1:
+    the cells that `_crossings` enters going from cell p to the run's end.
+    """
     order = np.argsort(lo, kind="stable")
-    active = []  # heap of (hi, index)
-    pairs = []
-    for idx in order:
-        l = lo[idx]
-        while active and active[0][0] < l:
-            heapq.heappop(active)
-        for _, other in active:
-            pairs.append((min(idx, other), max(idx, other)))
-        heapq.heappush(active, (hi[idx], idx))
-    return pairs
+    last = np.searchsorted(lo[order], hi[order], side="right") - 1
+    first, second, _ = _crossings(np.arange(lo.size), last)
+    a, b = order[first], order[second]
+    return np.minimum(a, b) * lo.size + np.maximum(a, b)
 
 
 def overlap_multiplicity(spec: SolenoidSpec, n: int, x_samples: int,
-                         half_width_factor: float = 1.0,
                          cap: int = ENUMERATION_CAP) -> OverlapReport:
     """Count tube overlaps in the y-projection across sampled fibers.
 
@@ -583,34 +578,21 @@ def overlap_multiplicity(spec: SolenoidSpec, n: int, x_samples: int,
     count = spec.d ** n
     if count * x_samples > cap:
         raise CapExceededError("fiber sample times words exceeds the cap")
-    table = birkhoff_table(spec, n, cap)
-    half = half_width_factor * np.exp(table.lam_sup)
+    half = np.exp(birkhoff_table(spec, n, cap).lam_sup)
     xs = TWO_PI * np.arange(x_samples) / x_samples
     y, _ = word_representatives(spec, xs, n)
-    leading = np.arange(count) % spec.d  # most recent symbol
 
-    pair_counts = {}
-    partners = [set() for _ in range(count)]
-    for f in range(x_samples):
-        lo = y[f] - half
-        hi = y[f] + half
-        for i, j in _interval_overlap_pairs(lo, hi):
-            pair_counts[(i, j)] = pair_counts.get((i, j), 0) + 1
-            if leading[i] != leading[j]:
-                partners[i].add(j)
-                partners[j].add(i)
-
-    full_order = np.zeros(count, dtype=int)
-    for (i, j), c in pair_counts.items():
-        if c == x_samples:
-            full_order[i] += 1
-            full_order[j] += 1
-    hist = {}
-    for order in full_order:
-        hist[int(order)] = hist.get(int(order), 0) + 1
-    max_touch = max((len(s) for s in partners), default=0)
-    h_n = math.log(max(max_touch, 1)) / n
+    # Each distinct pair once, with the number of fibers where it touches.
+    codes, hits = np.unique(np.concatenate(
+        [_overlap_codes(row - half, row + half) for row in y]),
+        return_counts=True)
+    i, j = np.divmod(codes, count)
+    full = hits == x_samples
+    full_order = np.bincount(np.append(i[full], j[full]), minlength=count)
+    orders, sizes = np.unique(full_order, return_counts=True)
+    touch = i % spec.d != j % spec.d  # index mod d: the most recent symbol
+    max_touch = int(np.bincount(np.append(i[touch], j[touch])).max(initial=0))
     return OverlapReport(
-        n=n, x_samples=x_samples, half_width_factor=half_width_factor,
-        max_order=int(full_order.max()), order_histogram=hist,
-        max_touch_count=int(max_touch), h_n=float(h_n))
+        n=n, x_samples=x_samples, max_order=int(full_order.max()),
+        order_histogram=dict(zip(orders.tolist(), sizes.tolist())),
+        max_touch_count=max_touch, h_n=math.log(max(max_touch, 1)) / n)

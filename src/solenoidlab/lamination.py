@@ -362,25 +362,28 @@ def _nearest_crossings(spec, digits, pool: GammaPool, x_ref):
 
     Every (target leaf, pool leaf from another tube) row goes through
     ``_cells`` on the pool grid, in blocks of whole targets that hold at
-    most SCAN_BLOCK values (or one target).  Each target keeps the four
-    cells whose midpoints lie nearest its x_ref (ties in cell order), and
-    all of them are refined in one ``_refine`` call, to within
-    CROSSING_TOL of the crossing; a contact run counts as a crossing at
-    its middle grid point.  NaN marks a leaf without such pool leaves,
-    +inf one without a crossing.
+    most SCAN_BLOCK values (or one target).  A cell holds its crossing
+    within half a grid step h of its midpoint, so each target keeps the
+    cells whose midpoints lie within h of its nearest midpoint distance
+    (ties in cell order); all of them are refined in one ``_refine`` call,
+    to within CROSSING_TOL of the crossing; a contact run counts as a
+    crossing at its middle grid point.  NaN marks a leaf without such pool
+    leaves, +inf one without a crossing.
     """
     y_t, _ = leaf_states(spec, digits, pool.grid)
     other = digits[:, -1, None] != pool.leading
     dist = np.where(other.any(axis=1), math.inf, math.nan)
+    h = float(np.diff(pool.grid).max())
     step = max(1, SCAN_BLOCK // max(1, pool.y_curves.size))
     found = []
     for s in range(0, len(digits), step):
         tw, tp = np.nonzero(other[s:s + step])
         row, lo, hi, g_lo = _cells(pool.grid, y_t[s + tw] - pool.y_curves[tp])
         w = s + tw[row]
-        order = np.lexsort((np.abs(0.5 * (lo + hi) - x_ref[w]), w))
-        ws = w[order]
-        keep = order[np.arange(ws.size) - np.searchsorted(ws, ws) < 4]
+        gap = np.abs(0.5 * (lo + hi) - x_ref[w])
+        order = np.lexsort((gap, w))
+        ws, gap = w[order], gap[order]
+        keep = order[gap <= gap[np.searchsorted(ws, ws)] + h]
         found.append((w[keep], tp[row[keep]], lo[keep], hi[keep], g_lo[keep]))
     if found:
         w, p, lo, hi, g_lo = map(np.concatenate, zip(*found))

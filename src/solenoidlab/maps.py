@@ -144,10 +144,6 @@ class SolenoidSpec:
         spread = abs(self.lam1) + 2.0 * abs(self.lam2)
         return self.lam0 - spread, self.lam0 + spread
 
-    def nu_prime_range(self):
-        spread = abs(self.nu1) + abs(self.nu2)
-        return self.nu0 - spread, self.nu0 + spread
-
     def contraction_sup(self):
         """Upper bound on the fiber contraction rate sup lam'."""
         return self.lam_prime_range()[1]
@@ -166,6 +162,12 @@ class SolenoidSpec:
             raise SpecInvalidError(f"unknown spec fields: {', '.join(unknown)}")
         if "d" not in data:
             raise SpecInvalidError("missing spec field 'd'")
+        for name, value in data.items():  # nothing is cast
+            kinds = int if name == "d" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if name == "d" else "a number"
+                raise SpecInvalidError(
+                    f"spec field '{name}' must be {what}, got {value!r}")
         return cls(**data)
 
     def spec_hash(self):

@@ -446,10 +446,13 @@ def rate_function(spec: SolenoidSpec, psi: str, t_aux: float, n: int) -> RateRes
     mean of psi under the tilt.  A constant observable is flagged
     degenerate: deviations of positive size then have infinite rate.
     """
-    table = birkhoff_table(spec, n)
-    t0 = _phi_exponent(spec, n)
+    return _rate(birkhoff_table(spec, n), _phi_exponent(spec, n), psi, t_aux)
+
+
+def _rate(table, t0, psi, t_aux):
+    """`rate_function` on one table at the root t0."""
     psi_sum = table.psi_mid(psi)
-    spread = float(psi_sum.max() - psi_sum.min()) / n
+    spread = float(psi_sum.max() - psi_sum.min()) / table.n
     degenerate = spread < 1e-12
     p0, mean0 = _tilt_stats(table, t0, psi, 0.0)
     ps, means = _tilt_stats(table, t0, psi, t_aux)
@@ -459,16 +462,14 @@ def rate_function(spec: SolenoidSpec, psi: str, t_aux: float, n: int) -> RateRes
                       degenerate=bool(degenerate))
 
 
-def _solve_tilt(spec, psi, n, eps_target, s_max=512.0):
+def _solve_tilt(table, t0, psi, eps_target, s_max=512.0):
     """Tilt strength s with deviation eps(s) = eps_target (monotone in s).
 
     Returns None when the deviation is unreachable (bounded observable) or
     the observable is degenerate.
     """
-    table = birkhoff_table(spec, n)
-    t0 = _phi_exponent(spec, n)
     psi_sum = table.psi_mid(psi)
-    if float(psi_sum.max() - psi_sum.min()) / n < 1e-12:
+    if float(psi_sum.max() - psi_sum.min()) / table.n < 1e-12:
         return None
     _, mean0 = _tilt_stats(table, t0, psi, 0.0)
 
@@ -497,11 +498,17 @@ def deviation_rate(spec: SolenoidSpec, psi: str, eps: float, n: int) -> float:
     Returns math.inf when neither tail can deviate by eps (degenerate or
     bounded observable), meaning the deviating set is empty.
     """
+    return _deviation_rate(birkhoff_table(spec, n), _phi_exponent(spec, n),
+                           psi, eps)
+
+
+def _deviation_rate(table, t0, psi, eps):
+    """`deviation_rate` on one table at the root t0."""
     rates = []
     for target in (eps, -eps):
-        s = _solve_tilt(spec, psi, n, target)
+        s = _solve_tilt(table, t0, psi, target)
         if s is not None:
-            rates.append(rate_function(spec, psi, s, n).i_value)
+            rates.append(_rate(table, t0, psi, s).i_value)
     return min(rates) if rates else math.inf
 
 
@@ -550,14 +557,15 @@ def nl_dimension_bound(spec: SolenoidSpec, model: GibbsModel,
     deviation rates of log lam' and -log eta' (all formula variants are
     evaluated and the largest taken); B_eps bounds the regular
     contaminated part.  Degenerate observables empty the irregular
-    channel, leaving the bound to the B channel alone.
+    channel, leaving the bound to the B channel alone.  The rates, like
+    the channel formulas, are taken at the model's root t0_mid.
     """
     if eps_grid is None:
         eps_grid = default_eps_grid()
     eps_grid = np.asarray(eps_grid, dtype=float)
     t0 = model.t0_mid
     chi_lam, chi_eta = model.chi_lam, model.chi_eta
-    n = model.n
+    table = birkhoff_table(spec, model.n)
 
     a_vals = np.empty(eps_grid.size)
     b_vals = np.empty(eps_grid.size)
@@ -567,8 +575,8 @@ def nl_dimension_bound(spec: SolenoidSpec, model: GibbsModel,
             a_vals[k] = math.inf
             b_vals[k] = math.inf
             continue
-        i_lam = deviation_rate(spec, PSI_LOG_LAM, eps, n)
-        i_eta = deviation_rate(spec, PSI_NEG_LOG_ETA, eps, n)
+        i_lam = _deviation_rate(table, t0, PSI_LOG_LAM, eps)
+        i_eta = _deviation_rate(table, t0, PSI_NEG_LOG_ETA, eps)
         d1 = 1.0 + (-chi_lam - eps) / (chi_eta + eps)
         d2 = 1.0 + (chi_eta + eps) / (-chi_lam - eps)
         cands = []

@@ -86,6 +86,23 @@ def test_main_exits_2_on_wrong_field_type(tmp_path, capsys):
     assert "'depth_n'" in capsys.readouterr().err
 
 
+def test_main_exits_2_on_a_top_level_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for body in ("spec", ["spec"], 3, None):
+        path.write_text(json.dumps(body))
+        assert cli.main(["bowen", "--config", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam0", "abc"), ("lam0", "0.4"), ("lam0", True), ("lam0", None),
+    ("lam0", [0.4]), ("d", 2.7), ("d", 2.0), ("d", "2"), ("d", True)])
+def test_main_exits_2_on_wrong_spec_field_type(tmp_path, capsys, field, value):
+    bad = write_config(tmp_path, spec=dict(BENCH_A, **{field: value}))
+    assert cli.main(["bowen", "--config", bad]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
 def test_every_config_field_is_read():
     # an option no command reads is echoed into every report for nothing
     source = open(cli.__file__).read()

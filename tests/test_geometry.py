@@ -1,11 +1,14 @@
+import heapq
 import math
 
 import numpy as np
 import pytest
 
-from solenoidlab import (CapExceededError, ResolutionError, benchmark_a,
-                         benchmark_c)
+from solenoidlab import (CapExceededError, ResolutionError, SolenoidSpec,
+                         benchmark_a, benchmark_c)
 from solenoidlab import geometry, thermo
+from solenoidlab.coding import word_representatives
+from solenoidlab.numerics import TWO_PI
 
 T0_A = math.log(2.0) / math.log(2.5)
 
@@ -247,3 +250,86 @@ def test_overlap_growth_exponent_bounded():
     for n in (8, 11, 14):
         rep = geometry.overlap_multiplicity(spec, n, 16)
         assert 0.0 <= rep.h_n <= bound
+
+
+# ---------------------------------------------------------------------------
+# Overlap counts against the heap sweep they replaced
+# ---------------------------------------------------------------------------
+
+D3 = SolenoidSpec(d=3, eta_eps=0.4, lam0=0.2, lam1=0.03, lam2=0.02,
+                  nu0=0.08, nu2=0.02, u_amp=0.4, v_amp=0.4)
+
+
+def _heap_overlap_pairs(lo, hi):
+    """All pairs (i < j) of overlapping intervals, by a heap sweep over lo."""
+    active = []  # heap of (hi, index)
+    pairs = []
+    for idx in np.argsort(lo, kind="stable"):
+        while active and active[0][0] < lo[idx]:
+            heapq.heappop(active)
+        for _, other in active:
+            pairs.append((min(idx, other), max(idx, other)))
+        heapq.heappush(active, (hi[idx], idx))
+    return pairs
+
+
+def _heap_overlap_multiplicity(spec, n, x_samples):
+    """overlap_multiplicity by the heap sweep, a pair dict and partner sets."""
+    count = spec.d ** n
+    half = np.exp(thermo.birkhoff_table(spec, n).lam_sup)
+    xs = TWO_PI * np.arange(x_samples) / x_samples
+    y, _ = word_representatives(spec, xs, n)
+    leading = np.arange(count) % spec.d
+    pair_counts = {}
+    partners = [set() for _ in range(count)]
+    for f in range(x_samples):
+        for i, j in _heap_overlap_pairs(y[f] - half, y[f] + half):
+            pair_counts[(i, j)] = pair_counts.get((i, j), 0) + 1
+            if leading[i] != leading[j]:
+                partners[i].add(j)
+                partners[j].add(i)
+    full_order = np.zeros(count, dtype=int)
+    for (i, j), c in pair_counts.items():
+        if c == x_samples:
+            full_order[i] += 1
+            full_order[j] += 1
+    hist = {}
+    for order in full_order:
+        hist[int(order)] = hist.get(int(order), 0) + 1
+    max_touch = max(len(s) for s in partners)
+    return geometry.OverlapReport(
+        n=n, x_samples=x_samples, max_order=int(full_order.max()),
+        order_histogram=hist, max_touch_count=max_touch,
+        h_n=math.log(max(max_touch, 1)) / n)
+
+
+def _pairs(codes, size):
+    return sorted(zip(*(v.tolist() for v in np.divmod(codes, size))))
+
+
+def test_overlap_codes_match_heap_sweep_on_random_intervals():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 7, 40, 300):
+        for _ in range(20):
+            # integer ends: tied lo, touching ends, nesting, zero width
+            lo = rng.integers(0, max(2, size // 3), size).astype(float)
+            hi = lo + rng.integers(0, 6, size) * rng.integers(0, 2, size)
+            codes = geometry._overlap_codes(lo, hi)
+            assert codes.size == len(set(codes.tolist()))
+            assert _pairs(codes, size) == sorted(_heap_overlap_pairs(lo, hi))
+    lo = np.zeros(5)
+    assert _pairs(geometry._overlap_codes(lo, lo), 5) == [
+        (i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert geometry._overlap_codes(np.arange(4.0), np.arange(4.0) + 0.5).size == 0
+
+
+@pytest.mark.parametrize("spec, n_max", [(benchmark_a(), 12),
+                                         (benchmark_c(), 12), (D3, 7)],
+                         ids=["A", "C", "d3"])
+def test_overlap_multiplicity_matches_heap_sweep(spec, n_max):
+    for n in range(1, n_max + 1):
+        rep = geometry.overlap_multiplicity(spec, n, 16)
+        ref = _heap_overlap_multiplicity(spec, n, 16)
+        assert rep == ref
+        assert rep.h_n.hex() == ref.h_n.hex()
+        assert rep.to_dict() == ref.to_dict()

@@ -574,11 +574,12 @@ def _per_target_nearest_crossings(spec, digits, pool, x_ref):
     """The margin scan before ``_cells``: one sign scan per target leaf.
 
     Each target is scanned for sign changes against the pool leaves from
-    other tubes; the four cells whose midpoints lie nearest its x_ref are
-    refined, all targets in one ``_refine`` call.  Contact runs are not
-    candidates here.
+    other tubes; the cells whose midpoints lie within one grid step of the
+    nearest midpoint distance to its x_ref are refined, all targets in one
+    ``_refine`` call.  Contact runs are not candidates here.
     """
     y_t, _ = leaf_states(spec, digits, pool.grid)
+    h = np.diff(pool.grid).max()
     dist = np.full(len(digits), np.nan)
     rows_t, rows_p, cells, g_lo = [], [], [], []
     for w in range(len(digits)):
@@ -591,8 +592,9 @@ def _per_target_nearest_crossings(spec, digits, pool, x_ref):
         dist[w] = math.inf
         if rows.size == 0:
             continue
-        mids = 0.5 * (pool.grid[cols] + pool.grid[cols + 1])
-        order = np.argsort(np.abs(mids - x_ref[w]), kind="stable")[:4]
+        gaps = np.abs(0.5 * (pool.grid[cols] + pool.grid[cols + 1]) - x_ref[w])
+        order = np.argsort(gaps, kind="stable")
+        order = order[gaps[order] <= gaps[order[0]] + h]
         rows_t.append(np.full(order.size, w))
         rows_p.append(other[rows[order]])
         cells.append(cols[order])
@@ -657,7 +659,7 @@ def test_nearest_crossings_match_per_target_scan(monkeypatch, spec, n):
             dist, cells = _with_refine_spy(
                 monkeypatch, lam._nearest_crossings, spec, digits, pool, x_ref)
             assert np.array_equal(dist, ref, equal_nan=True)
-            # the same four cells per target, in the same order
+            # the same cells per target, in the same order
             assert len(cells) == len(ref_cells)
             for new, old in zip(cells, ref_cells):
                 assert all(np.array_equal(u, v) for u, v in zip(new, old))
@@ -669,6 +671,35 @@ def test_nearest_crossings_match_per_target_scan(monkeypatch, spec, n):
             seen += [np.isnan(ref).sum(), np.isinf(ref).sum(),
                      np.isfinite(ref).sum()]
     assert np.all(seen > 0)
+
+
+def _every_cell_nearest_crossings(spec, digits, pool, x_ref):
+    """The margin scan with no cut: every cell of every target is refined."""
+    y_t, _ = leaf_states(spec, digits, pool.grid)
+    other = digits[:, -1, None] != pool.leading
+    dist = np.where(other.any(axis=1), math.inf, math.nan)
+    tw, tp = np.nonzero(other)
+    row, lo, hi, g_lo = lam._cells(pool.grid, y_t[tw] - pool.y_curves[tp])
+    w = tw[row]
+    x = lam._refine(spec, digits[w], pool.digits[tp[row]], lo, hi, g_lo)
+    np.minimum.at(dist, w, np.abs(x - x_ref[w]))
+    return dist
+
+
+@pytest.mark.parametrize("spec, n", [(benchmark_a(), 10), (benchmark_b(), 10),
+                                     (benchmark_c(), 10), (D3, 7)],
+                         ids=["A", "B", "C", "d3"])
+def test_nearest_crossings_match_refining_every_cell(spec, n):
+    # Keeping only the four nearest midpoints per target overestimated the
+    # distance of target 880 on A and B (x1.275) and of four targets on d3.
+    pool = lam.build_gamma_pool(spec, n, 24, seed=8)
+    rng = np.random.default_rng(0)
+    digits = rng.integers(0, spec.d, (1500, 3))
+    x_ref = rng.uniform(0.0, TWO_PI, 1500)
+    ref = _every_cell_nearest_crossings(spec, digits, pool, x_ref)
+    assert np.isfinite(ref).sum() > 1000
+    assert np.array_equal(lam._nearest_crossings(spec, digits, pool, x_ref),
+                          ref, equal_nan=True)
 
 
 def test_nearest_crossings_count_contact_runs():

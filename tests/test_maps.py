@@ -155,3 +155,18 @@ def test_spec_serialization_roundtrip_and_rejection():
     with pytest.raises(SpecInvalidError, match="'d'"):
         SolenoidSpec.from_dict({"lam0": 0.4})
     assert spec.spec_hash() == SolenoidSpec.from_dict(spec.to_dict()).spec_hash()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam0", "0.4"), ("lam0", "abc"), ("lam0", False), ("lam0", None),
+    ("d", 2.7), ("d", 2.0), ("d", "2"), ("d", True)])
+def test_spec_from_dict_rejects_uncast_values(field, value):
+    data = dict(benchmark_a().to_dict(), **{field: value})
+    with pytest.raises(SpecInvalidError, match=f"'{field}'"):
+        SolenoidSpec.from_dict(data)
+
+
+def test_spec_from_dict_takes_ints_for_float_fields():
+    spec = SolenoidSpec.from_dict({"d": 2, "lam0": 0, "nu0": 0.25})
+    assert spec == SolenoidSpec(d=2, lam0=0.0, nu0=0.25)
+    assert type(spec.lam0) is float and type(spec.d) is int

@@ -261,7 +261,9 @@ def test_deviation_rate_matches_solved_tilt():
     rate = thermo.deviation_rate(spec, thermo.PSI_LOG_LAM, eps, 10)
     assert 0.0 < rate < math.inf
     # the rate at the solved tilt reproduces eps
-    s = thermo._solve_tilt(spec, thermo.PSI_LOG_LAM, 10, eps)
+    s = thermo._solve_tilt(thermo.birkhoff_table(spec, 10),
+                           thermo._phi_exponent(spec, 10),
+                           thermo.PSI_LOG_LAM, eps)
     r = thermo.rate_function(spec, thermo.PSI_LOG_LAM, s, 10)
     assert abs(r.eps - eps) < 1e-6
 
@@ -284,6 +286,21 @@ def test_nl_bound_benchmark_c():
     # the irregular channel approaches the root as the deviation vanishes
     a_small = nl.a_values[0]
     assert abs(a_small - model.t0_mid) < 1e-3
+
+
+def test_nl_bound_takes_rates_at_the_model_root(monkeypatch):
+    # a tighter tol moves the root; the rates must follow model.t0_mid
+    # rather than re-solve the root at the default tol
+    spec = benchmark_c()
+    model = thermo.build_gibbs_model(spec, 10, tol=1e-9)
+
+    def fail(*args):
+        raise AssertionError("nl_dimension_bound re-solved the root")
+
+    monkeypatch.setattr(thermo, "_phi_exponent", fail)
+    nl = thermo.nl_dimension_bound(spec, model)
+    assert not nl.irregular_degenerate
+    assert nl.bound < model.t0_lo
 
 
 def test_deviation_decay_positive_rate():

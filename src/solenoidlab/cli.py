@@ -512,11 +512,22 @@ _DISPATCH = {
 }
 
 
+# The least value of each run size; full_depth = 0 and full_fibers = 0
+# reuse depth_n and fibers.
+_MIN_SIZES = {"depth_n": 1, "fibers": 1, "threads": 1, "full_depth": 0,
+              "full_fibers": 0}
+
+
 def run_command(cfg: RunConfig, command: str) -> Report:
     """Dispatch one pipeline and write its artifacts into the output dir."""
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; "
                           f"choose one of {', '.join(COMMANDS)}")
+    for name, least in _MIN_SIZES.items():
+        value = getattr(cfg, name)
+        if value < least:
+            raise ConfigError(
+                f"config field '{name}' must be >= {least}, got {value!r}")
     out_dir = cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     stages = _Stages()
@@ -524,7 +535,8 @@ def run_command(cfg: RunConfig, command: str) -> Report:
     report = Report(command=command, spec_hash=cfg.spec.spec_hash(),
                     inputs=cfg.echo(), results=results,
                     timings=stages.timings)
-    _write(os.path.join(out_dir, f"{command}_report.json"), report.to_json())
+    path = os.path.join(out_dir, f"{command}_report.json")
+    stages.run("write_report", lambda: _write(path, report.to_json()))
     _write(os.path.join(out_dir, f"{command}_timings.json"),
            report.timings_json())
     return report

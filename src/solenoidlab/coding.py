@@ -131,26 +131,80 @@ def descend_levels(spec: SolenoidSpec, lifts: np.ndarray, n: int,
     return levels
 
 
+def _coefficient(c0, c1, trig):
+    """c0 + c1 * trig, the linear factor of lam or nu at the chain points.
+
+    With c1 = 0 and c0 != 0 it is the float c0: c0 + (+-0.0) is c0.
+    """
+    if c1 == 0.0 and c0 != 0.0:
+        return c0
+    out = c1 * trig
+    out += c0
+    return out
+
+
 def _fiber_forward(spec, chain, shape, dx=None):
     """Anchor discs' centers (x_(-n), 0, 0) iterated forward along chains.
 
     chain[j-1] holds the depth-j base points and broadcasts to `shape`,
-    the shape of the returned (y, z) arrays; the maps evaluate their trig
-    on the chain points themselves, never on broadcast copies.  Given
-    dx[j-1] = d x_(-j) / dx, the slope dy/dx rides along by the chain rule
-    through lam and u and (y, dy) is returned instead: z, which no slope
-    user reads, is not computed; y does not change.
+    the shape of the returned (y, z) arrays.  Each level takes one sin and
+    one cos of its chain points, never of broadcast copies, scales them in
+    place into the v and u terms, and updates y and z in place in the
+    operation order of ``maps`` (lam + u, nu + v), so the result is bit for
+    bit that of the map expressions, signed zeros included.  A factor
+    lam0 + lam1 sin x (nu0 + nu1 cos x) with lam1 = 0 (nu1 = 0) is a
+    float.  A zero lam2 (nu2) makes lam2 y**2 (nu2 y z) a signed zero,
+    which can only turn -0.0 into +0.0; when lam0 > |lam1| (nu0 > |nu1|)
+    the factor is positive, y (z) never holds -0.0, and the term is
+    skipped.  Otherwise it is formed in one scratch buffer.
+
+    Given dx[j-1] = d x_(-j) / dx, the slope dy/dx rides along by the
+    chain rule through lam and u, from the same sin and cos, and (y, dy)
+    is returned instead: z, which no slope user reads, is not computed;
+    y does not change.
     """
-    y = z = np.zeros(shape)
+    lam2, nu2 = spec.lam2, spec.nu2
+    sq_term = lam2 != 0.0 or not spec.lam0 > abs(spec.lam1)
+    yz_term = dx is None and (nu2 != 0.0 or not spec.nu0 > abs(spec.nu1))
+    y = np.zeros(shape)
+    z = np.zeros(shape) if dx is None else None
     dy = None if dx is None else np.zeros(shape)
+    scratch = np.empty(shape)  # its pages are touched only when used
     for j in reversed(range(len(chain))):
-        xj = chain[j]
+        sin, cos = np.sin(chain[j]), np.cos(chain[j])
         if dx is None:
-            z = spec.nu(xj, y, z) + spec.v(xj)
+            if yz_term:
+                np.multiply(y, nu2, out=scratch)
+                scratch *= z
+            z *= _coefficient(spec.nu0, spec.nu1, cos)
+            if yz_term:
+                z += scratch
+            lam = _coefficient(spec.lam0, spec.lam1, sin)
+            sin *= spec.v_amp
+            z += sin
         else:
-            dy = ((spec.lam1 * np.cos(xj) * y - spec.u_amp * np.sin(xj))
-                  * dx[j] + spec.lam_prime(xj, y) * dy)
-        y = spec.lam(xj, y) + spec.u(xj)
+            # dy <- ((lam1 cos x) y - u_amp sin x) dx + (lam + 2 lam2 y) dy
+            lam = _coefficient(spec.lam0, spec.lam1, sin)
+            if sq_term:
+                np.multiply(y, 2.0 * lam2, out=scratch)
+                scratch += lam
+                dy *= scratch
+            else:
+                dy *= lam
+            np.multiply(y, spec.lam1 * cos, out=scratch)
+            sin *= spec.u_amp
+            scratch -= sin
+            scratch *= dx[j]
+            dy += scratch
+        if sq_term:
+            np.multiply(y, lam2, out=scratch)
+            scratch *= y
+        y *= lam
+        if sq_term:
+            y += scratch
+        cos *= spec.u_amp
+        y += cos
+        del sin, cos, lam  # freed before the next level's trig
     return (y, z) if dx is None else (y, dy)
 
 

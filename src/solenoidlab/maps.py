@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -52,11 +53,23 @@ class SolenoidSpec:
     v_amp: float = 0.0
 
     def __post_init__(self):
-        if int(self.d) < 2:
+        # d takes any integer and the other fields any real number, bools
+        # excepted; nothing else is cast.
+        for name in SPEC_FIELDS:
+            value = getattr(self, name)
+            kind = numbers.Integral if name == "d" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if name == "d" else "a number"
+                raise SpecInvalidError(
+                    f"spec field '{name}' must be {what}, got {value!r}")
+            try:
+                value = int(value) if name == "d" else float(value)
+            except OverflowError:
+                raise SpecInvalidError(
+                    f"spec field '{name}' is out of float range") from None
+            object.__setattr__(self, name, value)
+        if self.d < 2:
             raise SpecInvalidError(f"base degree d must be >= 2, got {self.d}")
-        object.__setattr__(self, "d", int(self.d))
-        for name in SPEC_FIELDS[1:]:
-            object.__setattr__(self, name, float(getattr(self, name)))
 
     # -- base circle map ----------------------------------------------------
 
@@ -162,12 +175,6 @@ class SolenoidSpec:
             raise SpecInvalidError(f"unknown spec fields: {', '.join(unknown)}")
         if "d" not in data:
             raise SpecInvalidError("missing spec field 'd'")
-        for name, value in data.items():  # nothing is cast
-            kinds = int if name == "d" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                what = "an integer" if name == "d" else "a number"
-                raise SpecInvalidError(
-                    f"spec field '{name}' must be {what}, got {value!r}")
         return cls(**data)
 
     def spec_hash(self):

@@ -186,6 +186,39 @@ def test_main_overrides(tmp_path):
     assert rep["results"]["n"] == 7
 
 
+@pytest.mark.parametrize("flags, fields, name", [
+    pytest.param(flags, fields, name, id=" ".join(flags) or
+                 "{}={}".format(*next(iter(fields.items()))))
+    for flags, fields, name in [
+        (["--depth", "0"], {}, "depth_n"), (["--depth", "-3"], {}, "depth_n"),
+        (["--threads", "0"], {}, "threads"),
+        (["--threads", "-2"], {}, "threads"),
+        ([], {"depth_n": -3}, "depth_n"), ([], {"fibers": 0}, "fibers"),
+        ([], {"threads": 0}, "threads"),
+        ([], {"full_depth": -1}, "full_depth"),
+        ([], {"full_fibers": -1}, "full_fibers")]])
+def test_main_exits_2_on_bad_run_sizes(tmp_path, capsys, flags, fields, name):
+    path = write_config(tmp_path, **fields)
+    assert cli.main(["report", "--config", path] + flags) == 2
+    assert f"config field '{name}' must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_write_is_a_timed_stage(tmp_path):
+    path = write_config(tmp_path)
+    report = cli.run_command(cli.load_config(path), "bowen")
+    out = tmp_path / "out"
+    timings = json.loads((out / "bowen_timings.json").read_text())
+    assert set(timings["timings_ms"]) == {"bowen", "regime", "write_report"}
+    body = (out / "bowen_report.json").read_bytes()
+    # the report bytes carry no timings, so the new stage leaves them alone
+    assert body == report.to_json().encode()
+    assert set(json.loads(body)) == {"command", "spec_hash", "inputs",
+                                     "results"}
+    cli.run_command(cli.load_config(path), "bowen")
+    assert (out / "bowen_report.json").read_bytes() == body
+
+
 def reference_laws(spec, seed, leaves=25):
     """The forward law, one point_from_backward_word and apply_map per leaf."""
     rng = np.random.default_rng(seed)

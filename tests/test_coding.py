@@ -8,8 +8,10 @@ from solenoidlab import (CapExceededError, Point3, SolenoidSpec, Word,
                          benchmark_a, benchmark_c, cylinder_base_interval,
                          enumerate_cylinders, inverse_base,
                          point_from_backward_word)
+from solenoidlab import coding
 from solenoidlab.coding import (branch_of, cylinder_endpoints, descend_levels,
-                                word_representatives, write_cylinder_table)
+                                leaf_states, word_representatives,
+                                write_cylinder_table)
 from solenoidlab.maps import branch_points
 
 TWO_PI = 2 * math.pi
@@ -170,17 +172,77 @@ def tiled_representatives(spec, lifts, n):
     return y, z
 
 
+def expression_fiber_forward(spec, chain, shape, dx=None):
+    """The forward pass of ``coding._fiber_forward`` in map expressions.
+
+    Every level calls lam, nu, u, v (and lam_prime) on fresh arrays; the
+    slope dy/dx follows the chain rule through lam and u.
+    """
+    y = z = np.zeros(shape)
+    dy = None if dx is None else np.zeros(shape)
+    for j in reversed(range(len(chain))):
+        xj = chain[j]
+        if dx is None:
+            z = spec.nu(xj, y, z) + spec.v(xj)
+        else:
+            dy = ((spec.lam1 * np.cos(xj) * y - spec.u_amp * np.sin(xj))
+                  * dx[j] + spec.lam_prime(xj, y) * dy)
+        y = spec.lam(xj, y) + spec.u(xj)
+    return (y, z) if dx is None else (y, dy)
+
+
+D3 = SolenoidSpec(d=3, lam0=0.25, lam1=0.03, lam2=0.02, nu0=0.15, nu2=0.03,
+                  u_amp=0.4, v_amp=0.4)
+# u = v = 0: every u and v term is a signed zero.  FLAT keeps both linear
+# factors positive, so the zero lam2 and nu2 terms are skipped; in
+# FLAT_SIGNED they change sign, so the terms are formed.
+FLAT = SolenoidSpec(d=2, lam0=0.4, lam1=0.1, nu0=0.2, nu1=0.05)
+FLAT_SIGNED = SolenoidSpec(d=2, eta_eps=0.3, lam0=0.2, lam1=0.3, nu0=0.1,
+                           nu1=0.2)
+# lam1 = nu1 = 0 (float factors) with quadratic terms.
+QUADRATIC = SolenoidSpec(d=2, lam0=0.3, lam2=0.05, nu0=0.15, nu2=0.04,
+                         u_amp=0.5, v_amp=0.5)
+
+
 def test_word_representatives_match_tiled_reference():
-    d3 = SolenoidSpec(d=3, lam0=0.25, lam1=0.03, lam2=0.02, nu0=0.15,
-                      nu2=0.03, u_amp=0.4, v_amp=0.4)
     lifts = np.array([0.0, 1.3, 4.0, TWO_PI - 1e-3])
     for spec, n in ((benchmark_a(), 0), (benchmark_a(), 9), (benchmark_c(), 9),
-                    (d3, 6)):
+                    (D3, 6), (FLAT, 8), (FLAT_SIGNED, 8), (QUADRATIC, 8)):
         y, z = word_representatives(spec, lifts, n)
         y_ref, z_ref = tiled_representatives(spec, lifts, n)
         # bit for bit, signed zeros included
         assert y.tobytes() == y_ref.tobytes()
         assert z.tobytes() == z_ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["A", "C", "d3", "flat", "flat_signed",
+                                  "quadratic"])
+def test_leaf_evaluations_match_expression_reference(name):
+    spec = {"A": benchmark_a(), "C": benchmark_c(), "d3": D3, "flat": FLAT,
+            "flat_signed": FLAT_SIGNED, "quadratic": QUADRATIC}[name]
+    rng = np.random.default_rng(3)
+    m, n = 6, 14
+    digits = rng.integers(0, spec.d, (m, n))
+    digits[0] = 0
+    shared = np.array([-TWO_PI, -0.7, -0.0, 0.0, 1.3, math.pi, TWO_PI,
+                       TWO_PI + 0.4, 9.5])
+    rows = rng.uniform(-3.0, 10.0, (m, len(shared)))
+    rows[:, 0] = 0.0
+    rows[1, 1] = -TWO_PI
+    for lifts in (shared, rows):
+        chain, shape = coding._leaf_chain(spec, digits, lifts)
+        dx, dxj = [], 1.0
+        for xj in chain:
+            dxj = dxj / spec.eta_prime(xj)
+            dx.append(dxj)
+        y_ref, z_ref = expression_fiber_forward(spec, chain, shape)
+        y_jet, dy_ref = expression_fiber_forward(spec, chain, shape, dx)
+        y, z = leaf_states(spec, digits, lifts)
+        yj, dy = coding._leaf_jets(spec, digits, lifts)
+        # bit for bit, signed zeros included
+        assert y.tobytes() == y_ref.tobytes() == yj.tobytes()
+        assert z.tobytes() == z_ref.tobytes()
+        assert dy.tobytes() == dy_ref.tobytes()
 
 
 def scalar_cylinder_interval(spec, word):

@@ -170,3 +170,30 @@ def test_spec_from_dict_takes_ints_for_float_fields():
     spec = SolenoidSpec.from_dict({"d": 2, "lam0": 0, "nu0": 0.25})
     assert spec == SolenoidSpec(d=2, lam0=0.0, nu0=0.25)
     assert type(spec.lam0) is float and type(spec.d) is int
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", 2.7), ("d", 2.0), ("d", np.float64(3.0)), ("d", "2"), ("d", True),
+    ("d", None), ("lam0", "0.4"), ("lam0", True), ("lam0", np.True_),
+    ("lam0", None), ("lam0", 0.4j), ("nu0", [0.25])])
+def test_spec_constructor_rejects_uncast_values(field, value):
+    kwargs = dict(benchmark_a().to_dict(), **{field: value})
+    with pytest.raises(SpecInvalidError, match=f"spec field '{field}'"):
+        SolenoidSpec(**kwargs)
+
+
+def test_spec_constructor_does_not_truncate_d():
+    with pytest.raises(SpecInvalidError, match="spec field 'd'"):
+        SolenoidSpec(d=2.7, lam0="0.4")
+
+
+def test_spec_rejects_an_integer_beyond_float_range():
+    with pytest.raises(SpecInvalidError, match="spec field 'lam0'"):
+        SolenoidSpec.from_dict({"d": 2, "lam0": 10 ** 400})
+
+
+def test_spec_constructor_takes_numpy_integers_and_casts_ints():
+    spec = SolenoidSpec(d=np.int64(3), lam0=1)
+    assert spec == SolenoidSpec(d=3, lam0=1.0)
+    assert type(spec.d) is int and type(spec.lam0) is float
+    assert spec.spec_hash() == SolenoidSpec(d=3, lam0=1.0).spec_hash()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import ENUMERATION_CAP, word_representatives
+from .coding import ENUMERATION_CAP, _check_cap, word_representatives
 from .errors import CapExceededError, ResolutionError
 from .maps import SolenoidSpec
 from .numerics import TWO_PI
@@ -64,8 +64,7 @@ def slice_cloud(spec: SolenoidSpec, x: float, n: int,
     """One representative (y, z) per generation-n backward word over fiber x."""
     if n < 0:
         raise ValueError("generation must be >= 0")
-    if spec.d ** n > cap:
-        raise CapExceededError(f"{spec.d}**{n} words exceed the cap {cap}")
+    _check_cap(spec.d, n, cap)
     x = float(np.mod(x, TWO_PI))
     y, z = word_representatives(spec, np.array([x]), n)
     pts = np.column_stack([y[0], z[0]])
@@ -464,13 +463,6 @@ class DensityReport:
                 "frac_bounded": self.frac_bounded,
                 "frac_growing": self.frac_growing,
                 "samples": self.samples}
-
-
-def ball_mass(reps: np.ndarray, weights: np.ndarray, center: np.ndarray,
-              radius: float) -> float:
-    """Total weight of representatives inside the closed ball."""
-    d2 = np.sum((reps - center) ** 2, axis=1)
-    return float(weights[d2 <= radius * radius].sum())
 
 
 def local_density_stats(spec: SolenoidSpec, weights, x: float, n: int,

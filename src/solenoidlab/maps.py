@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -361,27 +360,24 @@ def validate_spec(spec: SolenoidSpec, grid_density: int = 64) -> ValidationRepor
 
 
 def _branch_separation(spec, fibers):
-    """Worst-case gap between branch image tubes over the sampled fibers."""
-    worst = math.inf
-    witness = None
-    d = spec.d
-    for x in fibers:
-        pre = spec.eta_inverse_lift(x + TWO_PI * np.arange(d))
-        cy = spec.u(pre)
-        cz = spec.v(pre)
-        # The image of a fiber disc at x~ sits inside the disc of radius
-        # max(sup|lam|, sup|nu|) around (u(x~), v(x~)).
-        ext_y = np.abs(spec.lam0 + spec.lam1 * np.sin(pre)) + abs(spec.lam2)
-        ext_z = np.abs(spec.nu0 + spec.nu1 * np.cos(pre)) + abs(spec.nu2)
-        ext = np.maximum(ext_y, ext_z)
-        for i in range(d):
-            for j in range(i + 1, d):
-                dist = math.hypot(cy[i] - cy[j], cz[i] - cz[j])
-                gap = dist - (ext[i] + ext[j])
-                if gap < worst:
-                    worst = gap
-                    witness = (float(x), float(pre[i]), float(pre[j]))
-    return worst, witness
+    """Worst-case gap between branch image tubes over the sampled fibers.
+
+    Returns (gap, (x, x~_i, x~_j)) at the first minimum in (fiber, pair
+    i < j) order.
+    """
+    pre = spec.eta_inverse_lift(fibers[:, None] + TWO_PI * np.arange(spec.d))
+    cy = spec.u(pre)
+    cz = spec.v(pre)
+    # The image of a fiber disc at x~ sits inside the disc of radius
+    # max(sup|lam|, sup|nu|) around (u(x~), v(x~)).
+    ext_y = np.abs(spec.lam0 + spec.lam1 * np.sin(pre)) + abs(spec.lam2)
+    ext_z = np.abs(spec.nu0 + spec.nu1 * np.cos(pre)) + abs(spec.nu2)
+    ext = np.maximum(ext_y, ext_z)
+    i, j = np.triu_indices(spec.d, 1)
+    gap = np.hypot(cy[:, i] - cy[:, j], cz[:, i] - cz[:, j]) \
+        - (ext[:, i] + ext[:, j])
+    wit = np.broadcast_arrays(fibers[:, None], pre[:, i], pre[:, j])
+    return _grid_min(gap.ravel(), np.stack(wit, axis=-1).reshape(-1, 3))
 
 
 def apply_map(spec: SolenoidSpec, p: Point3) -> MapJet:

@@ -18,18 +18,23 @@ superadditive, which gives nested pressure brackets: the true pressure of
 the weighted cylinder sums lies between p_lo and p_hi at every
 generation, and the root interval of the pressure function returned by
 ``solve_bowen`` therefore contains the dimension prediction.
+
+Every deviation rate comes from one tilt family s -> (P(s), tilted mean),
+``_tilt``, and one Legendre solve, ``_solve_tilt``, for the tilt whose
+mean deviates by the target; the rate is the Legendre gap at that tilt.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .coding import ENUMERATION_CAP, cylinder_endpoints, descend_levels
-from .errors import CapExceededError, SpecInvalidError
+from .coding import (ENUMERATION_CAP, _check_cap, cylinder_endpoints,
+                     descend_levels)
+from .errors import SpecInvalidError
 from .maps import SolenoidSpec
 from .numerics import (TWO_PI, interval_cos, interval_mul, interval_sin,
                        interval_square)
@@ -118,8 +123,7 @@ def birkhoff_table(spec: SolenoidSpec, n: int,
     """
     if n < 1:
         raise ValueError("table generation must be >= 1")
-    if spec.d ** n > cap:
-        raise CapExceededError(f"{spec.d}**{n} cylinders exceed the cap {cap}")
+    _check_cap(spec.d, n, cap)
     return _birkhoff_table(spec, n)
 
 
@@ -242,22 +246,18 @@ def _logsumexp(a):
     return out
 
 
-def _pressure_lo_hi(table: BirkhoffTable, t: float):
-    if t >= 0.0:
-        hi = float(_logsumexp(t * table.lam_sup)) / table.n
-        lo = float(_logsumexp(t * table.lam_inf)) / table.n
-    else:
-        hi = float(_logsumexp(t * table.lam_inf)) / table.n
-        lo = float(_logsumexp(t * table.lam_sup)) / table.n
-    return lo, hi
+def _pressure(table: BirkhoffTable, t: float, upper: bool) -> float:
+    """Upper (or lower) cylinder-sum pressure bound of t*log(lam')."""
+    sums = table.lam_sup if (t >= 0.0) == upper else table.lam_inf
+    return float(_logsumexp(t * sums)) / table.n
 
 
 def pressure_bracket(spec: SolenoidSpec, t: float, n: int,
                      cap: int = ENUMERATION_CAP) -> PressureBracket:
     """Bracket of the cylinder-sum pressure of the potential t*log(lam')."""
     table = birkhoff_table(spec, n, cap)
-    lo, hi = _pressure_lo_hi(table, t)
-    return PressureBracket(t=float(t), n=n, p_lo=lo, p_hi=hi)
+    return PressureBracket(t=float(t), n=n, p_lo=_pressure(table, t, False),
+                           p_hi=_pressure(table, t, True))
 
 
 def _bisect_decreasing(f, lo, hi, tol):
@@ -285,12 +285,8 @@ def solve_bowen(spec: SolenoidSpec, n: int, tol: float = 1e-6,
     limiting pressure at every generation.
     """
     table = birkhoff_table(spec, n, cap)
-
-    def p_lo(t):
-        return _pressure_lo_hi(table, t)[0]
-
-    def p_hi(t):
-        return _pressure_lo_hi(table, t)[1]
+    p_lo = partial(_pressure, table, upper=False)
+    p_hi = partial(_pressure, table, upper=True)
 
     if p_lo(0.0) < 0.0:
         raise SpecInvalidError("pressure at t=0 is negative; degenerate family")
@@ -424,17 +420,28 @@ def _phi_exponent(spec: SolenoidSpec, n: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _tilt_stats(table: BirkhoffTable, t0: float, psi: str, s: float):
-    """Midpoint tilted pressure and tilted mean of psi at tilt strength s."""
+# Tilts stronger than this count as unreachable deviations.
+S_MAX = 512.0
+
+
+def _tilt(table: BirkhoffTable, t0: float, psi: str):
+    """(stats, degenerate) of the tilt family of psi at the root t0.
+
+    stats(s) is the midpoint pressure P(t0*log lam' + s*psi) and the tilted
+    per-step mean of psi; degenerate: psi's per-step spread is below 1e-12.
+    """
     n = table.n
     base = t0 * table.lam_mid
     psi_sum = table.psi_mid(psi)
-    logw = base + s * psi_sum
-    norm = _logsumexp(logw)
-    w = np.exp(logw - norm)
-    mean_psi = float(w @ psi_sum) / n
-    pressure = float(norm) / n
-    return pressure, mean_psi
+
+    def stats(s):
+        logw = base + s * psi_sum
+        norm = _logsumexp(logw)
+        w = np.exp(logw - norm)
+        return float(norm) / n, float(w @ psi_sum) / n
+
+    degenerate = float(psi_sum.max() - psi_sum.min()) / n < 1e-12
+    return stats, degenerate
 
 
 def rate_function(spec: SolenoidSpec, psi: str, t_aux: float, n: int) -> RateResult:
@@ -446,50 +453,59 @@ def rate_function(spec: SolenoidSpec, psi: str, t_aux: float, n: int) -> RateRes
     mean of psi under the tilt.  A constant observable is flagged
     degenerate: deviations of positive size then have infinite rate.
     """
-    return _rate(birkhoff_table(spec, n), _phi_exponent(spec, n), psi, t_aux)
-
-
-def _rate(table, t0, psi, t_aux):
-    """`rate_function` on one table at the root t0."""
-    psi_sum = table.psi_mid(psi)
-    spread = float(psi_sum.max() - psi_sum.min()) / table.n
-    degenerate = spread < 1e-12
-    p0, mean0 = _tilt_stats(table, t0, psi, 0.0)
-    ps, means = _tilt_stats(table, t0, psi, t_aux)
-    eps = means - mean0
-    i_value = t_aux * means - (ps - p0)
-    return RateResult(i_value=float(i_value), eps=float(eps),
+    stats, degenerate = _tilt(birkhoff_table(spec, n),
+                              _phi_exponent(spec, n), psi)
+    p0, mean0 = stats(0.0)
+    i_value, means = _legendre_gap(stats, p0, t_aux)
+    return RateResult(i_value=float(i_value), eps=float(means - mean0),
                       degenerate=bool(degenerate))
 
 
-def _solve_tilt(table, t0, psi, eps_target, s_max=512.0):
-    """Tilt strength s with deviation eps(s) = eps_target (monotone in s).
+def _legendre_gap(stats, p0, s):
+    """Rate s*mean(s) - (P(s) - P(0)) of the tilt s, and the tilted mean."""
+    ps, means = stats(s)
+    return s * means - (ps - p0), means
 
-    Returns None when the deviation is unreachable (bounded observable) or
-    the observable is degenerate.
+
+def _solve_tilt(stats, mean0, target):
+    """Tilt strength s with deviation stats(s)[1] - mean0 = target.
+
+    The deviation is monotone in s.  Returns None when no tilt up to
+    S_MAX reaches the target (bounded observable).
     """
-    psi_sum = table.psi_mid(psi)
-    if float(psi_sum.max() - psi_sum.min()) / table.n < 1e-12:
-        return None
-    _, mean0 = _tilt_stats(table, t0, psi, 0.0)
-
     def eps_of(s):
-        return _tilt_stats(table, t0, psi, s)[1] - mean0
+        return stats(s)[1] - mean0
 
-    sign = 1.0 if eps_target > 0 else -1.0
+    sign = 1.0 if target > 0 else -1.0
     s = sign
-    while sign * eps_of(s) < sign * eps_target:
+    while sign * eps_of(s) < sign * target:
         s *= 2.0
-        if abs(s) > s_max:
+        if abs(s) > S_MAX:
             return None
     lo, hi = (0.0, s) if sign > 0 else (s, 0.0)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if eps_of(mid) < eps_target:
+        if eps_of(mid) < target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _deviation_rates(table: BirkhoffTable, t0: float, psi: str, eps):
+    """Slower-tail rate at every deviation size in eps, one Legendre solve
+    per tail; math.inf where neither tail reaches (or psi is degenerate)."""
+    stats, degenerate = _tilt(table, t0, psi)
+    eps = np.asarray(eps, dtype=float)
+    rates = np.full(eps.size, math.inf)
+    if degenerate:
+        return rates
+    p0, mean0 = stats(0.0)
+    for k, e in enumerate(eps):
+        tilts = (_solve_tilt(stats, mean0, target) for target in (e, -e))
+        rates[k] = min((_legendre_gap(stats, p0, s)[0]
+                        for s in tilts if s is not None), default=math.inf)
+    return rates
 
 
 def deviation_rate(spec: SolenoidSpec, psi: str, eps: float, n: int) -> float:
@@ -498,18 +514,8 @@ def deviation_rate(spec: SolenoidSpec, psi: str, eps: float, n: int) -> float:
     Returns math.inf when neither tail can deviate by eps (degenerate or
     bounded observable), meaning the deviating set is empty.
     """
-    return _deviation_rate(birkhoff_table(spec, n), _phi_exponent(spec, n),
-                           psi, eps)
-
-
-def _deviation_rate(table, t0, psi, eps):
-    """`deviation_rate` on one table at the root t0."""
-    rates = []
-    for target in (eps, -eps):
-        s = _solve_tilt(table, t0, psi, target)
-        if s is not None:
-            rates.append(_rate(table, t0, psi, s).i_value)
-    return min(rates) if rates else math.inf
+    return float(_deviation_rates(birkhoff_table(spec, n),
+                                  _phi_exponent(spec, n), psi, [eps])[0])
 
 
 @dataclass(frozen=True)
@@ -567,25 +573,21 @@ def nl_dimension_bound(spec: SolenoidSpec, model: GibbsModel,
     chi_lam, chi_eta = model.chi_lam, model.chi_eta
     table = birkhoff_table(spec, model.n)
 
-    a_vals = np.empty(eps_grid.size)
-    b_vals = np.empty(eps_grid.size)
-    any_rate_finite = False
-    for k, eps in enumerate(eps_grid):
-        if eps >= -chi_lam:
-            a_vals[k] = math.inf
-            b_vals[k] = math.inf
-            continue
-        i_lam = _deviation_rate(table, t0, PSI_LOG_LAM, eps)
-        i_eta = _deviation_rate(table, t0, PSI_NEG_LOG_ETA, eps)
-        d1 = 1.0 + (-chi_lam - eps) / (chi_eta + eps)
-        d2 = 1.0 + (chi_eta + eps) / (-chi_lam - eps)
-        cands = []
-        for i_val, denom in ((i_lam, d1), (i_eta, d2), (i_lam, d2)):
-            if math.isfinite(i_val):
-                cands.append(t0 - (i_val / (-chi_lam)) / denom)
-                any_rate_finite = True
-        a_vals[k] = max(cands) if cands else -math.inf
-        b_vals[k] = _b_channel(t0, chi_lam, chi_eta, eps)
+    # Deviations of at least -chi_lam leave both channels at +inf.
+    inside = ~(eps_grid >= -chi_lam)
+    eps = eps_grid[inside]
+    i_lam = _deviation_rates(table, t0, PSI_LOG_LAM, eps)
+    i_eta = _deviation_rates(table, t0, PSI_NEG_LOG_ETA, eps)
+    d1 = 1.0 + (-chi_lam - eps) / (chi_eta + eps)
+    d2 = 1.0 + (chi_eta + eps) / (-chi_lam - eps)
+    # An infinite rate empties its channel variant: a -inf candidate.
+    cands = [np.where(np.isfinite(i_val), t0 - (i_val / (-chi_lam)) / denom,
+                      -math.inf)
+             for i_val, denom in ((i_lam, d1), (i_eta, d2), (i_lam, d2))]
+    a_vals, b_vals = np.full((2, eps_grid.size), math.inf)
+    a_vals[inside] = np.max(cands, axis=0)
+    b_vals[inside] = _b_channel(t0, chi_lam, chi_eta, eps)
+    any_rate_finite = np.isfinite(i_lam).any() or np.isfinite(i_eta).any()
 
     combined = np.maximum(a_vals, b_vals)
     k_best = int(np.argmin(combined))

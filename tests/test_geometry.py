@@ -220,18 +220,25 @@ def test_local_density_resolution_error():
 
 
 def test_ball_mass_matches_bruteforce():
+    # the ball masses inside local_density_stats, ratio * r**t0, against
+    # brute-force sums around the same seeded centres
     spec = benchmark_a()
-    n = 8
+    n, x, seed, samples = 8, 0.5, 3, 20
+    radii = (0.01, 0.05, 0.2, 0.5)
     w = thermo.gibbs_weight_array(spec, T0_A, n)
-    cloud = geometry.slice_cloud(spec, 0.5, n)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        center = cloud.points[rng.integers(0, len(cloud))]
-        r = rng.uniform(0.01, 0.5)
-        fast = geometry.ball_mass(cloud.points, w, center, r)
-        slow = sum(wi for p, wi in zip(cloud.points, w)
-                   if (p[0] - center[0]) ** 2 + (p[1] - center[1]) ** 2 <= r * r)
-        assert fast == pytest.approx(slow, abs=1e-14)
+    rep = geometry.local_density_stats(spec, w, x, n, radii, samples=samples,
+                                       seed=seed)
+    points = geometry.slice_cloud(spec, x, n).points
+    picks = np.random.default_rng(seed).choice(w.size, size=samples,
+                                               replace=True, p=w)
+    for i, idx in enumerate(picks):
+        center = points[idx]
+        for k, r in enumerate(radii):
+            slow = sum(wi for p, wi in zip(points, w)
+                       if (p[0] - center[0]) ** 2 + (p[1] - center[1]) ** 2
+                       <= r * r)
+            fast = rep.ratios[i, k] * r ** rep.t0_mid
+            assert fast == pytest.approx(slow, abs=1e-14)
 
 
 def test_overlap_generation_one_separated():

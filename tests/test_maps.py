@@ -6,7 +6,7 @@ import pytest
 from solenoidlab import (Point3, SolenoidSpec, SpecInvalidError, apply_map,
                          benchmark_a, benchmark_b, benchmark_c, inverse_base,
                          iterate, validate_spec)
-from solenoidlab.maps import branch_points
+from solenoidlab.maps import _branch_separation, branch_points
 
 TWO_PI = 2 * math.pi
 
@@ -197,3 +197,45 @@ def test_spec_constructor_takes_numpy_integers_and_casts_ints():
     assert spec == SolenoidSpec(d=3, lam0=1.0)
     assert type(spec.d) is int and type(spec.lam0) is float
     assert spec.spec_hash() == SolenoidSpec(d=3, lam0=1.0).spec_hash()
+
+
+# ---------------------------------------------------------------------------
+# Branch separation against the per-fiber, per-pair loop it replaced
+# ---------------------------------------------------------------------------
+
+D3 = SolenoidSpec(d=3, eta_eps=0.4, lam0=0.2, lam1=0.03, lam2=0.02,
+                  nu0=0.08, nu2=0.02, u_amp=0.4, v_amp=0.4)
+D5 = SolenoidSpec(d=5, eta_eps=0.9, lam0=0.1, lam1=0.02, lam2=0.01,
+                  nu0=0.05, nu1=0.01, u_amp=0.6, v_amp=0.5)
+
+
+def loop_branch_separation(spec, fibers):
+    worst = math.inf
+    witness = None
+    d = spec.d
+    for x in fibers:
+        pre = spec.eta_inverse_lift(x + TWO_PI * np.arange(d))
+        cy = spec.u(pre)
+        cz = spec.v(pre)
+        ext_y = np.abs(spec.lam0 + spec.lam1 * np.sin(pre)) + abs(spec.lam2)
+        ext_z = np.abs(spec.nu0 + spec.nu1 * np.cos(pre)) + abs(spec.nu2)
+        ext = np.maximum(ext_y, ext_z)
+        for i in range(d):
+            for j in range(i + 1, d):
+                dist = math.hypot(cy[i] - cy[j], cz[i] - cz[j])
+                gap = dist - (ext[i] + ext[j])
+                if gap < worst:
+                    worst = gap
+                    witness = (float(x), float(pre[i]), float(pre[j]))
+    return worst, witness
+
+
+@pytest.mark.parametrize("density", [16, 64, 256])
+@pytest.mark.parametrize("spec", [benchmark_a(), benchmark_b(), benchmark_c(),
+                                  D3, D5], ids=["A", "B", "C", "d3", "d5"])
+def test_branch_separation_matches_loop_reference(spec, density):
+    xs = np.linspace(0.0, TWO_PI, density, endpoint=False)
+    margin, wit = _branch_separation(spec, xs)
+    want_margin, want_wit = loop_branch_separation(spec, xs)
+    assert type(margin) is float
+    assert repr((margin, wit)) == repr((float(want_margin), want_wit))

@@ -261,9 +261,9 @@ def test_deviation_rate_matches_solved_tilt():
     rate = thermo.deviation_rate(spec, thermo.PSI_LOG_LAM, eps, 10)
     assert 0.0 < rate < math.inf
     # the rate at the solved tilt reproduces eps
-    s = thermo._solve_tilt(thermo.birkhoff_table(spec, 10),
-                           thermo._phi_exponent(spec, 10),
-                           thermo.PSI_LOG_LAM, eps)
+    stats, _ = thermo._tilt(thermo.birkhoff_table(spec, 10),
+                            thermo._phi_exponent(spec, 10), thermo.PSI_LOG_LAM)
+    s = thermo._solve_tilt(stats, stats(0.0)[1], eps)
     r = thermo.rate_function(spec, thermo.PSI_LOG_LAM, s, 10)
     assert abs(r.eps - eps) < 1e-6
 
@@ -301,6 +301,158 @@ def test_nl_bound_takes_rates_at_the_model_root(monkeypatch):
     nl = thermo.nl_dimension_bound(spec, model)
     assert not nl.irregular_degenerate
     assert nl.bound < model.t0_lo
+
+
+# ---------------------------------------------------------------------------
+# Deviation rates against the per-call tilt helpers they replaced
+# ---------------------------------------------------------------------------
+
+D3 = SolenoidSpec(d=3, eta_eps=0.4, lam0=0.2, lam1=0.03, lam2=0.02,
+                  nu0=0.08, nu2=0.02, u_amp=0.4, v_amp=0.4)
+
+
+def ref_tilt_stats(table, t0, psi, s):
+    """Midpoint tilted pressure and tilted mean of psi at tilt strength s."""
+    n = table.n
+    base = t0 * table.lam_mid
+    psi_sum = table.psi_mid(psi)
+    logw = base + s * psi_sum
+    norm = thermo._logsumexp(logw)
+    w = np.exp(logw - norm)
+    mean_psi = float(w @ psi_sum) / n
+    pressure = float(norm) / n
+    return pressure, mean_psi
+
+
+def ref_rate(table, t0, psi, t_aux):
+    psi_sum = table.psi_mid(psi)
+    spread = float(psi_sum.max() - psi_sum.min()) / table.n
+    degenerate = spread < 1e-12
+    p0, mean0 = ref_tilt_stats(table, t0, psi, 0.0)
+    ps, means = ref_tilt_stats(table, t0, psi, t_aux)
+    eps = means - mean0
+    i_value = t_aux * means - (ps - p0)
+    return thermo.RateResult(i_value=float(i_value), eps=float(eps),
+                             degenerate=bool(degenerate))
+
+
+def ref_solve_tilt(table, t0, psi, eps_target, s_max=512.0):
+    psi_sum = table.psi_mid(psi)
+    if float(psi_sum.max() - psi_sum.min()) / table.n < 1e-12:
+        return None
+    _, mean0 = ref_tilt_stats(table, t0, psi, 0.0)
+
+    def eps_of(s):
+        return ref_tilt_stats(table, t0, psi, s)[1] - mean0
+
+    sign = 1.0 if eps_target > 0 else -1.0
+    s = sign
+    while sign * eps_of(s) < sign * eps_target:
+        s *= 2.0
+        if abs(s) > s_max:
+            return None
+    lo, hi = (0.0, s) if sign > 0 else (s, 0.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if eps_of(mid) < eps_target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def ref_deviation_rate(table, t0, psi, eps):
+    rates = []
+    for target in (eps, -eps):
+        s = ref_solve_tilt(table, t0, psi, target)
+        if s is not None:
+            rates.append(ref_rate(table, t0, psi, s).i_value)
+    return min(rates) if rates else math.inf
+
+
+def ref_nl_bound(spec, model, eps_grid, rate=ref_deviation_rate):
+    """The per-eps loop of nl_dimension_bound on the helpers above."""
+    eps_grid = np.asarray(eps_grid, dtype=float)
+    t0 = model.t0_mid
+    chi_lam, chi_eta = model.chi_lam, model.chi_eta
+    table = thermo.birkhoff_table(spec, model.n)
+    a_vals = np.empty(eps_grid.size)
+    b_vals = np.empty(eps_grid.size)
+    any_rate_finite = False
+    for k, eps in enumerate(eps_grid):
+        if eps >= -chi_lam:
+            a_vals[k] = math.inf
+            b_vals[k] = math.inf
+            continue
+        i_lam = rate(table, t0, thermo.PSI_LOG_LAM, eps)
+        i_eta = rate(table, t0, thermo.PSI_NEG_LOG_ETA, eps)
+        d1 = 1.0 + (-chi_lam - eps) / (chi_eta + eps)
+        d2 = 1.0 + (chi_eta + eps) / (-chi_lam - eps)
+        cands = []
+        for i_val, denom in ((i_lam, d1), (i_eta, d2), (i_lam, d2)):
+            if math.isfinite(i_val):
+                cands.append(t0 - (i_val / (-chi_lam)) / denom)
+                any_rate_finite = True
+        a_vals[k] = max(cands) if cands else -math.inf
+        b_vals[k] = thermo._b_channel(t0, chi_lam, chi_eta, eps)
+    combined = np.maximum(a_vals, b_vals)
+    k_best = int(np.argmin(combined))
+    return thermo.NLBound(
+        best_eps=float(eps_grid[k_best]), a_eps=float(a_vals[k_best]),
+        b_eps=float(b_vals[k_best]), bound=float(combined[k_best]),
+        eps_grid=eps_grid, a_values=a_vals, b_values=b_vals,
+        irregular_degenerate=not any_rate_finite)
+
+
+def _same_nl_bound(got, want):
+    for field in ("best_eps", "a_eps", "b_eps", "bound",
+                  "irregular_degenerate"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert type(g) is type(w) and repr(g) == repr(w), field
+    for field in ("eps_grid", "a_values", "b_values"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
+
+
+# D3 stops at n = 10: its 3**12-word table takes ~20 s to build and the
+# reference bound ~70 s more.
+@pytest.mark.parametrize("spec, n", [
+    pytest.param(spec, n, id=f"{name}-{n}")
+    for name, spec in (("A", benchmark_a()), ("B", benchmark_b()),
+                       ("C", benchmark_c()), ("d3", D3))
+    for n in ((8, 10) if name == "d3" else (8, 10, 12))])
+def test_deviation_rates_match_per_call_reference(spec, n):
+    model = thermo.build_gibbs_model(spec, n)
+    table = thermo.birkhoff_table(spec, n)
+    t0 = thermo._phi_exponent(spec, n)
+    rates = {}
+
+    def rate(table, t0, psi, eps):
+        # each reference rate is solved once across the two grids
+        key = (psi, float(eps))
+        if key not in rates:
+            rates[key] = ref_deviation_rate(table, t0, psi, eps)
+        return rates[key]
+
+    # 0.6 is beyond every tilt's reach on these families, the last two
+    # deviations are at least -chi_lam, and -1.5 < -chi_eta turns the
+    # first channel's denominator negative.
+    wide = np.concatenate([thermo.default_eps_grid(),
+                           [-1.5, 0.6, -model.chi_lam, 5.0]])
+    for grid in (None, wide):
+        want = ref_nl_bound(spec, model,
+                            thermo.default_eps_grid() if grid is None
+                            else grid, rate)
+        _same_nl_bound(thermo.nl_dimension_bound(spec, model, grid), want)
+    for psi in (thermo.PSI_LOG_LAM, thermo.PSI_NEG_LOG_ETA):
+        assert rate(table, t0, psi, 0.6) == math.inf
+        for eps in (1e-3, 0.03, 0.6):
+            got = thermo.deviation_rate(spec, psi, eps, n)
+            want = rate(table, t0, psi, eps)
+            assert type(got) is float and repr(got) == repr(want)
+        for t_aux in (-3.0, 0.0, 0.25, 2.0):
+            assert thermo.rate_function(spec, psi, t_aux, n) \
+                == ref_rate(table, t0, psi, t_aux)
 
 
 def test_deviation_decay_positive_rate():

@@ -8,8 +8,7 @@ tube separation) and reports each with a witness on failure.
 
 import numpy as np
 
-from solenoidlab import (Point3, SolenoidSpec, apply_map, benchmark_a,
-                         inverse_base, iterate, validate_spec)
+from solenoidlab import SolenoidSpec, benchmark_a, validate_spec
 
 spec = benchmark_a()
 print("family:", spec)
@@ -20,18 +19,21 @@ for check in report.checks:
     print(f"  {'ok ' if check.passed else 'FAIL'} {check.name}: {check.detail}")
 
 # The fiber maps contract, so every orbit is pulled onto the attractor.
-p = Point3(1.0, 0.3, -0.4)
-for n in (1, 5, 20):
-    q = iterate(spec, p, n)
-    print(f"f^{n}(p) = ({q.x:.4f}, {q.y:.6f}, {q.z:.6f})")
+x, y, z = 1.0, 0.3, -0.4
+for n in range(1, 21):
+    x, y, z = (spec.eta(x), spec.lam(x, y) + spec.u(x),
+               spec.nu(x, y, z) + spec.v(x))
+    if n in (1, 5, 20):
+        print(f"f^{n}(p) = ({x:.4f}, {y:.6f}, {z:.6f})")
 
-# One application also reports the derivative entries at the point.
-jet = apply_map(spec, Point3(0.0, 0.0, 0.0))
-print("jet at origin:", jet)
+# The derivative entries are closed forms of the spec.
+print(f"at the origin: eta' = {spec.eta_prime(0.0)}, "
+      f"lam' = {spec.lam_prime(0.0, 0.0)}, nu' = {spec.nu_prime(0.0, 0.0)}")
 
 # The base map has d monotone branches; their inverses partition the circle.
-for b in range(spec.d):
-    print(f"branch {b} preimage of pi: {inverse_base(spec, np.pi, b):.6f}")
+pre = spec.eta_inverse_lift(np.pi + 2 * np.pi * np.arange(spec.d))
+for b, x in enumerate(pre):
+    print(f"branch {b} preimage of pi: {x:.6f}")
 
 # A family that contracts too weakly fails the pairing hypothesis.
 bad = SolenoidSpec(d=2, lam0=0.6, nu0=0.25, u_amp=0.3, v_amp=0.3)

@@ -11,17 +11,19 @@ import math
 
 import numpy as np
 
-from solenoidlab import Word, benchmark_a, benchmark_b
+from solenoidlab import benchmark_a, benchmark_b
+from solenoidlab.coding import leaf_states
 from solenoidlab.lamination import (build_gamma_pool, holonomy_lipschitz_scan,
-                                    holonomy_map, leaf_intersections,
-                                    min_transversal_angle, unstable_leaf)
+                                    leaf_intersections, min_transversal_angle)
 
 spec = benchmark_a()
 
-# Two leaves with different leading symbols and where they cross.
-leaf_a = unstable_leaf(spec, Word((0,) * 40), margin=0.2, samples=257)
-leaf_b = unstable_leaf(spec, Word((0,) * 39 + (1,)), margin=0.2, samples=257)
-for rec in leaf_intersections(leaf_a, leaf_b):
+# Two leaves with different leading symbols, sampled on one lift grid over
+# [-0.2, 2*pi + 0.2], and where they cross.
+grid = np.linspace(-0.2, 2 * math.pi + 0.2, 257)
+pasts = np.array([(0,) * 40, (0,) * 39 + (1,)])
+y, _ = leaf_states(spec, pasts, grid)
+for rec in leaf_intersections(spec, grid, pasts[:1], pasts[1:], y[:1], y[1:]):
     print(f"crossing at x={rec.x_lift:.4f}, angle {rec.angle:.3f} rad"
           f"{' (near tangency)' if rec.near_tangency else ''}")
 
@@ -31,9 +33,10 @@ print(f"minimum crossing angle over 150 pairs: {alpha:.4f} rad, "
       f"{tangencies} near-tangencies")
 
 # Holonomy: the same leaf evaluated over two fibers; composition is exact.
-word = Word(tuple(np.random.default_rng(1).integers(0, 2, 40)))
-p, q = holonomy_map(spec, word, 0.0, math.pi)
-print(f"slide (y, z) = ({p.y:.5f}, {p.z:.5f}) -> ({q.y:.5f}, {q.z:.5f})")
+word = np.random.default_rng(1).integers(0, 2, (1, 40))
+y, z = leaf_states(spec, word, np.array([0.0, math.pi]))
+print(f"slide (y, z) = ({y[0, 0]:.5f}, {z[0, 0]:.5f}) -> "
+      f"({y[0, 1]:.5f}, {z[0, 1]:.5f})")
 
 # Ratio statistics: bunched families stay uniformly Lipschitz, while the
 # strongly dissipative family keeps a small flagged set that thins out.

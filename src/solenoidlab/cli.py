@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, lamination, thermo
-from .coding import Word, _require_depth, leaf_states, write_cylinder_table
+from .coding import (_require_depth, _word_label, leaf_states,
+                     write_cylinder_table)
 from .errors import (CapExceededError, ConfigError, SolenoidError,
                      SpecInvalidError)
-from .maps import Point3, SolenoidSpec, apply_map, validate_spec
+from .maps import SolenoidSpec, validate_spec
 
 COMMANDS = ("validate", "pressure", "bowen", "dimension", "transversality",
             "holonomy", "deviations", "report")
@@ -136,6 +137,22 @@ _FIELD_TYPES = {
 }
 
 
+# The least value of each run size; full_depth = 0 and full_fibers = 0
+# reuse depth_n and fibers.
+_MIN_SIZES = {"depth_n": 1, "fibers": 1, "threads": 1, "full_depth": 0,
+              "full_fibers": 0, "leaf_samples": 2, "pair_budget": 1,
+              "n_past": 1, "gamma_depth": 1, "deviation_lo": 1,
+              "grid_density": 16}
+
+
+def _check_sizes(cfg, names):
+    for name in names:
+        value, least = getattr(cfg, name), _MIN_SIZES[name]
+        if value < least:
+            raise ConfigError(
+                f"config field '{name}' must be >= {least}, got {value!r}")
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
@@ -168,6 +185,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError(
                 f"config field '{name}' must be {what}, got {value!r}")
     cfg = RunConfig(spec=spec, **kwargs)
+    _check_sizes(cfg, ["grid_density"])  # validate_spec runs at load time
     report = validate_spec(spec, cfg.grid_density)
     if not report.all_passed:
         names = ", ".join(c.name + " (" + c.detail + ")"
@@ -409,8 +427,8 @@ def _dump_leaves(cfg, out_dir):
     y, z = leaf_states(cfg.spec, digits, lifts)
     lines = [f"# spec_hash={cfg.spec.spec_hash()} "
              f"generation={digits.shape[1]}", "leaf,x_lift,y,z"]
-    for row, y_row, z_row in zip(digits, y, z):
-        word = Word(tuple(row))
+    for row, y_row, z_row in zip(digits.tolist(), y, z):
+        word = _word_label(row)
         lines += [f"{word},{x:.12g},{yx:.12g},{zx:.12g}"
                   for x, yx, zx in zip(lifts, y_row, z_row)]
     _write(os.path.join(out_dir, "leaves.csv"), "\n".join(lines) + "\n")
@@ -436,21 +454,27 @@ def _holonomy_laws(cfg, leaves: int = 25):
     """The map against the leaf coding, on leaves with 40-symbol pasts.
 
     The image of leaf w's point over x must be leaf w + (c,)'s point over
-    eta(x), where c = floor(eta_lift(x) / 2 pi) is the branch of x.
+    eta(x), where c = floor(eta_lift(x) / 2 pi) is the branch of x.  An
+    image outside the open disc raises SpecInvalidError: ``validate_spec``
+    checks containment only on its sample grid.
     """
     spec, length = cfg.spec, 40
     _require_depth(spec, length, 1e-9)
     rng = np.random.default_rng(cfg.seed)
     digits = rng.integers(0, spec.d, (leaves, length))
     xs = rng.uniform(0.0, 2 * math.pi, leaves)
-    y, z = leaf_states(spec, digits, xs[:, None])
-    images = [apply_map(spec, Point3(*p)).image
-              for p in zip(xs.tolist(), y[:, 0].tolist(), z[:, 0].tolist())]
+    y, z = (a[:, 0] for a in leaf_states(spec, digits, xs[:, None]))
+    x1, y1, z1 = (spec.eta(xs), spec.lam(xs, y) + spec.u(xs),
+                  spec.nu(xs, y, z) + spec.v(xs))
+    if np.any(y1 * y1 + z1 * z1 >= 1.0):
+        raise SpecInvalidError(
+            "a leaf point's image escapes the solid torus; "
+            "the family does not map M into M")
     branch = np.floor(spec.eta_lift(xs) / (2 * math.pi)).astype(int)
-    y1, z1 = leaf_states(spec, np.column_stack([digits, branch]),
-                         np.array([[q.x] for q in images]))
-    worst = max(math.hypot(q.y - yq, q.z - zq)
-                for q, yq, zq in zip(images, y1[:, 0], z1[:, 0]))
+    y2, z2 = leaf_states(spec, np.column_stack([digits, branch]),
+                         x1[:, None])
+    worst = max(map(math.hypot, (y1 - y2[:, 0]).tolist(),
+                    (z1 - z2[:, 0]).tolist()))
     return {"leaves": leaves, "forward_max_error": worst}
 
 
@@ -512,22 +536,12 @@ _DISPATCH = {
 }
 
 
-# The least value of each run size; full_depth = 0 and full_fibers = 0
-# reuse depth_n and fibers.
-_MIN_SIZES = {"depth_n": 1, "fibers": 1, "threads": 1, "full_depth": 0,
-              "full_fibers": 0}
-
-
 def run_command(cfg: RunConfig, command: str) -> Report:
     """Dispatch one pipeline and write its artifacts into the output dir."""
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; "
                           f"choose one of {', '.join(COMMANDS)}")
-    for name, least in _MIN_SIZES.items():
-        value = getattr(cfg, name)
-        if value < least:
-            raise ConfigError(
-                f"config field '{name}' must be >= {least}, got {value!r}")
+    _check_sizes(cfg, _MIN_SIZES)
     out_dir = cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     stages = _Stages()

@@ -1,105 +1,34 @@
-"""Symbolic dynamics: words, cylinders, and representative attractor points.
+"""Symbolic dynamics: words as digit rows, cylinders, attractor points.
 
-Backward words list the branches of the backward base orbit in
-chronological order: the last symbol is the most recent preimage branch
-(the "leading" symbol i0 that labels generation-one tubes), the first
-symbol is the deepest past.  With this convention the lexicographic index
-of a word has its most recent symbol as the lowest base-d digit, which is
-exactly the layout produced by the level-by-level inverse-branch descent
-used throughout the bulk routines.
-
-Forward words list the branch intervals visited by the forward orbit of a
-base point, starting with the interval containing the point itself.
+A word is a digit row over {0, ..., d-1}.  Backward words list the
+branches of the backward base orbit in chronological order: the last
+symbol is the most recent preimage branch (the "leading" symbol i0 that
+labels generation-one tubes), the first symbol is the deepest past.  With
+this convention the lexicographic index of a word has its most recent
+symbol as the lowest base-d digit, which is exactly the layout produced by
+the level-by-level inverse-branch descent; ``_digit_rows`` turns indices
+into rows and ``_word_label`` rows into the text of every artifact.
+Forward words, the labels of the cylinder table, list the branch
+intervals visited by the forward orbit of a base point, starting with the
+interval containing the point itself.
 
 Every backward chain comes from one descent, ``descend_levels``.  Without
 digits each level fans out over all d branches (cloud representatives, the
 Birkhoff table, forward cylinder endpoints); given digit rows each row
-follows its own word (leaves, margin chains, single cylinder intervals).
-Leaf slopes dy/dx (the jets behind crossing refinement and angles) ride
-along the same descent and forward pass, in ``_leaf_jets``.
+follows its own word (leaves, margin chains).  Leaf slopes dy/dx (the jets
+behind crossing refinement and angles) ride along the same descent and
+forward pass, in ``_leaf_jets``.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
 from .errors import CapExceededError, WordTooShortError
-from .maps import Point3, SolenoidSpec, branch_points
+from .maps import SolenoidSpec, branch_points
 from .numerics import TWO_PI
 
 ENUMERATION_CAP = 2 ** 24
-
-Direction = Literal["backward", "forward"]
-
-
-@dataclass(frozen=True)
-class Word:
-    """A finite symbol sequence over {0, ..., d-1}."""
-
-    symbols: tuple
-    direction: Direction = "backward"
-
-    @property
-    def generation(self):
-        return len(self.symbols)
-
-    @property
-    def most_recent(self):
-        """The leading symbol i0 of a backward word (most recent past branch)."""
-        if self.direction != "backward":
-            raise ValueError("most_recent is defined for backward words")
-        return self.symbols[-1]
-
-    def __str__(self):
-        if any(s > 9 for s in self.symbols):
-            return ",".join(str(s) for s in self.symbols)
-        return "".join(str(s) for s in self.symbols)
-
-    @classmethod
-    def from_string(cls, text, direction="backward"):
-        syms = tuple(int(c) for c in text.split(",")) if "," in text \
-            else tuple(int(c) for c in text)
-        return cls(symbols=syms, direction=direction)
-
-    @classmethod
-    def from_index(cls, index, d, n, direction="backward"):
-        """Word with lexicographic index `index` among the d**n of length n."""
-        syms = []
-        for _ in range(n):
-            index, r = divmod(index, d)
-            syms.append(r)
-        return cls(symbols=tuple(reversed(syms)), direction=direction)
-
-    def index(self, d):
-        i = 0
-        for s in self.symbols:
-            i = i * d + s
-        return i
-
-
-@dataclass(frozen=True)
-class LeafPointResult:
-    """A representative attractor point with a guaranteed error bound."""
-
-    point: Point3
-    error_bound: float
-
-
-def _check_symbols(spec, word):
-    if any(not 0 <= s < spec.d for s in word.symbols):
-        raise ValueError(f"word {word} has symbols outside [0, {spec.d})")
-
-
-def branch_of(spec: SolenoidSpec, x) -> np.ndarray:
-    """Branch interval index containing x; ties resolve to the lower index."""
-    a = np.asarray(branch_points(spec))
-    idx = np.searchsorted(a, np.mod(np.asarray(x, dtype=float), TWO_PI),
-                          side="left") - 1
-    return np.clip(idx, 0, spec.d - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -261,38 +190,8 @@ def _leaf_jets(spec, digits, lifts):
 
 
 # ---------------------------------------------------------------------------
-# Public operations
+# Words and cylinders
 # ---------------------------------------------------------------------------
-
-def point_from_backward_word(spec: SolenoidSpec, word: Word, x: float,
-                             tol: float = 1e-9) -> LeafPointResult:
-    """Representative of the leaf with the given past over fiber x.
-
-    Composes inverse branches along the word down to the anchor fiber,
-    plants the anchor on the disc center, and iterates forward; the result
-    is within (sup lam')**n of the true leaf point.
-    """
-    if word.direction != "backward":
-        raise ValueError("point_from_backward_word expects a backward word")
-    _check_symbols(spec, word)
-    bound = _require_depth(spec, word.generation, tol)
-    digits = np.array([word.symbols], dtype=int)
-    y, z = leaf_states(spec, digits, np.array([np.mod(x, TWO_PI)]))
-    point = Point3(x=float(np.mod(x, TWO_PI)), y=float(y[0, 0]), z=float(z[0, 0]))
-    return LeafPointResult(point=point, error_bound=float(bound))
-
-
-def base_itinerary(spec: SolenoidSpec, x: float, n: int) -> Word:
-    """Forward word of the branch intervals visited by the base orbit of x."""
-    if n < 1:
-        raise ValueError("itinerary length must be >= 1")
-    syms = []
-    cur = float(np.mod(x, TWO_PI))
-    for _ in range(n):
-        syms.append(int(branch_of(spec, cur)))
-        cur = float(spec.eta(cur))
-    return Word(symbols=tuple(syms), direction="forward")
-
 
 def _require_depth(spec, n, tol):
     """(sup lam')**n, the error of a length-n past; it must be below tol."""
@@ -316,12 +215,11 @@ def _digit_rows(idx, d, n):
         // d ** np.arange(n - 1, -1, -1, dtype=np.int64) % d
 
 
-def enumerate_cylinders(spec: SolenoidSpec, n: int, direction: Direction,
-                        cap: int = ENUMERATION_CAP) -> list:
-    """All d**n words of length n in lexicographic order."""
-    _check_cap(spec.d, n, cap)
-    return [Word(symbols=s, direction=direction)
-            for s in itertools.product(range(spec.d), repeat=n)]
+def _word_label(row):
+    """A digit row as text: digits joined, with commas once a symbol exceeds 9."""
+    if any(s > 9 for s in row):
+        return ",".join(str(s) for s in row)
+    return "".join(str(s) for s in row)
 
 
 def cylinder_endpoints(spec: SolenoidSpec, m: int):
@@ -337,31 +235,16 @@ def cylinder_endpoints(spec: SolenoidSpec, m: int):
     return ends[:-1].T.ravel(), ends[1:].T.ravel()
 
 
-def cylinder_base_interval(spec: SolenoidSpec, word: Word):
-    """Endpoints of the base interval whose points share the given itinerary."""
-    if word.direction != "forward":
-        raise ValueError("cylinder_base_interval expects a forward word")
-    _check_symbols(spec, word)
-    a = branch_points(spec)
-    syms = word.symbols
-    ends = np.array([a[syms[-1]], a[syms[-1] + 1]])
-    levels = descend_levels(spec, ends, len(syms) - 1,
-                            np.array([syms[:-1]], dtype=int))
-    lo, hi = levels[-1][0] if levels else ends
-    return float(lo), float(hi)
-
-
 def write_cylinder_table(spec: SolenoidSpec, n: int, path, cap=ENUMERATION_CAP):
     """Emit the generation-n base intervals as CSV (word, interval_lo, interval_hi).
 
-    Word labels are ``str(Word)`` of the lexicographic digit rows.
+    Word labels are ``_word_label`` of the lexicographic digit rows.
     """
     _check_cap(spec.d, n, cap)
     lo, hi = cylinder_endpoints(spec, n)
     rows = _digit_rows(np.arange(spec.d ** n), spec.d, n).tolist()
-    words = [("," if max(r) > 9 else "").join(map(str, r)) for r in rows]
     with open(path, "w") as fh:
         fh.write(f"# spec_hash={spec.spec_hash()} generation={n}\n")
         fh.write("word,interval_lo,interval_hi\n")
-        for w, lo_w, hi_w in zip(words, lo.tolist(), hi.tolist()):
-            fh.write(f"{w},{lo_w:.12g},{hi_w:.12g}\n")
+        for row, lo_w, hi_w in zip(rows, lo.tolist(), hi.tolist()):
+            fh.write(f"{_word_label(row)},{lo_w:.12g},{hi_w:.12g}\n")

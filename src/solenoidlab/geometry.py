@@ -94,24 +94,28 @@ def attractor_cloud(spec: SolenoidSpec, n: int, fibers: int,
     if fibers * spec.d ** n > cap:
         raise CapExceededError(
             f"{fibers} fibers x {spec.d}**{n} words exceed the cap {cap}")
+    words = spec.d ** n
     xs = TWO_PI * np.arange(fibers) / fibers
+    grid = np.empty((fibers, words, 3))
 
-    def build(chunk):
-        y, z = word_representatives(spec, chunk, n)
-        xcol = np.repeat(chunk, y.shape[1])
-        return np.column_stack([xcol, y.ravel(), z.ravel()])
+    def build(rows):
+        y, z = word_representatives(spec, xs[rows], n)
+        block = grid[rows]
+        block[:, :, 0] = xs[rows, None]
+        block[:, :, 1] = y
+        block[:, :, 2] = z
 
     if threads > 1 and fibers > 1:
-        chunks = np.array_split(xs, min(4 * threads, fibers))
+        chunks = [slice(c[0], c[-1] + 1) for c in
+                  np.array_split(np.arange(fibers), min(4 * threads, fibers))]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(build, chunks))
-        pts = np.concatenate(parts, axis=0)
+            list(pool.map(build, chunks))
     else:
-        pts = build(xs)
+        build(slice(None))
+    pts = grid.reshape(-1, 3)
     provenance = {"spec_hash": spec.spec_hash(), "generation": n,
                   "fiber": "full"}
     if fibers >= 3:
-        words = spec.d ** n
         provenance["fiber_major"] = {"fibers": fibers, "words": words}
         resolution = max(spec.contraction_sup() ** n,
                          _chord_error(pts, fibers, words))

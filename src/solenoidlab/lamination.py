@@ -1,27 +1,26 @@
 """Unstable leaves, their planar crossings, holonomy, and regularity tests.
 
-A leaf is the continuation of a backward word across base lifts: the
-inverse-branch chain is evaluated on the real line, so leaves are defined
-on extended windows [-margin, 2*pi + margin] and across the seam.  The
-crossing set of projected leaves from different generation-one tubes (the
-pool built by ``build_gamma_pool``) drives both the transversality
-estimate and the strong-Lipschitz margin test.
+A leaf is the continuation of a backward word, a digit row (deepest
+symbol first), across base lifts: the inverse-branch chain is evaluated
+on the real line, so leaves are defined on extended windows
+[-margin, 2*pi + margin] and across the seam.  The crossing set of
+projected leaves from different generation-one tubes (the pool built by
+``build_gamma_pool``) drives both the transversality estimate and the
+strong-Lipschitz margin test.
 
-Leaves are digit rows (deepest symbol first) evaluated by one
-``leaf_states`` call on one shared lift grid; ``Word`` objects are built
-only for output.  One scan, ``_cells``, finds the candidate cells of
-y_a - y_b for many leaf pairs at once: contact runs within TOUCH_TOL as
-zero-width cells at their middle grid point, then sign changes.  It
-serves the crossing records of a pair sample or of the pool
-(``_crossings``) and the margin test's (target, pool leaf) rows
-(``_nearest_crossings``); only ``leaf_intersections``, whose two leaves
-may be sampled on different grids, evaluates them on the union of their
-grids first.  The candidates are refined together by ``_refine``, a
-bracketed Newton iteration on y_a - y_b whose derivative comes from the
-exact leaf slopes (``coding._leaf_jets``).  Each leaf is evaluated at its
-own lift and every candidate follows its scalar trajectory, so batching
-changes no result.  Crossing angles are atan |y_a' - y_b'| from the same
-slopes, with no finite differences.
+Leaves are evaluated by one ``leaf_states`` call on one shared lift grid.
+One scan, ``_cells``, finds the candidate cells of y_a - y_b for many
+leaf pairs at once: contact runs within TOUCH_TOL as zero-width cells at
+their middle grid point, then sign changes.  It serves the crossing
+records of a pair sample or of the pool (``leaf_intersections``) and the
+margin test's (target, pool leaf) rows (``_nearest_crossings``).  The
+candidates are refined together by ``_refine``, a bracketed Newton
+iteration on y_a - y_b whose derivative comes from the exact leaf slopes
+(``coding._leaf_jets``).  Each leaf is evaluated at its own lift and every
+candidate follows its scalar trajectory, so batching changes no result.
+Crossing angles are atan |y_a' - y_b'| from the same slopes, with no
+finite differences.  Records and reports carry words as digit tuples and
+print them with ``coding._word_label``.
 """
 
 from __future__ import annotations
@@ -31,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import (Word, _digit_rows, _leaf_jets, _require_depth,
-                     descend_levels, leaf_states)
+from .coding import (_digit_rows, _leaf_jets, _word_label, descend_levels,
+                     leaf_states)
 from .errors import WordTooShortError
-from .maps import Point3, SolenoidSpec
+from .maps import SolenoidSpec
 from .numerics import TWO_PI
 from .thermo import gibbs_weight_array, _phi_exponent
 
@@ -45,46 +44,21 @@ SCAN_BLOCK = 1 << 18        # rows x grid points per margin-scan block
 
 
 @dataclass(frozen=True)
-class UnstableLeaf:
-    """Sampled graph of a leaf x -> (y(x), z(x)) over an extended window."""
-
-    spec: SolenoidSpec
-    past: Word
-    margin: float
-    samples: np.ndarray  # (k, 3) rows (x_lift, y, z), lifts increasing
-    error_bound: float
-
-    @property
-    def lifts(self):
-        return self.samples[:, 0]
-
-    @property
-    def y(self):
-        return self.samples[:, 1]
-
-
-@dataclass(frozen=True)
 class IntersectionRecord:
     """A crossing of two projected leaves with distinct leading symbols."""
 
     x_lift: float
     y: float
     angle: float
-    past_a: Word
-    past_b: Word
+    past_a: tuple             # digit row, deepest symbol first
+    past_b: tuple
     near_tangency: bool = False
 
     def to_dict(self):
         return {"x_lift": self.x_lift, "y": self.y, "angle": self.angle,
-                "past_a": str(self.past_a), "past_b": str(self.past_b),
+                "past_a": _word_label(self.past_a),
+                "past_b": _word_label(self.past_b),
                 "near_tangency": self.near_tangency}
-
-
-@dataclass(frozen=True)
-class StrongLipschitzResult:
-    is_strong: bool | None
-    worst_margin: float
-    indeterminate: bool = False
 
 
 @dataclass(frozen=True)
@@ -93,7 +67,7 @@ class HolonomyReport:
     x_dst: float
     scale_stats: dict         # dyadic scale exponent -> ratio stats
     strong_lipschitz_fraction: float
-    flagged_words: list
+    flagged_words: list       # digit tuples of the failing words
     flagged_weight: float
 
     def to_dict(self):
@@ -102,7 +76,7 @@ class HolonomyReport:
             "scale_stats": {str(k): v for k, v in
                             sorted(self.scale_stats.items())},
             "strong_lipschitz_fraction": self.strong_lipschitz_fraction,
-            "flagged_words": [str(w) for w in self.flagged_words],
+            "flagged_words": [_word_label(w) for w in self.flagged_words],
             "flagged_weight": self.flagged_weight,
         }
 
@@ -112,17 +86,6 @@ def _grid(margin, samples):
     if samples < 2:
         raise ValueError("need at least two samples")
     return np.linspace(-margin, TWO_PI + margin, samples)
-
-
-def unstable_leaf(spec: SolenoidSpec, past: Word, margin: float,
-                  samples: int, tol: float = 1e-9) -> UnstableLeaf:
-    """Sample a leaf on an increasing lift grid over [-margin, 2*pi+margin]."""
-    lifts = _grid(margin, samples)
-    bound = _require_depth(spec, past.generation, tol)
-    y, z = leaf_states(spec, np.array([past.symbols], dtype=int), lifts)
-    return UnstableLeaf(spec=spec, past=past, margin=float(margin),
-                        samples=np.column_stack([lifts, y[0], z[0]]),
-                        error_bound=float(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +164,23 @@ def _cells(grid, g):
             np.concatenate([np.zeros(runs.size), g[cross_p, k]]))
 
 
-def _crossings(spec, grid, dig_a, dig_b, y_a, y_b) -> list:
+def leaf_intersections(spec: SolenoidSpec, grid: np.ndarray,
+                       dig_a: np.ndarray, dig_b: np.ndarray,
+                       y_a: np.ndarray, y_b: np.ndarray) -> list:
     """Crossing records of the leaf pairs (dig_a[p], dig_b[p]) on one grid.
 
     y_a and y_b (rows p) hold the leaves over the shared increasing lift
-    grid; leaves a share one past length, as do leaves b, and the two
-    leaves of a pair have distinct leading symbols.  The cells of
-    y_a - y_b (``_cells``) are refined by ``_refine``, all pairs at once;
-    a contact run keeps its middle grid point, and the slope gap decides
-    whether it is a crossing or a tangency.  Each record's y and angle
+    grid (``leaf_states``); leaves a share one past length, as do leaves
+    b, and the two leaves of a pair must have distinct leading symbols
+    (ValueError otherwise).  The cells of y_a - y_b (``_cells``) are
+    refined by ``_refine``, all pairs at once; a contact run keeps its
+    middle grid point, and the slope gap decides whether it is a crossing
+    or a tangency.  Each record's y and angle
     atan |y_a' - y_b'| come from one jet evaluation at the refined point.
     Returns one flat list ordered by pair, then by lift.
     """
+    if np.any(dig_a[:, -1] == dig_b[:, -1]):
+        raise ValueError("leaves must come from distinct leading symbols")
     owner, lo, hi, g_lo = _cells(grid, y_a - y_b)
     dig_a, dig_b = dig_a[owner], dig_b[owner]
     x = _refine(spec, dig_a, dig_b, lo, hi, g_lo)
@@ -221,36 +189,9 @@ def _crossings(spec, grid, dig_a, dig_b, y_a, y_b) -> list:
     return [IntersectionRecord(
         x_lift=float(x[i]), y=float(ya[i, 0]),
         angle=float(math.atan(diff[i])),
-        past_a=Word(tuple(dig_a[i].tolist())),
-        past_b=Word(tuple(dig_b[i].tolist())),
+        past_a=tuple(dig_a[i].tolist()), past_b=tuple(dig_b[i].tolist()),
         near_tangency=bool(diff[i] < NEAR_TANGENCY_SLOPE))
         for i in np.lexsort((x, owner))]
-
-
-def leaf_intersections(leaf_a: UnstableLeaf, leaf_b: UnstableLeaf) -> list:
-    """Crossings of the projected leaves over their common lift range.
-
-    Both leaves are evaluated on the union of their lift grids within
-    that range.  Sign changes of y_a - y_b are refined by bracketed Newton
-    steps on the exact leaf slopes, to within CROSSING_TOL; the angle is
-    the arctangent of the slope gap there.  Contact runs where the curves
-    stay within TOUCH_TOL (coincident or tangent graphs, no sign change)
-    are reported as near-tangency records.
-    """
-    if leaf_a.past.most_recent == leaf_b.past.most_recent:
-        raise ValueError("leaves must come from distinct leading symbols")
-    a = max(leaf_a.lifts[0], leaf_b.lifts[0])
-    b = min(leaf_a.lifts[-1], leaf_b.lifts[-1])
-    if b <= a:
-        return []
-    grid = np.unique(np.concatenate(
-        [leaf.lifts[(leaf.lifts >= a) & (leaf.lifts <= b)]
-         for leaf in (leaf_a, leaf_b)] + [[a, b]]))
-    dig_a, dig_b = (np.array([leaf.past.symbols], dtype=int)
-                    for leaf in (leaf_a, leaf_b))
-    (y_a, _), (y_b, _) = _pair(leaf_states, leaf_a.spec, dig_a, dig_b,
-                               grid[None, :])
-    return _crossings(leaf_a.spec, grid, dig_a, dig_b, y_a, y_b)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +229,8 @@ def min_transversal_angle(spec: SolenoidSpec, n_past: int, pair_budget: int,
     digits = _digit_rows(idx, spec.d, n_past)
     y, _ = leaf_states(spec, digits, grid)
     a, b = pair.reshape(2, -1)
-    records = _crossings(spec, grid, digits[a], digits[b], y[a], y[b])
+    records = leaf_intersections(spec, grid, digits[a], digits[b], y[a],
+                                 y[b])
     angles = [r.angle for r in records if not r.near_tangency]
     return (min(angles) if angles else 0.0), len(records) - len(angles)
 
@@ -296,20 +238,6 @@ def min_transversal_angle(spec: SolenoidSpec, n_past: int, pair_budget: int,
 # ---------------------------------------------------------------------------
 # Holonomy
 # ---------------------------------------------------------------------------
-
-def holonomy_map(spec: SolenoidSpec, past: Word, x_src: float, x_dst: float,
-                 tol: float = 1e-9):
-    """Slide along one leaf: the points over x_src and x_dst as a pair.
-
-    x_dst is interpreted as a lift relative to the x_src window, so paths
-    longer than one turn stay on the same leaf continuation.
-    """
-    _require_depth(spec, past.generation, tol)
-    lifts = np.array([x_src, x_dst], dtype=float)
-    y, z = leaf_states(spec, np.array([past.symbols], dtype=int), lifts)
-    return tuple(Point3(x=float(np.mod(x, TWO_PI)), y=float(y[0, i]),
-                        z=float(z[0, i])) for i, x in enumerate(lifts))
-
 
 @dataclass(frozen=True)
 class GammaPool:
@@ -353,8 +281,8 @@ def build_gamma_pool(spec: SolenoidSpec, n_past: int, budget: int,
     a, b = np.nonzero(np.triu(digits[:, -1, None] != digits[:, -1]))
     return GammaPool(spec=spec, n_past=n_past, margin=margin, grid=grid,
                      digits=digits, y_curves=y,
-                     records=_crossings(spec, grid, digits[a], digits[b],
-                                        y[a], y[b]))
+                     records=leaf_intersections(spec, grid, digits[a],
+                                                digits[b], y[a], y[b]))
 
 
 def _nearest_crossings(spec, digits, pool: GammaPool, x_ref):
@@ -392,13 +320,23 @@ def _nearest_crossings(spec, digits, pool: GammaPool, x_ref):
     return dist
 
 
-def _margins(spec, digits, n_min, n_max, L, pool, x):
-    """Worst margin ratio of every word (rows of digits), and usability.
+def strong_lipschitz_test(spec: SolenoidSpec, digits: np.ndarray,
+                          n_min: int, n_max: int, L: float, pool: GammaPool,
+                          x: float = 0.0):
+    """Backward-orbit margins of many words against the crossing pool.
 
-    The backward chains from x are descended only n_max steps; the depth-n
-    ratio is dist * eta_n / L with eta_n the product of eta' along the
-    first n steps.  A word is usable when some depth found pool leaves
-    from other tubes; with no pool none is.
+    For each depth n in [n_min, n_max] every word (a row of digits,
+    deepest symbol first) is shifted back n steps from x; the base
+    position of the shifted point is compared with the crossings of its
+    remaining leaf against pool leaves from other generation-one tubes
+    (``_nearest_crossings``).  The x-distance must stay above L / eta_n,
+    with eta_n the product of eta' along the dropped steps; the chains are
+    descended only n_max steps.  Returns (worst, usable): worst holds
+    min_n dist * eta_n / L per word (so the pool window, not L, bounds the
+    search and the ratio is exactly linear in 1/L; +inf means no crossing
+    at all near the orbit, and the word is strong when worst >= 1), and a
+    word is usable when some depth found pool leaves from other tubes;
+    with no pool none is.
     """
     m, length = digits.shape
     if length <= n_max:
@@ -418,29 +356,6 @@ def _margins(spec, digits, n_min, n_max, L, pool, x):
         ratio = dist * eta[:, n - 1] / L
         worst = np.where(np.isfinite(ratio), np.minimum(worst, ratio), worst)
     return worst, usable
-
-
-def strong_lipschitz_test(spec: SolenoidSpec, past: Word, n_max: int,
-                          L: float, pool: GammaPool, x: float = 0.0,
-                          n_min: int = 1) -> StrongLipschitzResult:
-    """Backward-orbit margin of a word against the crossing pool.
-
-    For each depth n in [n_min, n_max] the word is shifted back n steps;
-    the base position of the shifted point is compared with the crossings
-    of its remaining leaf against pool leaves from other generation-one
-    tubes.  The x-distance must stay above L / eta_n with eta_n the base
-    expansion along the dropped steps; returned is the worst ratio
-    min_n dist * eta_n / L (so the pool window, not L, bounds the search
-    and the ratio is exactly linear in 1/L).  +inf means no crossing at
-    all near the orbit; an unusable pool yields the indeterminate flag.
-    """
-    worst, usable = _margins(spec, np.array([past.symbols], dtype=int),
-                             n_min, n_max, L, pool, x)
-    if not usable[0]:
-        return StrongLipschitzResult(is_strong=None, worst_margin=math.nan,
-                                     indeterminate=True)
-    return StrongLipschitzResult(is_strong=bool(worst[0] >= 1.0),
-                                 worst_margin=float(worst[0]))
 
 
 def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
@@ -500,10 +415,11 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
 
     words = list(dict.fromkeys(tested))
     test_depth = max(1, n // 2)
-    worst, usable = _margins(spec, _digit_rows(words, d, n), test_depth,
-                             test_depth, L, pool, x_src)
+    rows = _digit_rows(words, d, n)
+    worst, usable = strong_lipschitz_test(spec, rows, test_depth, test_depth,
+                                          L, pool, x_src)
     failing = {i for i, w, u in zip(words, worst, usable) if u and w < 1.0}
-    flagged = [Word.from_index(i, d, n) for i in words if i in failing]
+    flagged = [tuple(r) for i, r in zip(words, rows.tolist()) if i in failing]
     flagged_hits = sum(i in failing for i in tested)
 
     for stats in scale_stats.values():

@@ -137,10 +137,6 @@ class SolenoidSpec:
         """d(nu)/dz; independent of z for this family."""
         return self.nu0 + self.nu1 * np.cos(x) + self.nu2 * y
 
-    def off_diag(self, z):
-        """d(nu)/dy, the off-diagonal entry of the fiber differential."""
-        return self.nu2 * np.asarray(z, dtype=float)
-
     def u(self, x):
         return self.u_amp * np.cos(x)
 
@@ -219,29 +215,6 @@ def branch_points(spec: SolenoidSpec) -> tuple:
     pts[0] = 0.0
     pts[-1] = TWO_PI
     return tuple(pts)
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A point of the solid torus: angle x in [0, 2*pi), fiber (y, z) in the open disc."""
-
-    x: float
-    y: float
-    z: float
-
-    def in_domain(self):
-        return self.y * self.y + self.z * self.z < 1.0
-
-
-@dataclass(frozen=True)
-class MapJet:
-    """Image point together with the derivative entries at the source point."""
-
-    image: Point3
-    eta_p: float   # base expansion eta'
-    lam_p: float   # fiber contraction lam' = d lam / dy
-    nu_p: float    # strong contraction nu' = d nu / dz
-    a_off: float   # off-diagonal entry d nu / dy
 
 
 @dataclass(frozen=True)
@@ -378,51 +351,6 @@ def _branch_separation(spec, fibers):
         - (ext[:, i] + ext[:, j])
     wit = np.broadcast_arrays(fibers[:, None], pre[:, i], pre[:, j])
     return _grid_min(gap.ravel(), np.stack(wit, axis=-1).reshape(-1, 3))
-
-
-def apply_map(spec: SolenoidSpec, p: Point3) -> MapJet:
-    """Evaluate the map and its fiber/base derivative entries at p."""
-    if not p.in_domain():
-        raise ValueError(f"point {p} lies outside the open disc fiber")
-    x, y, z = p.x, p.y, p.z
-    img = Point3(
-        x=float(np.mod(spec.eta_lift(x), TWO_PI)),
-        y=float(spec.lam(x, y) + spec.u(x)),
-        z=float(spec.nu(x, y, z) + spec.v(x)),
-    )
-    if not img.in_domain():
-        raise SpecInvalidError(
-            f"image {img} escapes the solid torus; the family does not map M into M")
-    return MapJet(
-        image=img,
-        eta_p=float(spec.eta_prime(x)),
-        lam_p=float(spec.lam_prime(x, y)),
-        nu_p=float(spec.nu_prime(x, y)),
-        a_off=float(spec.off_diag(z)),
-    )
-
-
-def inverse_base(spec: SolenoidSpec, x: float, branch: int) -> float:
-    """The preimage of x under the base map on the given monotone branch.
-
-    Returns the unique point of [a_branch, a_(branch+1)] mapping to x
-    (mod 2*pi), from ``SolenoidSpec.eta_inverse_lift``.
-    """
-    if not 0 <= branch < spec.d:
-        raise ValueError(f"branch must lie in [0, {spec.d}), got {branch}")
-    x = float(np.mod(x, TWO_PI))
-    root = float(spec.eta_inverse_lift(x + TWO_PI * branch))
-    return root
-
-
-def iterate(spec: SolenoidSpec, p: Point3, n: int) -> Point3:
-    """n-fold composition of the map; n = 0 returns p unchanged."""
-    if n < 0:
-        raise ValueError("iteration count must be >= 0")
-    q = p
-    for _ in range(n):
-        q = apply_map(spec, q).image
-    return q
 
 
 # Reference families used across tests and demos.

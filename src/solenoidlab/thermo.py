@@ -471,7 +471,9 @@ def _solve_tilt(stats, mean0, target):
     """Tilt strength s with deviation stats(s)[1] - mean0 = target.
 
     The deviation is monotone in s.  Returns None when no tilt up to
-    S_MAX reaches the target (bounded observable).
+    S_MAX reaches the target (bounded observable).  The bisection stops
+    once the midpoint equals an end: every later step would return that
+    same midpoint.
     """
     def eps_of(s):
         return stats(s)[1] - mean0
@@ -485,6 +487,8 @@ def _solve_tilt(stats, mean0, target):
     lo, hi = (0.0, s) if sign > 0 else (s, 0.0)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if eps_of(mid) < target:
             lo = mid
         else:

@@ -9,11 +9,12 @@ import sys
 import numpy as np
 import pytest
 
+from scalar_reference import apply_map, leaf_point, word_text
 from solenoidlab import (ConfigError, PointCloud, SolenoidSpec,
-                         SpecInvalidError, Word, WordTooShortError,
-                         apply_map, attractor_cloud, benchmark_a, benchmark_c,
-                         point_from_backward_word, unstable_leaf)
-from solenoidlab import cli
+                         SpecInvalidError, WordTooShortError, attractor_cloud,
+                         benchmark_a, benchmark_c)
+from solenoidlab import cli, lamination
+from solenoidlab.coding import leaf_states
 
 T0_A = math.log(2.0) / math.log(2.5)
 
@@ -196,7 +197,13 @@ def test_main_overrides(tmp_path):
         ([], {"depth_n": -3}, "depth_n"), ([], {"fibers": 0}, "fibers"),
         ([], {"threads": 0}, "threads"),
         ([], {"full_depth": -1}, "full_depth"),
-        ([], {"full_fibers": -1}, "full_fibers")]])
+        ([], {"full_fibers": -1}, "full_fibers"),
+        ([], {"leaf_samples": 1}, "leaf_samples"),
+        ([], {"pair_budget": 0}, "pair_budget"),
+        ([], {"n_past": 0}, "n_past"),
+        ([], {"gamma_depth": 0}, "gamma_depth"),
+        ([], {"deviation_lo": 0}, "deviation_lo"),
+        ([], {"grid_density": 8}, "grid_density")]])
 def test_main_exits_2_on_bad_run_sizes(tmp_path, capsys, flags, fields, name):
     path = write_config(tmp_path, **fields)
     assert cli.main(["report", "--config", path] + flags) == 2
@@ -220,31 +227,34 @@ def test_report_write_is_a_timed_stage(tmp_path):
 
 
 def reference_laws(spec, seed, leaves=25):
-    """The forward law, one point_from_backward_word and apply_map per leaf."""
+    """The forward law, one leaf point and one apply_map per leaf."""
+    if spec.contraction_sup() ** 40 >= 1e-9:
+        raise WordTooShortError("a 40-symbol past misses 1e-9")
     rng = np.random.default_rng(seed)
     digits = rng.integers(0, spec.d, (leaves, 40))
     worst = 0.0
     for row, x in zip(digits.tolist(), rng.uniform(0.0, 2 * math.pi, leaves)):
-        p = point_from_backward_word(spec, Word(tuple(row)), x).point
+        p = leaf_point(spec, row, x)
         q = apply_map(spec, p).image
         c = math.floor(spec.eta_lift(x) / (2 * math.pi))
-        r = point_from_backward_word(spec, Word((*row, c)), q.x).point
+        r = leaf_point(spec, (*row, c), q.x)
         worst = max(worst, math.hypot(q.y - r.y, q.z - r.z))
     return {"leaves": leaves, "forward_max_error": worst}
 
 
 def reference_leaves_csv(cfg):
-    """leaves.csv built from one unstable_leaf call per leaf."""
+    """leaves.csv built from one leaf_states call per leaf."""
     rng = np.random.default_rng(cfg.seed)
     length = max(cfg.n_past, 24)
     lines = [f"# spec_hash={cfg.spec.spec_hash()} generation={length}",
              "leaf,x_lift,y,z"]
+    lifts = np.linspace(-cfg.leaf_margin, 2 * math.pi + cfg.leaf_margin,
+                        cfg.leaf_samples)
     for _ in range(4):
-        word = Word(tuple(rng.integers(0, cfg.spec.d, length)))
-        leaf = unstable_leaf(cfg.spec, word, cfg.leaf_margin,
-                             cfg.leaf_samples, tol=1.0)
-        lines += [f"{word},{x:.12g},{y:.12g},{z:.12g}"
-                  for x, y, z in leaf.samples]
+        word = tuple(rng.integers(0, cfg.spec.d, length))
+        y, z = leaf_states(cfg.spec, np.array([word]), lifts)
+        lines += [f"{word_text(word)},{x:.12g},{yx:.12g},{zx:.12g}"
+                  for x, yx, zx in zip(lifts, y[0], z[0])]
     return lines
 
 
@@ -269,6 +279,39 @@ def test_holonomy_and_leaf_dump_match_one_leaf_references(tmp_path):
         reference_laws(loose, 0)
     with pytest.raises(WordTooShortError):
         cli._holonomy_laws(cli.RunConfig(spec=loose))
+
+
+def test_holonomy_laws_reject_escaping_images():
+    # validate_spec samples containment on a grid; the laws check every
+    # leaf point's image.  This family's leaves reach |y| of up to 1.5.
+    leaky = SolenoidSpec(d=2, lam0=0.4, nu0=0.25, u_amp=0.9, v_amp=0.0)
+    with pytest.raises(SpecInvalidError, match="escapes"):
+        cli._holonomy_laws(cli.RunConfig(spec=leaky))
+
+
+def test_report_crossing_work_goes_through_public_names(tmp_path,
+                                                        monkeypatch):
+    # The benchmark's per-layer rows trace these two public functions, so
+    # the report's crossing scan and margin test must call them.
+    calls = {}
+
+    def counting(name):
+        fn, calls[name] = getattr(lamination, name), []
+
+        def spy(*args, **kwargs):
+            calls[name].append(fn(*args, **kwargs))
+            return calls[name][-1]
+        return spy
+
+    for name in ("leaf_intersections", "strong_lipschitz_test"):
+        monkeypatch.setattr(lamination, name, counting(name))
+    path = write_config(tmp_path, pair_budget=16, scan_pairs=16)
+    cli.run_command(cli.load_config(path), "report")
+    assert len(calls["leaf_intersections"]) == 2   # the sample and the pool
+    assert all(isinstance(r, lamination.IntersectionRecord)
+               for out in calls["leaf_intersections"] for r in out)
+    assert sum(map(len, calls["leaf_intersections"])) > 0
+    assert len(calls["strong_lipschitz_test"]) == 1
 
 
 def reference_cloud_csv(cloud, header_cols):

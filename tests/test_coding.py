@@ -1,53 +1,58 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from solenoidlab import (CapExceededError, Point3, SolenoidSpec, Word,
-                         WordTooShortError, apply_map, base_itinerary,
-                         benchmark_a, benchmark_c, cylinder_base_interval,
-                         enumerate_cylinders, inverse_base,
-                         point_from_backward_word)
+from scalar_reference import (Point3, apply_map, base_itinerary, branch_of,
+                              inverse_base, leaf_point, word_text)
+from solenoidlab import (CapExceededError, SolenoidSpec, WordTooShortError,
+                         benchmark_a, benchmark_c)
 from solenoidlab import coding
-from solenoidlab.coding import (branch_of, cylinder_endpoints, descend_levels,
-                                leaf_states, word_representatives,
-                                write_cylinder_table)
+from solenoidlab.coding import (_digit_rows, _word_label, cylinder_endpoints,
+                                descend_levels, leaf_states,
+                                word_representatives, write_cylinder_table)
 from solenoidlab.maps import branch_points
 
 TWO_PI = 2 * math.pi
 
 
 def brute_representative(spec, word, x):
-    """Independent single-point construction via the scalar public ops."""
+    """Independent single-point construction via the scalar reference ops."""
     chain = [x]
-    for s in reversed(word.symbols):
+    for s in reversed(word):
         chain.append(inverse_base(spec, chain[-1], s))
     p = Point3(chain[-1], 0.0, 0.0)
-    for _ in word.symbols:
+    for _ in word:
         p = apply_map(spec, p).image
     return p
 
 
+def words_of(d, n):
+    """All d**n digit rows of length n in lexicographic order, as tuples."""
+    return [tuple(r) for r in _digit_rows(np.arange(d ** n), d, n).tolist()]
+
+
 def test_all_zero_past_hits_fixed_point():
-    res = point_from_backward_word(benchmark_a(), Word((0,) * 40), 0.0)
-    assert abs(res.point.y - 5.0 / 6.0) < 1e-14
-    assert abs(res.point.z) < 1e-14
-    assert res.error_bound < 1e-15
+    point = leaf_point(benchmark_a(), (0,) * 40, 0.0)
+    assert abs(point.y - 5.0 / 6.0) < 1e-14
+    assert abs(point.z) < 1e-14
+    assert coding._require_depth(benchmark_a(), 40, 1e-9) < 1e-15
 
 
 def test_deep_one_symbol_past():
     n = 40
     spec = benchmark_a()
-    res = point_from_backward_word(spec, Word((1,) + (0,) * (n - 1)), 0.0)
+    point = leaf_point(spec, (1,) + (0,) * (n - 1), 0.0)
     # Chain: pi -> 0 -> ... -> 0; first fiber step contributes -0.5, the
     # remaining n-1 steps apply y -> 0.4 y + 0.5.
     expected = 0.4 ** (n - 1) * (-0.5) + 0.5 * (1 - 0.4 ** (n - 1)) / 0.6
-    assert abs(res.point.y - expected) < 1e-14
+    assert abs(point.y - expected) < 1e-14
 
 
 def test_word_too_short_raises():
     with pytest.raises(WordTooShortError):
-        point_from_backward_word(benchmark_a(), Word((0, 1)), 0.0, tol=1e-2)
+        coding._require_depth(benchmark_a(), 2, 1e-2)
 
 
 def test_matches_bruteforce_chain():
@@ -55,12 +60,12 @@ def test_matches_bruteforce_chain():
     for spec in (benchmark_a(), benchmark_c()):
         for _ in range(10):
             n = 12
-            word = Word(tuple(rng.integers(0, spec.d, n)))
+            word = tuple(rng.integers(0, spec.d, n))
             x = rng.uniform(0, TWO_PI)
-            res = point_from_backward_word(spec, word, x, tol=1e-4)
+            point = leaf_point(spec, word, x)
             ref = brute_representative(spec, word, x)
-            assert abs(res.point.y - ref.y) < 1e-10
-            assert abs(res.point.z - ref.z) < 1e-10
+            assert abs(point.y - ref.y) < 1e-10
+            assert abs(point.z - ref.z) < 1e-10
 
 
 def test_shift_equivariance():
@@ -70,12 +75,12 @@ def test_shift_equivariance():
     for spec in (benchmark_a(), benchmark_c()):
         for _ in range(20):
             n = 30
-            word = Word(tuple(rng.integers(0, spec.d, n)))
+            word = tuple(rng.integers(0, spec.d, n))
             x = rng.uniform(0, TWO_PI)
-            p = point_from_backward_word(spec, word, x, tol=1e-6).point
+            p = leaf_point(spec, word, x)
             fp = apply_map(spec, p).image
-            grown = Word(word.symbols + (int(branch_of(spec, x)),))
-            q = point_from_backward_word(spec, grown, spec.eta(x), tol=1e-6).point
+            grown = word + (int(branch_of(spec, x)),)
+            q = leaf_point(spec, grown, spec.eta(x))
             assert abs(fp.y - q.y) < 1e-11
             assert abs(fp.z - q.z) < 1e-11
             assert min(abs(fp.x - q.x), TWO_PI - abs(fp.x - q.x)) < 1e-9
@@ -83,52 +88,46 @@ def test_shift_equivariance():
 
 def test_itinerary_fixed_point_and_period_two():
     spec = benchmark_a()
-    assert base_itinerary(spec, 0.0, 5).symbols == (0, 0, 0, 0, 0)
-    assert base_itinerary(spec, TWO_PI / 3, 5).symbols == (0, 1, 0, 1, 0)
+    assert base_itinerary(spec, 0.0, 5) == (0, 0, 0, 0, 0)
+    assert base_itinerary(spec, TWO_PI / 3, 5) == (0, 1, 0, 1, 0)
 
 
 def test_itinerary_tie_break():
     spec = benchmark_a()
-    assert base_itinerary(spec, math.pi - 1e-12, 1).symbols == (0,)
-    assert base_itinerary(spec, math.pi, 1).symbols == (0,)
+    assert base_itinerary(spec, math.pi - 1e-12, 1) == (0,)
+    assert base_itinerary(spec, math.pi, 1) == (0,)
 
 
 def test_enumeration_order_and_cap():
     spec = benchmark_a()
-    words = enumerate_cylinders(spec, 2, "backward")
-    assert [str(w) for w in words] == ["00", "01", "10", "11"]
-    d3 = enumerate_cylinders(SolenoidSpec3(), 1, "forward")
-    assert [str(w) for w in d3] == ["0", "1", "2"]
+    assert [_word_label(w) for w in words_of(2, 2)] == ["00", "01", "10",
+                                                       "11"]
+    assert [_word_label(w) for w in words_of(3, 1)] == ["0", "1", "2"]
     with pytest.raises(CapExceededError):
-        enumerate_cylinders(spec, 25, "backward")
-
-
-def SolenoidSpec3():
-    from solenoidlab import SolenoidSpec
-    return SolenoidSpec(d=3, lam0=1.0 / 9.0, nu0=1.0 / 18.0, u_amp=0.5,
-                        v_amp=0.5)
+        coding._check_cap(spec.d, 25, coding.ENUMERATION_CAP)
 
 
 def test_cylinder_intervals_linear():
     spec = benchmark_a()
-    lo, hi = cylinder_base_interval(spec, Word((0,), "forward"))
-    assert (lo, hi) == (0.0, math.pi)
-    lo, hi = cylinder_base_interval(spec, Word((0, 1), "forward"))
-    assert abs(lo - math.pi / 2) < 1e-12 and abs(hi - math.pi) < 1e-12
+    lo, hi = cylinder_endpoints(spec, 1)
+    assert (lo[0], hi[0]) == (0.0, math.pi)
+    lo, hi = cylinder_endpoints(spec, 2)
+    # forward word (0, 1) has index 1
+    assert abs(lo[1] - math.pi / 2) < 1e-12 and abs(hi[1] - math.pi) < 1e-12
 
 
 def test_cylinder_interval_nonlinear_endpoint():
     spec = benchmark_c()
-    lo, hi = cylinder_base_interval(spec, Word((0,), "forward"))
-    assert lo == 0.0
-    assert abs(spec.eta_lift(hi) - TWO_PI) < 1e-10
+    lo, hi = cylinder_endpoints(spec, 1)
+    assert lo[0] == 0.0
+    assert abs(spec.eta_lift(hi[0]) - TWO_PI) < 1e-10
 
 
 def test_cylinder_intervals_partition_circle():
     for spec in (benchmark_a(), benchmark_c()):
         n = 6
-        words = enumerate_cylinders(spec, n, "forward")
-        intervals = [cylinder_base_interval(spec, w) for w in words]
+        words = words_of(spec.d, n)
+        intervals = list(zip(*cylinder_endpoints(spec, n)))
         total = sum(hi - lo for lo, hi in intervals)
         assert abs(total - TWO_PI) < 1e-8
         lengths = np.array([hi - lo for lo, hi in intervals])
@@ -138,7 +137,7 @@ def test_cylinder_intervals_partition_circle():
         # itinerary of each interval midpoint reproduces the word
         for w, (lo, hi) in zip(words[:16], intervals[:16]):
             mid = 0.5 * (lo + hi)
-            assert base_itinerary(spec, mid, n).symbols == w.symbols
+            assert base_itinerary(spec, mid, n) == w
 
 
 def test_bulk_representatives_match_scalar_path():
@@ -146,7 +145,7 @@ def test_bulk_representatives_match_scalar_path():
     n = 6
     x = 1.3
     y, z = word_representatives(spec, np.array([x]), n)
-    words = enumerate_cylinders(spec, n, "backward")
+    words = words_of(spec.d, n)
     for idx in (0, 1, 17, 31, 63):
         ref = brute_representative(spec, words[idx], x)
         assert abs(y[0, idx] - ref.y) < 1e-11
@@ -154,10 +153,10 @@ def test_bulk_representatives_match_scalar_path():
 
 
 def test_word_string_roundtrip_and_index():
-    w = Word((1, 0, 1, 1))
-    assert str(w) == "1011"
-    assert Word.from_string("1011") == w
-    assert Word.from_index(w.index(2), 2, 4) == w
+    w = (1, 0, 1, 1)
+    assert _word_label(w) == word_text(w) == "1011"
+    assert words_of(2, 4)[0b1011] == w
+    assert _word_label((1, 10, 2)) == word_text((1, 10, 2)) == "1,10,2"
 
 
 def tiled_representatives(spec, lifts, n):
@@ -248,7 +247,7 @@ def test_leaf_evaluations_match_expression_reference(name):
 def scalar_cylinder_interval(spec, word):
     """One forward cylinder, descended endpoint by endpoint in scalars."""
     a = branch_points(spec)
-    syms = word.symbols
+    syms = word
     lo, hi = a[syms[-1]], a[syms[-1] + 1]
     for s in reversed(syms[:-1]):
         lo, hi = (float(spec.eta_inverse_lift(lo + TWO_PI * s)),
@@ -261,15 +260,12 @@ def test_cylinder_endpoints_match_scalar_reference():
                       nu0=0.08, nu2=0.02, u_amp=0.4, v_amp=0.4)
     for spec in (benchmark_a(), benchmark_c(), d3):
         for m in range(1, 6):
-            words = enumerate_cylinders(spec, m, "forward")
+            words = itertools.product(range(spec.d), repeat=m)
             ref = np.array([scalar_cylinder_interval(spec, w) for w in words])
             lo, hi = cylinder_endpoints(spec, m)
             # bit for bit, signed zeros included
             assert lo.tobytes() == ref[:, 0].tobytes()
             assert hi.tobytes() == ref[:, 1].tobytes()
-            for k in (0, len(words) // 3, len(words) - 1):
-                pair = np.array(cylinder_base_interval(spec, words[k]))
-                assert pair.tobytes() == ref[k].tobytes()
 
 
 def test_descend_levels_rows_follow_their_digits():
@@ -287,8 +283,8 @@ def test_descend_levels_rows_follow_their_digits():
 
 
 def word_cylinder_table(spec, n, path):
-    """The cylinder table with labels printed from enumerated `Word`s."""
-    words = enumerate_cylinders(spec, n, "forward")
+    """The cylinder table with labels printed from enumerated words."""
+    words = map(word_text, itertools.product(range(spec.d), repeat=n))
     lo, hi = cylinder_endpoints(spec, n)
     with open(path, "w") as fh:
         fh.write(f"# spec_hash={spec.spec_hash()} generation={n}\n")

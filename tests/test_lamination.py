@@ -3,57 +3,68 @@ import math
 import numpy as np
 import pytest
 
-from solenoidlab import (Point3, SolenoidSpec, Word, WordTooShortError,
-                         apply_map, benchmark_a, benchmark_b, benchmark_c,
-                         point_from_backward_word)
+from scalar_reference import Point3, apply_map, base_itinerary, leaf_point
+from solenoidlab import (SolenoidSpec, WordTooShortError, benchmark_a,
+                         benchmark_b, benchmark_c)
 from solenoidlab import coding, thermo
 from solenoidlab import lamination as lam
-from solenoidlab.coding import leaf_states
+from solenoidlab.coding import _digit_rows, leaf_states
 
 TWO_PI = 2 * math.pi
 
 
 def random_word(rng, d, n):
-    return Word(tuple(rng.integers(0, d, n)))
+    return tuple(rng.integers(0, d, n))
 
 
-def leaf_point(spec, past, lift):
-    """Leaf representative over one base lift, from one leaf_states call."""
-    y, z = leaf_states(spec, np.array([past.symbols], dtype=int),
-                       np.array([lift], dtype=float))
-    return Point3(x=float(np.mod(lift, TWO_PI)), y=float(y[0, 0]),
-                  z=float(z[0, 0]))
+def slide(spec, past, x_src, x_dst):
+    """A leaf's points over x_src and x_dst, from one leaf_states call."""
+    lifts = np.array([x_src, x_dst], dtype=float)
+    y, z = leaf_states(spec, np.array([past], dtype=int), lifts)
+    return tuple(Point3(x=float(np.mod(x, TWO_PI)), y=float(y[0, i]),
+                        z=float(z[0, i])) for i, x in enumerate(lifts))
+
+
+def pair_crossings(spec, past_a, past_b, margin, samples):
+    """leaf_intersections of two leaves sampled on the grid of the window."""
+    grid = lam._grid(margin, samples)
+    dig_a, dig_b = np.array([past_a]), np.array([past_b])
+    (y_a, _), (y_b, _) = (leaf_states(spec, dig, grid)
+                          for dig in (dig_a, dig_b))
+    return lam.leaf_intersections(spec, grid, dig_a, dig_b, y_a, y_b)
 
 
 def test_leaf_fixed_point_sample():
-    leaf = lam.unstable_leaf(benchmark_a(), Word((0,) * 40), 0.2, 257)
-    k = int(np.argmin(np.abs(leaf.lifts)))
-    assert abs(leaf.samples[k, 1] - 5.0 / 6.0) < 1e-4
-    assert np.all(np.diff(leaf.lifts) > 0)
+    lifts = lam._grid(0.2, 257)
+    y, _ = leaf_states(benchmark_a(), np.zeros((1, 40), dtype=int), lifts)
+    k = int(np.argmin(np.abs(lifts)))
+    assert abs(y[0, k] - 5.0 / 6.0) < 1e-4
+    assert np.all(np.diff(lifts) > 0)
 
 
 def test_leaf_requires_depth():
     with pytest.raises(WordTooShortError):
-        lam.unstable_leaf(benchmark_a(), Word((0, 1, 0)), 0.1, 16)
+        coding._require_depth(benchmark_a(), 3, 1e-9)
 
 
 def test_leaf_matches_representatives_on_circle():
     spec = benchmark_a()
     rng = np.random.default_rng(4)
     word = random_word(rng, 2, 40)
-    leaf = lam.unstable_leaf(spec, word, 0.0, 33)
+    lifts = lam._grid(0.0, 33)
+    y, z = leaf_states(spec, np.array([word]), lifts)
     for k in (0, 7, 16, 25):
-        x = leaf.lifts[k]
-        ref = point_from_backward_word(spec, word, x).point
-        assert abs(leaf.samples[k, 1] - ref.y) < 1e-12
-        assert abs(leaf.samples[k, 2] - ref.z) < 1e-12
+        ref = leaf_point(spec, word, lifts[k])
+        assert abs(y[0, k] - ref.y) < 1e-12
+        assert abs(z[0, k] - ref.z) < 1e-12
 
 
 def test_leaf_continuity_bound():
     spec = benchmark_a()
-    leaf = lam.unstable_leaf(spec, Word((1, 0) * 20), 0.3, 513)
-    gaps = np.abs(np.diff(leaf.y))
-    step = np.diff(leaf.lifts).max()
+    lifts = lam._grid(0.3, 513)
+    y, _ = leaf_states(spec, np.array([(1, 0) * 20]), lifts)
+    gaps = np.abs(np.diff(y[0]))
+    step = np.diff(lifts).max()
     # leaf slope is bounded by sum lam^k * |u'| / eta^k type series
     slope_bound = 0.5 / (1.0 - 0.4 / 2.0) + 0.1
     assert gaps.max() <= slope_bound * step
@@ -61,22 +72,20 @@ def test_leaf_continuity_bound():
 
 def test_intersections_disjoint_and_identical():
     spec = benchmark_a()
-    la = lam.unstable_leaf(spec, Word((0,) * 40), 0.1, 129)
-    lb = lam.unstable_leaf(spec, Word((0,) * 39 + (1,)), 0.1, 129)
-    recs = lam.leaf_intersections(la, lb)
+    past_a, past_b = (0,) * 40, (0,) * 39 + (1,)
+    recs = pair_crossings(spec, past_a, past_b, 0.1, 129)
     assert len(recs) >= 1  # the two tube families cross
     assert all(0.0 < r.angle <= math.pi / 2 for r in recs)
     with pytest.raises(ValueError):
-        lam.leaf_intersections(la, la)
+        pair_crossings(spec, past_a, past_a, 0.1, 129)
 
 
 def test_intersection_crossing_is_zero_of_gap():
     spec = benchmark_a()
-    la = lam.unstable_leaf(spec, Word((0,) * 40), 0.1, 257)
-    lb = lam.unstable_leaf(spec, Word((1,) + (0,) * 38 + (1,)), 0.1, 257)
-    for rec in lam.leaf_intersections(la, lb):
-        ya = leaf_point(spec, la.past, rec.x_lift).y
-        yb = leaf_point(spec, lb.past, rec.x_lift).y
+    past_a, past_b = (0,) * 40, (1,) + (0,) * 38 + (1,)
+    for rec in pair_crossings(spec, past_a, past_b, 0.1, 257):
+        ya = leaf_point(spec, past_a, rec.x_lift).y
+        yb = leaf_point(spec, past_b, rec.x_lift).y
         assert abs(ya - yb) < 1e-8
 
 
@@ -103,7 +112,7 @@ def test_holonomy_identity():
     for _ in range(10):
         word = random_word(rng, 2, 40)
         x = rng.uniform(0, TWO_PI)
-        p, q = lam.holonomy_map(spec, word, x, x)
+        p, q = slide(spec, word, x, x)
         assert p == q
 
 
@@ -113,12 +122,12 @@ def test_holonomy_composition():
         for _ in range(5):
             word = random_word(rng, 2, 40)
             x0, x1, x2 = sorted(rng.uniform(0, TWO_PI, 3))
-            p0, q1 = lam.holonomy_map(spec, word, x0, x1)
+            p0, q1 = slide(spec, word, x0, x1)
             # both endpoints come from one call, bit for bit as one by one
             assert p0 == leaf_point(spec, word, x0)
             assert q1 == leaf_point(spec, word, x1)
-            _, q2 = lam.holonomy_map(spec, word, x1, x2)
-            _, q_direct = lam.holonomy_map(spec, word, x0, x2)
+            _, q2 = slide(spec, word, x1, x2)
+            _, q_direct = slide(spec, word, x0, x2)
             assert abs(q2.y - q_direct.y) < 1e-8
             assert abs(q2.z - q_direct.z) < 1e-8
 
@@ -128,12 +137,12 @@ def test_holonomy_against_forward_iteration():
     # the representative over pi of word w equals f(rep over pi/2 of w
     # truncated by one with the chain shifted).
     spec = benchmark_a()
-    word = Word((0,) * 40)
-    _, q = lam.holonomy_map(spec, word, 0.0, math.pi)
-    ref = point_from_backward_word(spec, word, math.pi).point
+    word = (0,) * 40
+    _, q = slide(spec, word, 0.0, math.pi)
+    ref = leaf_point(spec, word, math.pi)
     assert abs(q.y - ref.y) < 1e-8
     assert abs(q.z - ref.z) < 1e-8
-    half = point_from_backward_word(spec, Word((0,) * 41), math.pi / 2).point
+    half = leaf_point(spec, (0,) * 41, math.pi / 2)
     fwd = apply_map(spec, half).image
     assert abs(q.y - fwd.y) < 1e-8
     assert abs(q.z - fwd.z) < 1e-8
@@ -145,11 +154,11 @@ def test_leaves_share_past_shadowing():
     rng = np.random.default_rng(12)
     for k in (3, 6, 9):
         tail = tuple(rng.integers(0, 2, k))
-        wa = Word(tuple(rng.integers(0, 2, 30)) + tail)
-        wb = Word(tuple(rng.integers(0, 2, 30)) + tail)
+        wa = tuple(rng.integers(0, 2, 30)) + tail
+        wb = tuple(rng.integers(0, 2, 30)) + tail
         x = rng.uniform(0, TWO_PI)
-        pa = point_from_backward_word(spec, wa, x).point
-        pb = point_from_backward_word(spec, wb, x).point
+        pa = leaf_point(spec, wa, x)
+        pb = leaf_point(spec, wb, x)
         assert abs(pa.y - pb.y) <= 2.0 * 0.4 ** k + 1e-12
 
 
@@ -158,24 +167,24 @@ def test_gamma_pool_and_strong_lipschitz():
     pool = lam.build_gamma_pool(spec, 10, 16, seed=1)
     assert pool.size >= 2
     assert len(pool.records) > 0
-    word = Word(tuple(np.random.default_rng(3).integers(0, 2, 14)))
-    res = lam.strong_lipschitz_test(spec, word, 6, 0.5, pool)
-    assert res.is_strong in (True, False)
-    assert res.worst_margin > 0.0
+    words = np.random.default_rng(3).integers(0, 2, (1, 14))
+    worst, usable = lam.strong_lipschitz_test(spec, words, 1, 6, 0.5, pool)
+    assert usable[0]
+    assert worst[0] > 0.0
     # margin ratio is exactly linear in 1/L
-    res2 = lam.strong_lipschitz_test(spec, word, 6, 1.0, pool)
-    assert res.worst_margin == pytest.approx(2.0 * res2.worst_margin)
+    worst2, _ = lam.strong_lipschitz_test(spec, words, 1, 6, 1.0, pool)
+    assert worst[0] == pytest.approx(2.0 * worst2[0])
 
 
 def test_strong_lipschitz_monotone_in_L():
     spec = benchmark_b()
     pool = lam.build_gamma_pool(spec, 10, 16, seed=1)
-    word = Word(tuple(np.random.default_rng(8).integers(0, 2, 14)))
-    strong_small = lam.strong_lipschitz_test(spec, word, 6, 1e-6, pool)
-    assert strong_small.is_strong  # tiny L makes the condition easy
-    big = lam.strong_lipschitz_test(spec, word, 6, 1e9, pool)
-    if math.isfinite(big.worst_margin):
-        assert not big.is_strong
+    words = np.random.default_rng(8).integers(0, 2, (1, 14))
+    small, usable = lam.strong_lipschitz_test(spec, words, 1, 6, 1e-6, pool)
+    assert usable[0] and small[0] >= 1.0  # tiny L makes the condition easy
+    big, _ = lam.strong_lipschitz_test(spec, words, 1, 6, 1e9, pool)
+    if math.isfinite(big[0]):
+        assert not big[0] >= 1.0
 
 
 def test_strong_lipschitz_word_on_crossing_fails():
@@ -184,17 +193,16 @@ def test_strong_lipschitz_word_on_crossing_fails():
     pool = lam.build_gamma_pool(spec, 10, 16, seed=1)
     rec = pool.records[0]
     depth = 4
-    from solenoidlab.coding import base_itinerary
     # choose the recent symbols so the depth-step chain from x=0 passes
     # through the crossing's base position
     x_cross = float(np.mod(rec.x_lift, TWO_PI))
     recent = base_itinerary(spec, x_cross, depth)
-    word = Word(rec.past_a.symbols + tuple(recent.symbols))
+    words = np.array([rec.past_a + recent])
     x_land = spec.eta(spec.eta(spec.eta(spec.eta(x_cross))))
-    res = lam.strong_lipschitz_test(spec, word, depth, 0.5, pool,
-                                    x=float(x_land), n_min=depth)
-    assert res.is_strong is False
-    assert res.worst_margin < 1e-3
+    worst, usable = lam.strong_lipschitz_test(spec, words, depth, depth, 0.5,
+                                              pool, x=float(x_land))
+    assert usable[0] and worst[0] < 1.0
+    assert worst[0] < 1e-3
 
 
 def test_strong_lipschitz_indeterminate_without_pool():
@@ -203,9 +211,9 @@ def test_strong_lipschitz_indeterminate_without_pool():
                           grid=np.linspace(0, TWO_PI, 9),
                           digits=np.zeros((0, 10), dtype=int),
                           y_curves=np.zeros((0, 9)), records=[])
-    word = Word(tuple(np.random.default_rng(3).integers(0, 2, 14)))
-    res = lam.strong_lipschitz_test(spec, word, 6, 0.5, empty)
-    assert res.indeterminate
+    words = np.random.default_rng(3).integers(0, 2, (1, 14))
+    _, usable = lam.strong_lipschitz_test(spec, words, 1, 6, 0.5, empty)
+    assert not usable[0]
 
 
 def test_scan_identity_fiber_has_unit_ratios():
@@ -250,8 +258,8 @@ def test_pool_angles_match_closed_form_slopes():
     pool = lam.build_gamma_pool(benchmark_a(), 10, 24, seed=1)
     assert len(pool.records) > 0
     for rec in pool.records:
-        ya, sa = _closed_form_leaf_a(rec.past_a.symbols, rec.x_lift)
-        yb, sb = _closed_form_leaf_a(rec.past_b.symbols, rec.x_lift)
+        ya, sa = _closed_form_leaf_a(rec.past_a, rec.x_lift)
+        yb, sb = _closed_form_leaf_a(rec.past_b, rec.x_lift)
         assert abs(rec.angle - math.atan(abs(sa - sb))) < 1e-12
         assert abs(rec.y - ya) < 1e-12
         assert abs(ya - yb) < 1e-9  # refined onto the crossing
@@ -261,18 +269,20 @@ def test_pool_angles_match_closed_form_slopes():
 def test_leaf_intersections_reproduce_pool_records():
     spec = benchmark_b()
     pool = lam.build_gamma_pool(spec, 10, 16, seed=1)
-    leaves = [lam.unstable_leaf(spec, Word(tuple(int(s) for s in row)),
-                                pool.margin, pool.grid.size, tol=1e-3)
-              for row in pool.digits]
+    # each leaf evaluated on its own
+    leaves = [leaf_states(spec, row[None], pool.grid)[0] for row in pool.digits]
+    pasts = [tuple(row) for row in pool.digits.tolist()]
     expected = []
     for a in range(pool.size):
         for b in range(a + 1, pool.size):
             if pool.leading[a] == pool.leading[b]:
                 continue
-            recs = lam.leaf_intersections(leaves[a], leaves[b])
+            recs = lam.leaf_intersections(spec, pool.grid,
+                                          pool.digits[a:a + 1],
+                                          pool.digits[b:b + 1], leaves[a],
+                                          leaves[b])
             assert recs == [r for r in pool.records
-                            if (r.past_a, r.past_b) == (leaves[a].past,
-                                                        leaves[b].past)]
+                            if (r.past_a, r.past_b) == (pasts[a], pasts[b])]
             expected.extend(recs)
     assert expected == pool.records
 
@@ -292,15 +302,15 @@ def _scan_flags_word_by_word(spec, x_src, n, pairs, seed, L, pool):
         j = int(deep) * block * d + int(new_digit) * block + int(i % block)
         if j == i or j >= weights.size:
             continue
-        word = Word.from_index(int(i), d, n)
+        word, other = (tuple(r) for r in _digit_rows([i, j], d, n).tolist())
         pa = leaf_point(spec, word, x_src)
-        pb = leaf_point(spec, Word.from_index(j, d, n), x_src)
+        pb = leaf_point(spec, other, x_src)
         if math.hypot(pa.y - pb.y, pa.z - pb.z) == 0.0:
             continue
-        res = lam.strong_lipschitz_test(spec, word, depth, L, pool, x=x_src,
-                                        n_min=depth)
+        worst, usable = lam.strong_lipschitz_test(
+            spec, np.array([word]), depth, depth, L, pool, x=x_src)
         tested += 1
-        if res.is_strong is False:
+        if usable[0] and worst[0] < 1.0:
             hits += 1
             if word not in flagged:
                 flagged.append(word)
@@ -360,7 +370,7 @@ def _central_jets(spec, digits, lifts):
 def _with_engine(monkeypatch, reference, fn, *args, **kwargs):
     """fn's result and every crossing record it made, with either engine."""
     records = []
-    crossings = lam._crossings
+    crossings = lam.leaf_intersections
 
     def spy(*args):
         out = crossings(*args)
@@ -368,7 +378,7 @@ def _with_engine(monkeypatch, reference, fn, *args, **kwargs):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(lam, "_crossings", spy)
+        m.setattr(lam, "leaf_intersections", spy)
         if reference:
             m.setattr(lam, "_refine", _bisect_reference)
             m.setattr(lam, "_leaf_jets", _central_jets)
@@ -448,32 +458,21 @@ def test_refinement_work_guard(monkeypatch):
 # Shared-grid crossing scan against the per-pair engine it replaced
 # ---------------------------------------------------------------------------
 
-def _per_pair_crossings(pairs):
-    """Crossing records of (UnstableLeaf, UnstableLeaf) pairs, one list each.
+def _per_pair_crossings(spec, grid, pairs):
+    """Crossing records of (past a, past b) pairs, one list each.
 
-    The engine before the shared-grid scan: each pair is scanned on the
-    union of its two lift grids over the common range, reusing the stored
-    samples when both grids equal it, then all candidates are refined
-    together and each pair's records are sorted by lift.
+    The engine before the shared-grid scan: each leaf of each pair is
+    evaluated on its own over the grid and each pair is scanned on its
+    own, then all candidates are refined together and each pair's records
+    are sorted by lift.
     """
     owner, lo, hi, g_lo = [], [], [], []
-    for p, (la, lb) in enumerate(pairs):
-        if la.past.most_recent == lb.past.most_recent:
+    for p, (past_a, past_b) in enumerate(pairs):
+        if past_a[-1] == past_b[-1]:
             raise ValueError("leaves must come from distinct leading symbols")
-        a, b = max(la.lifts[0], lb.lifts[0]), min(la.lifts[-1], lb.lifts[-1])
-        if b <= a:
-            continue
-        grid = np.unique(np.concatenate([
-            la.lifts[(la.lifts >= a) & (la.lifts <= b)],
-            lb.lifts[(lb.lifts >= a) & (lb.lifts <= b)], [a, b]]))
-        if np.array_equal(grid, la.lifts) and np.array_equal(grid, lb.lifts):
-            g = la.y - lb.y
-        else:
-            (ya, _), (yb, _) = lam._pair(leaf_states, la.spec,
-                                         np.array([la.past.symbols]),
-                                         np.array([lb.past.symbols]),
-                                         grid[None, :])
-            g = ya[0] - yb[0]
+        (ya, _), (yb, _) = (leaf_states(spec, np.array([past]), grid)
+                            for past in (past_a, past_b))
+        g = ya[0] - yb[0]
         touching = np.abs(g) < lam.TOUCH_TOL
         edge = np.diff(np.concatenate([[0], touching.astype(int), [0]]))
         runs = grid[(np.flatnonzero(edge == 1) + np.flatnonzero(edge == -1)
@@ -489,9 +488,8 @@ def _per_pair_crossings(pairs):
     owner = np.concatenate([np.zeros(0, dtype=int)] + owner)
     if owner.size == 0:
         return out
-    spec = pairs[0][0].spec
-    dig_a = np.array([la.past.symbols for la, _ in pairs])[owner]
-    dig_b = np.array([lb.past.symbols for _, lb in pairs])[owner]
+    dig_a = np.array([past_a for past_a, _ in pairs])[owner]
+    dig_b = np.array([past_b for _, past_b in pairs])[owner]
     x = lam._refine(spec, dig_a, dig_b, np.concatenate(lo), np.concatenate(hi),
                     np.concatenate(g_lo))
     (ya, sa), (_, sb) = lam._pair(coding._leaf_jets, spec, dig_a, dig_b,
@@ -501,7 +499,7 @@ def _per_pair_crossings(pairs):
         out[p].append(lam.IntersectionRecord(
             x_lift=float(x[i]), y=float(ya[i, 0]),
             angle=float(math.atan(diff[i])),
-            past_a=pairs[p][0].past, past_b=pairs[p][1].past,
+            past_a=pairs[p][0], past_b=pairs[p][1],
             near_tangency=bool(diff[i] < lam.NEAR_TANGENCY_SLOPE)))
     for recs in out:
         recs.sort(key=lambda r: r.x_lift)
@@ -515,55 +513,30 @@ FLAT = SolenoidSpec(d=2, lam0=0.4, nu0=0.25, u_amp=0.0, v_amp=0.5)
                                      (D3, 7), (FLAT, 8)],
                          ids=["A", "C", "d3", "flat"])
 def test_shared_grid_scan_matches_per_pair_engine(monkeypatch, spec, n):
-    # Each leaf of a scanned pair is sampled again on its own as an
-    # UnstableLeaf over the same grid; the per-pair engine must give the
-    # same records, bit for bit and in the same order.  FLAT's leaves all
-    # have y = 0, so every pair is one contact run.
+    # Each leaf of a scanned pair is sampled again on its own over the
+    # same grid; the per-pair engine must give the same records, bit for
+    # bit and in the same order.  FLAT's leaves all have y = 0, so every
+    # pair is one contact run.
     calls = []
-    crossings = lam._crossings
+    crossings = lam.leaf_intersections
 
     def spy(*args):
         calls.append((args, crossings(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(lam, "_crossings", spy)
+    monkeypatch.setattr(lam, "leaf_intersections", spy)
     pool = lam.build_gamma_pool(spec, n, 16, seed=1)
     alpha, tang = lam.min_transversal_angle(spec, n - 2, 30, seed=3)
     assert len(calls) == 2 and calls[0][1] == pool.records
     for (s, grid, dig_a, dig_b, _, _), records in calls:
-        def leaf(row):
-            return lam.unstable_leaf(s, Word(tuple(row.tolist())), -grid[0],
-                                     grid.size, tol=1.0)
-
-        pairs = [(leaf(ra), leaf(rb)) for ra, rb in zip(dig_a, dig_b)]
-        assert records == [r for recs in _per_pair_crossings(pairs)
+        pairs = list(zip(map(tuple, dig_a.tolist()),
+                         map(tuple, dig_b.tolist())))
+        assert records == [r for recs in _per_pair_crossings(s, grid, pairs)
                            for r in recs]
         assert records
     angles = [r.angle for r in calls[1][1] if not r.near_tangency]
     assert tang == len(calls[1][1]) - len(angles)
     assert alpha == min(angles, default=0.0)
-
-
-def test_leaf_intersections_on_unequal_grids_match_per_pair_engine():
-    # margins, sample counts and past lengths differ, so every pair is
-    # evaluated on the union of its two grids
-    rng = np.random.default_rng(5)
-    total = 0
-    for spec in (benchmark_a(), benchmark_c(), D3):
-        for _ in range(8):
-            past_a = random_word(rng, spec.d, int(rng.integers(24, 32)))
-            lead = (past_a.most_recent + 1 + rng.integers(0, spec.d - 1)) \
-                % spec.d
-            past_b = Word(random_word(rng, spec.d, int(rng.integers(24, 32)))
-                          .symbols[:-1] + (lead,))
-            la, lb = (lam.unstable_leaf(spec, past,
-                                        float(rng.choice([0.1, 0.2, 0.35])),
-                                        int(rng.choice([129, 200, 257])))
-                      for past in (past_a, past_b))
-            recs = lam.leaf_intersections(la, lb)
-            assert recs == _per_pair_crossings([(la, lb)])[0]
-            total += len(recs)
-    assert total > 10
 
 
 # ---------------------------------------------------------------------------
@@ -749,10 +722,10 @@ def test_holonomy_map_forward_law(spec):
     for _ in range(8):
         word = random_word(rng, spec.d, 40)
         x0, x = rng.uniform(0.0, TWO_PI, 2)
-        _, p = lam.holonomy_map(spec, word, x0, x)
+        _, p = slide(spec, word, x0, x)
         image = apply_map(spec, p).image
         c = int(math.floor(float(spec.eta_lift(x)) / TWO_PI))
-        _, q = lam.holonomy_map(spec, Word(word.symbols + (c,)), x0, image.x)
+        _, q = slide(spec, word + (c,), x0, image.x)
         assert abs(q.x - image.x) < 1e-12
         assert abs(q.y - image.y) < 1e-12
         assert abs(q.z - image.z) < 1e-12

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from solenoidlab import (Point3, SolenoidSpec, SpecInvalidError, apply_map,
-                         benchmark_a, benchmark_b, benchmark_c, inverse_base,
-                         iterate, validate_spec)
+from scalar_reference import Point3, apply_map, inverse_base, iterate
+from solenoidlab import (SolenoidSpec, SpecInvalidError, benchmark_a,
+                         benchmark_b, benchmark_c, validate_spec)
 from solenoidlab.maps import _branch_separation, branch_points
 
 TWO_PI = 2 * math.pi

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from solenoidlab import (CapExceededError, SolenoidSpec, Word, benchmark_a,
+from solenoidlab import (CapExceededError, SolenoidSpec, benchmark_a,
                          benchmark_b, benchmark_c)
 from solenoidlab import thermo
 from solenoidlab.coding import cylinder_endpoints
@@ -19,14 +19,14 @@ def brute_birkhoff_range(spec, word, xi, n_grid=4000, n_y=9):
     Samples base fibers and anchor heights; the sampled range must sit
     inside the rigorous interval enclosure.
     """
-    n = word.generation
+    n = len(word)
     fn = {"eta": lambda x, y: spec.eta_prime(x),
           "lam": spec.lam_prime,
           "nu": spec.nu_prime}[xi]
     lo, hi = math.inf, -math.inf
     xs = np.linspace(0.0, 2 * math.pi, n_grid, endpoint=False)
     chain = [xs]
-    for s in reversed(word.symbols):
+    for s in reversed(word):
         chain.append(spec.eta_inverse_lift(chain[-1] + 2 * math.pi * s))
     for y0 in np.linspace(-1.0, 1.0, n_y):
         y = np.full_like(xs, y0)
@@ -43,8 +43,10 @@ def brute_birkhoff_range(spec, word, xi, n_grid=4000, n_y=9):
 
 def table_bounds(spec, word, xi):
     """(inf, sup) of the summed log-derivative xi over one backward word."""
-    table = thermo.birkhoff_table(spec, word.generation)
-    idx = word.index(spec.d)
+    table = thermo.birkhoff_table(spec, len(word))
+    idx = 0
+    for s in word:
+        idx = idx * spec.d + s
     return (float(getattr(table, f"{xi}_inf")[idx]),
             float(getattr(table, f"{xi}_sup")[idx]))
 
@@ -52,7 +54,7 @@ def table_bounds(spec, word, xi):
 def test_birkhoff_constant_potentials():
     spec = benchmark_a()
     for n in (1, 4, 9):
-        w = Word((0,) * n)
+        w = (0,) * n
         lo, hi = table_bounds(spec, w, "lam")
         assert abs(lo - n * math.log(0.4)) < 1e-12
         assert abs(hi - n * math.log(0.4)) < 1e-12
@@ -62,7 +64,7 @@ def test_birkhoff_constant_potentials():
 
 def test_birkhoff_nonlinear_branch_interval():
     spec = benchmark_c()
-    lo, hi = table_bounds(spec, Word((0,)), "lam")
+    lo, hi = table_bounds(spec, (0,), "lam")
     assert math.log(0.30) <= lo <= hi <= math.log(0.40)
     # branch 0 is the positive-sine half circle for this family
     assert abs(lo - math.log(0.35)) < 5e-3
@@ -75,7 +77,7 @@ def test_birkhoff_bounds_enclose_sampled_range():
                         nu0=0.12, nu1=0.02, nu2=0.03, u_amp=0.4, v_amp=0.4)
     for n in (1, 3, 5):
         for _ in range(3):
-            w = Word(tuple(rng.integers(0, 2, n)))
+            w = tuple(rng.integers(0, 2, n))
             s_lo, s_hi = brute_birkhoff_range(spec, w, "lam")
             r_lo, r_hi = table_bounds(spec, w, "lam")
             assert r_lo <= s_lo + 1e-9 and s_hi <= r_hi + 1e-9
@@ -453,6 +455,39 @@ def test_deviation_rates_match_per_call_reference(spec, n):
         for t_aux in (-3.0, 0.0, 0.25, 2.0):
             assert thermo.rate_function(spec, psi, t_aux, n) \
                 == ref_rate(table, t0, psi, t_aux)
+
+
+def test_solve_tilt_stops_once_the_bracket_closes(monkeypatch):
+    # Once the midpoint equals an end, every later bisection step returns
+    # that same midpoint: the early stop keeps the 60-step reference's
+    # bits with fewer tilted evaluations.
+    spec, n = benchmark_c(), 10
+    table = thermo.birkhoff_table(spec, n)
+    t0 = thermo._phi_exponent(spec, n)
+    ref_calls, ref_stats = [], ref_tilt_stats
+
+    def counted_ref_stats(*args):
+        ref_calls.append(args)
+        return ref_stats(*args)
+
+    for psi in (thermo.PSI_LOG_LAM, thermo.PSI_NEG_LOG_ETA):
+        stats, _ = thermo._tilt(table, t0, psi)
+        mean0 = stats(0.0)[1]
+        for eps in (1e-3, 0.03, -0.03):
+            calls = []
+
+            def counted(s):
+                calls.append(s)
+                return stats(s)
+
+            got = thermo._solve_tilt(counted, mean0, eps)
+            ref_calls.clear()
+            with monkeypatch.context() as m:
+                m.setitem(globals(), "ref_tilt_stats", counted_ref_stats)
+                want = ref_solve_tilt(table, t0, psi, eps)
+            assert type(got) is float and repr(got) == repr(want)
+            # the reference also evaluates the untilted mean once
+            assert len(calls) < len(ref_calls) - 1
 
 
 def test_deviation_decay_positive_rate():

@@ -142,7 +142,7 @@ _FIELD_TYPES = {
 _MIN_SIZES = {"depth_n": 1, "fibers": 1, "threads": 1, "full_depth": 0,
               "full_fibers": 0, "leaf_samples": 2, "pair_budget": 1,
               "n_past": 1, "gamma_depth": 1, "deviation_lo": 1,
-              "grid_density": 16}
+              "grid_density": 16, "k_scales": 5, "t_points": 0}
 
 
 def _check_sizes(cfg, names):
@@ -542,6 +542,13 @@ def run_command(cfg: RunConfig, command: str) -> Report:
         raise ConfigError(f"unknown command {command!r}; "
                           f"choose one of {', '.join(COMMANDS)}")
     _check_sizes(cfg, _MIN_SIZES)
+    if not 0.0 < cfg.tol < math.inf:
+        raise ConfigError("config field 'tol' must be a positive finite "
+                          f"number, got {cfg.tol!r}")
+    if cfg.deviation_hi < cfg.deviation_lo:
+        raise ConfigError("config field 'deviation_hi' must be >= "
+                          f"deviation_lo {cfg.deviation_lo}, "
+                          f"got {cfg.deviation_hi!r}")
     out_dir = cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     stages = _Stages()

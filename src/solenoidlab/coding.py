@@ -202,11 +202,11 @@ def _require_depth(spec, n, tol):
     return bound
 
 
-def _check_cap(d, n, cap):
-    count = d ** n
-    if count > cap:
+def _check_cap(count):
+    """Refuse more than ENUMERATION_CAP rows, the cap read at call time."""
+    if count > ENUMERATION_CAP:
         raise CapExceededError(
-            f"{d}**{n} = {count} words exceeds the cap {cap}")
+            f"{count} rows exceed the enumeration cap {ENUMERATION_CAP}")
 
 
 def _digit_rows(idx, d, n):
@@ -235,12 +235,12 @@ def cylinder_endpoints(spec: SolenoidSpec, m: int):
     return ends[:-1].T.ravel(), ends[1:].T.ravel()
 
 
-def write_cylinder_table(spec: SolenoidSpec, n: int, path, cap=ENUMERATION_CAP):
+def write_cylinder_table(spec: SolenoidSpec, n: int, path):
     """Emit the generation-n base intervals as CSV (word, interval_lo, interval_hi).
 
     Word labels are ``_word_label`` of the lexicographic digit rows.
     """
-    _check_cap(spec.d, n, cap)
+    _check_cap(spec.d ** n)
     lo, hi = cylinder_endpoints(spec, n)
     rows = _digit_rows(np.arange(spec.d ** n), spec.d, n).tolist()
     with open(path, "w") as fh:

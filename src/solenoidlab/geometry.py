@@ -19,11 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import ENUMERATION_CAP, _check_cap, word_representatives
-from .errors import CapExceededError, ResolutionError
+from .coding import _check_cap, word_representatives
+from .errors import ResolutionError
 from .maps import SolenoidSpec
 from .numerics import TWO_PI
-from .thermo import _phi_exponent, _weights_as_array, birkhoff_table
+from .thermo import _weights_as_array, birkhoff_table, build_gibbs_model
+
+BOUND_FACTOR = 16.0  # see local_density_stats
+GROWTH_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,11 @@ class DimensionFit:
                 "counts": {f"{r:.10g}": c for r, c in self.counts.items()}}
 
 
-def slice_cloud(spec: SolenoidSpec, x: float, n: int,
-                cap: int = ENUMERATION_CAP) -> PointCloud:
+def slice_cloud(spec: SolenoidSpec, x: float, n: int) -> PointCloud:
     """One representative (y, z) per generation-n backward word over fiber x."""
     if n < 0:
         raise ValueError("generation must be >= 0")
-    _check_cap(spec.d, n, cap)
+    _check_cap(spec.d ** n)
     x = float(np.mod(x, TWO_PI))
     y, z = word_representatives(spec, np.array([x]), n)
     pts = np.column_stack([y[0], z[0]])
@@ -76,7 +78,7 @@ def slice_cloud(spec: SolenoidSpec, x: float, n: int,
 
 
 def attractor_cloud(spec: SolenoidSpec, n: int, fibers: int,
-                    cap: int = ENUMERATION_CAP, threads: int = 1) -> PointCloud:
+                    threads: int = 1) -> PointCloud:
     """Union of slice clouds over equally spaced fibers, as 3D points.
 
     Rows are fibre-major: row f * d**n + w holds word w over fiber
@@ -91,9 +93,7 @@ def attractor_cloud(spec: SolenoidSpec, n: int, fibers: int,
     """
     if fibers <= 0:
         raise ValueError("fiber count must be positive; empty cloud requested")
-    if fibers * spec.d ** n > cap:
-        raise CapExceededError(
-            f"{fibers} fibers x {spec.d}**{n} words exceed the cap {cap}")
+    _check_cap(fibers * spec.d ** n)
     words = spec.d ** n
     xs = TWO_PI * np.arange(fibers) / fibers
     grid = np.empty((fibers, words, 3))
@@ -470,17 +470,16 @@ class DensityReport:
 
 
 def local_density_stats(spec: SolenoidSpec, weights, x: float, n: int,
-                        radii, samples: int = 200, seed: int = 0,
-                        bound_factor: float = 16.0,
-                        growth_factor: float = 2.0) -> DensityReport:
+                        radii, samples: int = 200,
+                        seed: int = 0) -> DensityReport:
     """Density ratios of the cylinder-weight measure on a stable slice.
 
     Sample points are drawn with the cylinder weights (fixed seed); for
-    each the measure of the ball of every radius is divided by r**t0.
-    frac_bounded is the fraction of points whose ratio stays within
-    bound_factor across the radii; frac_growing the fraction whose ratio
-    at the finest radius exceeds growth_factor times the coarsest one
-    (density blow-up, the overlap signature).
+    each the measure of the ball of every radius is divided by r**t0, t0
+    the generation-n model root.  frac_bounded is the fraction of points
+    whose ratio stays within BOUND_FACTOR across the radii; frac_growing
+    the fraction whose ratio at the finest radius exceeds GROWTH_FACTOR
+    times the coarsest one (density blow-up, the overlap signature).
     """
     radii = tuple(float(r) for r in radii)
     if not radii:
@@ -493,7 +492,7 @@ def local_density_stats(spec: SolenoidSpec, weights, x: float, n: int,
     warr = _weights_as_array(spec, weights, n)
     cloud = slice_cloud(spec, x, n)
     reps = cloud.points
-    t0 = _phi_exponent(spec, n)
+    t0 = build_gibbs_model(spec, n).t0_mid
     rng = np.random.default_rng(seed)
     picks = rng.choice(warr.size, size=samples, replace=True, p=warr)
 
@@ -507,13 +506,13 @@ def local_density_stats(spec: SolenoidSpec, weights, x: float, n: int,
     finest = int(np.argmin(radii))
     coarsest = int(np.argmax(radii))
     spread = ratios.max(axis=1) / ratios.min(axis=1)
-    growing = ratios[:, finest] > growth_factor * ratios[:, coarsest]
+    growing = ratios[:, finest] > GROWTH_FACTOR * ratios[:, coarsest]
     return DensityReport(
         radii=radii, t0_mid=float(t0),
         ratio_min=tuple(ratios.min(axis=0)),
         ratio_median=tuple(np.median(ratios, axis=0)),
         ratio_max=tuple(ratios.max(axis=0)),
-        frac_bounded=float(np.mean(spread <= bound_factor)),
+        frac_bounded=float(np.mean(spread <= BOUND_FACTOR)),
         frac_growing=float(np.mean(growing)),
         samples=samples, ratios=ratios)
 
@@ -555,8 +554,8 @@ def _overlap_codes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.minimum(a, b) * lo.size + np.maximum(a, b)
 
 
-def overlap_multiplicity(spec: SolenoidSpec, n: int, x_samples: int,
-                         cap: int = ENUMERATION_CAP) -> OverlapReport:
+def overlap_multiplicity(spec: SolenoidSpec, n: int,
+                         x_samples: int) -> OverlapReport:
     """Count tube overlaps in the y-projection across sampled fibers.
 
     Every generation-n word projects, on each sampled fiber, to the
@@ -572,9 +571,8 @@ def overlap_multiplicity(spec: SolenoidSpec, n: int, x_samples: int,
     if x_samples < 1:
         raise ValueError("need at least one sampled fiber")
     count = spec.d ** n
-    if count * x_samples > cap:
-        raise CapExceededError("fiber sample times words exceeds the cap")
-    half = np.exp(birkhoff_table(spec, n, cap).lam_sup)
+    _check_cap(count * x_samples)
+    half = np.exp(birkhoff_table(spec, n).lam_sup)
     xs = TWO_PI * np.arange(x_samples) / x_samples
     y, _ = word_representatives(spec, xs, n)
 

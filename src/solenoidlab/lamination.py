@@ -35,12 +35,13 @@ from .coding import (_digit_rows, _leaf_jets, _word_label, descend_levels,
 from .errors import WordTooShortError
 from .maps import SolenoidSpec
 from .numerics import TWO_PI
-from .thermo import gibbs_weight_array, _phi_exponent
+from .thermo import build_gibbs_model
 
 NEAR_TANGENCY_SLOPE = 1e-6  # |slope difference| below this is a tangency
 TOUCH_TOL = 1e-9            # |y_a - y_b| below this counts as contact
 CROSSING_TOL = 1e-10        # refinement stops at this step or bracket width
 SCAN_BLOCK = 1 << 18        # rows x grid points per margin-scan block
+POOL_MARGIN = 0.5           # pool window: [-POOL_MARGIN, 2*pi + POOL_MARGIN]
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def leaf_intersections(spec: SolenoidSpec, grid: np.ndarray,
 
 def _sample_words(spec, n, rng, size):
     """Indices of length-n words drawn with the cylinder weights."""
-    weights = gibbs_weight_array(spec, _phi_exponent(spec, n), n)
+    weights = build_gibbs_model(spec, n).weights
     return rng.choice(weights.size, size=size, replace=True, p=weights)
 
 
@@ -269,17 +270,16 @@ class GammaPool:
 
 
 def build_gamma_pool(spec: SolenoidSpec, n_past: int, budget: int,
-                     seed: int = 0, margin: float = 0.5,
-                     samples: int = 257) -> GammaPool:
+                     seed: int = 0, samples: int = 257) -> GammaPool:
     """Draw weighted pasts and precompute their leaves over the window."""
     rng = np.random.default_rng(seed)
-    grid = _grid(margin, samples)
+    grid = _grid(POOL_MARGIN, samples)
     digits = _digit_rows(np.unique(_sample_words(spec, n_past, rng, budget)),
                          spec.d, n_past)
     y, _ = leaf_states(spec, digits, grid)
     # pairs a < b from different generation-one tubes, row-major
     a, b = np.nonzero(np.triu(digits[:, -1, None] != digits[:, -1]))
-    return GammaPool(spec=spec, n_past=n_past, margin=margin, grid=grid,
+    return GammaPool(spec=spec, n_past=n_past, margin=POOL_MARGIN, grid=grid,
                      digits=digits, y_curves=y,
                      records=leaf_intersections(spec, grid, digits[a],
                                                 digits[b], y[a], y[b]))
@@ -343,7 +343,7 @@ def strong_lipschitz_test(spec: SolenoidSpec, digits: np.ndarray,
         raise WordTooShortError("past must be longer than the test depth")
     worst = np.full(m, math.inf)
     usable = np.zeros(m, dtype=bool)
-    if pool is None or pool.size == 0 or n_max < n_min:
+    if pool.size == 0 or n_max < n_min:
         return worst, usable
     start = np.full((m, 1), np.mod(x, TWO_PI))
     chain = np.concatenate([start] + descend_levels(
@@ -359,10 +359,8 @@ def strong_lipschitz_test(spec: SolenoidSpec, digits: np.ndarray,
 
 
 def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
-                            n: int, pairs: int, seed: int = 0,
-                            L: float = 0.5, pool: GammaPool | None = None,
-                            gamma_budget: int = 24,
-                            gamma_depth: int = 10) -> HolonomyReport:
+                            n: int, pairs: int, pool: GammaPool,
+                            seed: int = 0, L: float = 0.5) -> HolonomyReport:
     """Ratio statistics of the holonomy between two fibers.
 
     Samples weighted word pairs in the source fiber stratified across
@@ -370,14 +368,12 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
     symbols), slides both along their leaves to the destination fiber,
     and buckets dist(q, q')/dist(p, p') by the dyadic scale of the source
     separation.  Each sampled word is also run through the
-    strong-Lipschitz margin test at depth n//2 (all words in one batched
-    pass); the failing words are the flagged set, whose sampled weight
-    estimates the Gibbs mass of the weak non-Lipschitz part at this
-    generation.
+    strong-Lipschitz margin test against `pool` at depth n//2 (all words
+    in one batched pass); the failing words are the flagged set, whose
+    sampled weight estimates the Gibbs mass of the weak non-Lipschitz part
+    at this generation.
     """
     rng = np.random.default_rng(seed)
-    if pool is None:
-        pool = build_gamma_pool(spec, gamma_depth, gamma_budget, seed=seed + 1)
     idx_a = _sample_words(spec, n, rng, pairs)
     share = rng.integers(0, n, size=pairs)  # shared recent depth
     d = spec.d

@@ -32,8 +32,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .coding import (ENUMERATION_CAP, _check_cap, cylinder_endpoints,
-                     descend_levels)
+from .coding import _check_cap, cylinder_endpoints, descend_levels
 from .errors import SpecInvalidError
 from .maps import SolenoidSpec
 from .numerics import (TWO_PI, interval_cos, interval_mul, interval_sin,
@@ -41,6 +40,7 @@ from .numerics import (TWO_PI, interval_cos, interval_mul, interval_sin,
 
 PSI_LOG_LAM = "log_lam"
 PSI_NEG_LOG_ETA = "neg_log_eta"
+REGIME_GRID = 256  # base points of the grid behind the uniform regime flags
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +99,7 @@ BASE_SPLIT_DEPTH = 3
 BLOCK_WORDS = 2 ** 12
 
 
-def birkhoff_table(spec: SolenoidSpec, n: int,
-                   cap: int = ENUMERATION_CAP) -> BirkhoffTable:
+def birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
     """Build (and cache) the generation-n bound table for all d**n words.
 
     The base circle is pre-split into generation-min(3, n) forward
@@ -117,13 +116,10 @@ def birkhoff_table(spec: SolenoidSpec, n: int,
     reduces over pieces.  Every lift and every sum is the one an all-words
     build would compute, bit for bit, but memory beyond the retained
     48 * d**n bytes of the six read-only arrays is O(BLOCK_WORDS).
-
-    The cap is checked before the cache, which is keyed by (spec, n) alone,
-    so each table is built once however `cap` is passed.
     """
     if n < 1:
         raise ValueError("table generation must be >= 1")
-    _check_cap(spec.d, n, cap)
+    _check_cap(spec.d ** n)
     return _birkhoff_table(spec, n)
 
 
@@ -252,10 +248,9 @@ def _pressure(table: BirkhoffTable, t: float, upper: bool) -> float:
     return float(_logsumexp(t * sums)) / table.n
 
 
-def pressure_bracket(spec: SolenoidSpec, t: float, n: int,
-                     cap: int = ENUMERATION_CAP) -> PressureBracket:
+def pressure_bracket(spec: SolenoidSpec, t: float, n: int) -> PressureBracket:
     """Bracket of the cylinder-sum pressure of the potential t*log(lam')."""
-    table = birkhoff_table(spec, n, cap)
+    table = birkhoff_table(spec, n)
     return PressureBracket(t=float(t), n=n, p_lo=_pressure(table, t, False),
                            p_hi=_pressure(table, t, True))
 
@@ -268,6 +263,8 @@ def _bisect_decreasing(f, lo, hi, tol):
             f"pressure does not bracket a root on [{lo}, {hi}]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats
+            break
         if f(mid) > 0.0:
             lo = mid
         else:
@@ -275,16 +272,17 @@ def _bisect_decreasing(f, lo, hi, tol):
     return lo, hi
 
 
-def solve_bowen(spec: SolenoidSpec, n: int, tol: float = 1e-6,
-                cap: int = ENUMERATION_CAP):
+def solve_bowen(spec: SolenoidSpec, n: int, tol: float = 1e-6):
     """Interval around the zero of the pressure in the exponent t.
 
     Returns (t0_lo, t0_hi) with t0_lo from the root of the lower pressure
     bound and t0_hi from the root of the upper bound, each located by
-    bisection to width tol; the interval contains the true root of the
-    limiting pressure at every generation.
+    bisection to width tol (or to adjacent floats); the interval contains
+    the true root of the limiting pressure at every generation.
     """
-    table = birkhoff_table(spec, n, cap)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    table = birkhoff_table(spec, n)
     p_lo = partial(_pressure, table, upper=False)
     p_hi = partial(_pressure, table, upper=True)
 
@@ -305,10 +303,9 @@ def solve_bowen(spec: SolenoidSpec, n: int, tol: float = 1e-6,
 # Gibbs weights, exponents, regime flags
 # ---------------------------------------------------------------------------
 
-def gibbs_weight_array(spec: SolenoidSpec, t: float, n: int,
-                       cap: int = ENUMERATION_CAP) -> np.ndarray:
+def gibbs_weight_array(spec: SolenoidSpec, t: float, n: int) -> np.ndarray:
     """Normalized cylinder weights exp(t*S_mid) in lexicographic word order."""
-    table = birkhoff_table(spec, n, cap)
+    table = birkhoff_table(spec, n)
     logw = t * table.lam_mid
     logw = logw - _logsumexp(logw)
     return np.exp(logw)
@@ -357,16 +354,25 @@ class GibbsModel:
         return 0.5 * (self.t0_lo + self.t0_hi)
 
 
-def build_gibbs_model(spec: SolenoidSpec, n: int, tol: float = 1e-6,
-                      cap: int = ENUMERATION_CAP) -> GibbsModel:
-    t0_lo, t0_hi = solve_bowen(spec, n, tol, cap)
-    t0 = 0.5 * (t0_lo + t0_hi)
-    arr = gibbs_weight_array(spec, t0, n, cap)
+def build_gibbs_model(spec: SolenoidSpec, n: int,
+                      tol: float = 1e-6) -> GibbsModel:
+    """The cached GibbsModel of (spec, n, tol), shared and read-only."""
+    return _build_gibbs_model(spec, int(n), float(tol))
+
+
+@lru_cache(maxsize=8)
+def _build_gibbs_model(spec: SolenoidSpec, n: int, tol: float) -> GibbsModel:
+    t0_lo, t0_hi = solve_bowen(spec, n, tol)
+    arr = gibbs_weight_array(spec, 0.5 * (t0_lo + t0_hi), n)
     chi_eta, chi_lam, chi_nu, entropy = lyapunov_exponents(spec, arr, n)
     arr.flags.writeable = False
     return GibbsModel(t0_lo=t0_lo, t0_hi=t0_hi, n=n, weights=arr,
                       chi_eta=chi_eta, chi_lam=chi_lam, chi_nu=chi_nu,
                       entropy=entropy)
+
+
+build_gibbs_model.cache_info = _build_gibbs_model.cache_info
+build_gibbs_model.cache_clear = _build_gibbs_model.cache_clear
 
 
 @dataclass(frozen=True)
@@ -381,15 +387,14 @@ class RegimeFlags:
                 "bunching": self.bunching}
 
 
-def classify_regime(spec: SolenoidSpec, model: GibbsModel,
-                    grid_density: int = 256) -> RegimeFlags:
+def classify_regime(spec: SolenoidSpec, model: GibbsModel) -> RegimeFlags:
     """Evaluate the thinness, uniform-dissipation, and bunching inequalities.
 
     Thinness compares the model's Lyapunov exponents; the two uniform
     conditions take pointwise sups/infs on a sample grid of the torus.
     """
     thin = model.chi_nu < model.chi_lam < -model.chi_eta
-    xs = np.linspace(0.0, TWO_PI, grid_density, endpoint=False)
+    xs = np.linspace(0.0, TWO_PI, REGIME_GRID, endpoint=False)
     ys = np.linspace(-1.0, 1.0, 65)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     lam_p = spec.lam_prime(gx, gy)
@@ -412,12 +417,6 @@ class RateResult:
     i_value: float
     eps: float
     degenerate: bool
-
-
-@lru_cache(maxsize=32)
-def _phi_exponent(spec: SolenoidSpec, n: int) -> float:
-    lo, hi = solve_bowen(spec, n)
-    return 0.5 * (lo + hi)
 
 
 # Tilts stronger than this count as unreachable deviations.
@@ -454,7 +453,7 @@ def rate_function(spec: SolenoidSpec, psi: str, t_aux: float, n: int) -> RateRes
     degenerate: deviations of positive size then have infinite rate.
     """
     stats, degenerate = _tilt(birkhoff_table(spec, n),
-                              _phi_exponent(spec, n), psi)
+                              build_gibbs_model(spec, n).t0_mid, psi)
     p0, mean0 = stats(0.0)
     i_value, means = _legendre_gap(stats, p0, t_aux)
     return RateResult(i_value=float(i_value), eps=float(means - mean0),
@@ -518,8 +517,8 @@ def deviation_rate(spec: SolenoidSpec, psi: str, eps: float, n: int) -> float:
     Returns math.inf when neither tail can deviate by eps (degenerate or
     bounded observable), meaning the deviating set is empty.
     """
-    return float(_deviation_rates(birkhoff_table(spec, n),
-                                  _phi_exponent(spec, n), psi, [eps])[0])
+    t0 = build_gibbs_model(spec, n).t0_mid
+    return float(_deviation_rates(birkhoff_table(spec, n), t0, psi, [eps])[0])
 
 
 @dataclass(frozen=True)
@@ -626,20 +625,19 @@ class DeviationDecay:
                 "tau_emp": self.tau_emp, "tau_pred": self.tau_pred}
 
 
-def deviation_decay(spec: SolenoidSpec, n_values, threshold: float = 0.05,
-                    psi: str = PSI_LOG_LAM) -> DeviationDecay:
+def deviation_decay(spec: SolenoidSpec, n_values,
+                    threshold: float = 0.05) -> DeviationDecay:
     """Gibbs mass of cylinders whose per-step mean deviates by >= threshold.
 
-    Fits an exponential decay rate tau_emp across the generations and
-    reports the two-sided rate prediction at the matching deviation.
+    The mean is that of log lam'.  Fits an exponential decay rate tau_emp
+    across the generations and reports the two-sided rate prediction at the
+    matching deviation.
     """
     n_values = tuple(int(n) for n in n_values)
     fractions = []
     for n in n_values:
-        table = birkhoff_table(spec, n)
-        t0 = _phi_exponent(spec, n)
-        w = gibbs_weight_array(spec, t0, n)
-        per_step = table.psi_mid(psi) / n
+        w = build_gibbs_model(spec, n).weights
+        per_step = birkhoff_table(spec, n).lam_mid / n
         mean = float(w @ per_step)
         mask = np.abs(per_step - mean) >= threshold
         fractions.append(float(w[mask].sum()))
@@ -651,7 +649,7 @@ def deviation_decay(spec: SolenoidSpec, n_values, threshold: float = 0.05,
         tau_emp = -float(slope)
     else:
         tau_emp = math.inf
-    tau_pred = deviation_rate(spec, psi, threshold, max(n_values))
+    tau_pred = deviation_rate(spec, PSI_LOG_LAM, threshold, max(n_values))
     return DeviationDecay(threshold=threshold, n_values=n_values,
                           fractions=tuple(fractions), tau_emp=tau_emp,
                           tau_pred=tau_pred)

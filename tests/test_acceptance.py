@@ -28,6 +28,7 @@ def verdict(num, ok, text):
 
 def test_criterion_01_bowen_closed_forms():
     thermo.birkhoff_table.cache_clear()
+    thermo.build_gibbs_model.cache_clear()
     t_start = time.perf_counter()
     lo, hi = thermo.solve_bowen(benchmark_a(), 8, 1e-6)
     elapsed = time.perf_counter() - t_start

@@ -13,7 +13,7 @@ from scalar_reference import apply_map, leaf_point, word_text
 from solenoidlab import (ConfigError, PointCloud, SolenoidSpec,
                          SpecInvalidError, WordTooShortError, attractor_cloud,
                          benchmark_a, benchmark_c)
-from solenoidlab import cli, lamination
+from solenoidlab import cli, lamination, thermo
 from solenoidlab.coding import leaf_states
 
 T0_A = math.log(2.0) / math.log(2.5)
@@ -21,6 +21,16 @@ T0_A = math.log(2.0) / math.log(2.5)
 BENCH_A = {"d": 2, "lam0": 0.4, "nu0": 0.25, "u_amp": 0.5, "v_amp": 0.5}
 BENCH_C = {"d": 2, "eta_eps": 0.3, "lam0": 0.35, "lam1": 0.05, "nu0": 0.15,
            "u_amp": 0.5, "v_amp": 0.5}
+
+
+def _package_env():
+    """The environment of a subprocess that imports this solenoidlab."""
+    import solenoidlab
+    src = os.path.dirname(os.path.dirname(solenoidlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -203,12 +213,48 @@ def test_main_overrides(tmp_path):
         ([], {"n_past": 0}, "n_past"),
         ([], {"gamma_depth": 0}, "gamma_depth"),
         ([], {"deviation_lo": 0}, "deviation_lo"),
+        ([], {"deviation_hi": 5}, "deviation_hi"),
+        ([], {"k_scales": 4}, "k_scales"),
+        ([], {"t_points": -1}, "t_points"),
         ([], {"grid_density": 8}, "grid_density")]])
 def test_main_exits_2_on_bad_run_sizes(tmp_path, capsys, flags, fields, name):
     path = write_config(tmp_path, **fields)
     assert cli.main(["report", "--config", path] + flags) == 2
     assert f"config field '{name}' must be >= " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tol, code", [
+    (0, 2), (-1, 2), (math.nan, 2), (math.inf, 2), (1e-17, 0)])
+def test_bowen_tol_exits_promptly(tmp_path, tol, code):
+    # a tol below the float spacing of the bracket once made the root
+    # bisection spin forever; a subprocess with a timeout fails fast instead
+    path = write_config(tmp_path, tol=tol, depth_n=6)
+    out = subprocess.run([sys.executable, "-m", "solenoidlab.cli", "bowen",
+                          "--config", path], env=_package_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == code, out.stderr
+    if code:
+        assert "config field 'tol' must be a positive finite number" \
+            in out.stderr
+    else:
+        res = json.loads((tmp_path / "out" / "bowen_report.json").read_text())
+        assert res["results"]["t0_lo"] <= T0_A <= res["results"]["t0_hi"]
+
+
+def test_report_solves_each_root_once(tmp_path, monkeypatch):
+    # one cached Gibbs model per generation serves every stage
+    solve, calls = thermo.solve_bowen, []
+
+    def counted(spec, n, tol=1e-6):
+        calls.append(n)
+        return solve(spec, n, tol)
+
+    thermo.build_gibbs_model.cache_clear()
+    monkeypatch.setattr(thermo, "solve_bowen", counted)
+    path = write_config(tmp_path, n_past=7)
+    assert cli.main(["report", "--config", path]) == 0
+    assert sorted(calls) == [6, 7, 8]  # coarse model, n_past, depth_n
 
 
 def test_report_write_is_a_timed_stage(tmp_path):
@@ -387,13 +433,9 @@ def test_cloud_csv_matches_reference_on_benchmark_clouds(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy():
-    import solenoidlab
-    src = os.path.dirname(os.path.dirname(solenoidlab.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, solenoidlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                         check=True, capture_output=True, text=True,
+                         timeout=60)
     assert out.stdout.strip() == "[]"

@@ -103,8 +103,9 @@ def test_enumeration_order_and_cap():
     assert [_word_label(w) for w in words_of(2, 2)] == ["00", "01", "10",
                                                        "11"]
     assert [_word_label(w) for w in words_of(3, 1)] == ["0", "1", "2"]
+    coding._check_cap(coding.ENUMERATION_CAP)
     with pytest.raises(CapExceededError):
-        coding._check_cap(spec.d, 25, coding.ENUMERATION_CAP)
+        coding._check_cap(spec.d ** 25)
 
 
 def test_cylinder_intervals_linear():
@@ -293,7 +294,7 @@ def word_cylinder_table(spec, n, path):
             fh.write(f"{w},{lo_w:.12g},{hi_w:.12g}\n")
 
 
-def test_cylinder_table_labels_match_words(tmp_path):
+def test_cylinder_table_labels_match_words(tmp_path, monkeypatch):
     new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
     d3 = SolenoidSpec(d=3, eta_eps=0.4)
     cases = [(spec, n) for spec in (benchmark_c(), d3) for n in range(1, 11)]
@@ -301,5 +302,6 @@ def test_cylinder_table_labels_match_words(tmp_path):
         write_cylinder_table(spec, n, new)
         word_cylinder_table(spec, n, ref)
         assert new.read_bytes() == ref.read_bytes()
+    monkeypatch.setattr(coding, "ENUMERATION_CAP", 2 ** 10)
     with pytest.raises(CapExceededError):
-        write_cylinder_table(benchmark_c(), 11, new, cap=2 ** 10)
+        write_cylinder_table(benchmark_c(), 11, new)

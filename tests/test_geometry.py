@@ -6,7 +6,7 @@ import pytest
 
 from solenoidlab import (CapExceededError, ResolutionError, SolenoidSpec,
                          benchmark_a, benchmark_c)
-from solenoidlab import geometry, thermo
+from solenoidlab import coding, geometry, thermo
 from solenoidlab.coding import word_representatives
 from solenoidlab.numerics import TWO_PI
 
@@ -70,6 +70,20 @@ def test_attractor_cloud_errors():
         geometry.attractor_cloud(benchmark_a(), 4, 0)
     with pytest.raises(CapExceededError):
         geometry.attractor_cloud(benchmark_a(), 20, 64)
+
+
+def test_cap_counts_fibers_times_words(monkeypatch):
+    # 16 fibers x 2**6 words: each is under the cap, their product is not
+    spec = benchmark_a()
+    monkeypatch.setattr(coding, "ENUMERATION_CAP", 16 * 2 ** 6)
+    geometry.attractor_cloud(spec, 6, 16)
+    geometry.overlap_multiplicity(spec, 6, 16)
+    monkeypatch.setattr(coding, "ENUMERATION_CAP", 16 * 2 ** 6 - 1)
+    with pytest.raises(CapExceededError):
+        geometry.attractor_cloud(spec, 6, 16)
+    with pytest.raises(CapExceededError):
+        geometry.overlap_multiplicity(spec, 6, 16)
+    geometry.slice_cloud(spec, 0.0, 6)
 
 
 def test_box_dimension_segment():

@@ -290,7 +290,8 @@ def test_leaf_intersections_reproduce_pool_records():
 def _scan_flags_word_by_word(spec, x_src, n, pairs, seed, L, pool):
     """Flagged words and weight of a scan, testing one word at a time."""
     rng = np.random.default_rng(seed)
-    weights = thermo.gibbs_weight_array(spec, thermo._phi_exponent(spec, n), n)
+    lo, hi = thermo.solve_bowen(spec, n)
+    weights = thermo.gibbs_weight_array(spec, 0.5 * (lo + hi), n)
     idx_a = rng.choice(weights.size, size=pairs, replace=True, p=weights)
     share = rng.integers(0, n, size=pairs)
     d, depth = spec.d, max(1, n // 2)

@@ -6,7 +6,7 @@ import pytest
 
 from solenoidlab import (CapExceededError, SolenoidSpec, benchmark_a,
                          benchmark_b, benchmark_c)
-from solenoidlab import thermo
+from solenoidlab import coding, thermo
 from solenoidlab.coding import cylinder_endpoints
 
 LOG2 = math.log(2.0)
@@ -138,8 +138,9 @@ def test_pressure_cap(monkeypatch):
     monkeypatch.setattr(thermo, "_birkhoff_table", no_table)
     with pytest.raises(CapExceededError):
         thermo.pressure_bracket(benchmark_a(), 1.0, 25)
+    monkeypatch.setattr(coding, "ENUMERATION_CAP", 2 ** 10)
     with pytest.raises(CapExceededError):
-        thermo.pressure_bracket(benchmark_a(), 1.0, 12, cap=2 ** 10)
+        thermo.pressure_bracket(benchmark_a(), 1.0, 12)
 
 
 def test_bowen_closed_forms():
@@ -264,10 +265,17 @@ def test_deviation_rate_matches_solved_tilt():
     assert 0.0 < rate < math.inf
     # the rate at the solved tilt reproduces eps
     stats, _ = thermo._tilt(thermo.birkhoff_table(spec, 10),
-                            thermo._phi_exponent(spec, 10), thermo.PSI_LOG_LAM)
+                            thermo.build_gibbs_model(spec, 10).t0_mid,
+                            thermo.PSI_LOG_LAM)
     s = thermo._solve_tilt(stats, stats(0.0)[1], eps)
     r = thermo.rate_function(spec, thermo.PSI_LOG_LAM, s, 10)
     assert abs(r.eps - eps) < 1e-6
+
+
+def test_solve_bowen_needs_a_positive_tol():
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            thermo.solve_bowen(benchmark_a(), 6, tol)
 
 
 def test_nl_bound_below_root_benchmark_a():
@@ -294,12 +302,13 @@ def test_nl_bound_takes_rates_at_the_model_root(monkeypatch):
     # a tighter tol moves the root; the rates must follow model.t0_mid
     # rather than re-solve the root at the default tol
     spec = benchmark_c()
+    thermo.build_gibbs_model.cache_clear()  # no default-tol model to hit
     model = thermo.build_gibbs_model(spec, 10, tol=1e-9)
 
     def fail(*args):
         raise AssertionError("nl_dimension_bound re-solved the root")
 
-    monkeypatch.setattr(thermo, "_phi_exponent", fail)
+    monkeypatch.setattr(thermo, "solve_bowen", fail)
     nl = thermo.nl_dimension_bound(spec, model)
     assert not nl.irregular_degenerate
     assert nl.bound < model.t0_lo
@@ -426,7 +435,8 @@ def _same_nl_bound(got, want):
 def test_deviation_rates_match_per_call_reference(spec, n):
     model = thermo.build_gibbs_model(spec, n)
     table = thermo.birkhoff_table(spec, n)
-    t0 = thermo._phi_exponent(spec, n)
+    lo, hi = thermo.solve_bowen(spec, n)
+    t0 = 0.5 * (lo + hi)
     rates = {}
 
     def rate(table, t0, psi, eps):
@@ -463,7 +473,7 @@ def test_solve_tilt_stops_once_the_bracket_closes(monkeypatch):
     # bits with fewer tilted evaluations.
     spec, n = benchmark_c(), 10
     table = thermo.birkhoff_table(spec, n)
-    t0 = thermo._phi_exponent(spec, n)
+    t0 = thermo.build_gibbs_model(spec, n).t0_mid
     ref_calls, ref_stats = [], ref_tilt_stats
 
     def counted_ref_stats(*args):
@@ -616,6 +626,7 @@ def test_table_build_memory_stays_near_its_output():
     spec = benchmark_c()
     thermo.birkhoff_table(spec, 3)  # warm imports and small caches
     thermo.birkhoff_table.cache_clear()
+    thermo.build_gibbs_model.cache_clear()
     tracemalloc.start()
     try:
         table = thermo.birkhoff_table(spec, 16)
@@ -631,18 +642,20 @@ def test_table_build_memory_stays_near_its_output():
 def test_gibbs_model_builds_each_table_once():
     spec = benchmark_c()
     thermo.birkhoff_table.cache_clear()
+    thermo.build_gibbs_model.cache_clear()
     thermo.build_gibbs_model(spec, 7)
     info = thermo.birkhoff_table.cache_info()
     assert info.misses == 1 and info.hits >= 2
 
 
-def test_cap_checked_before_cached_table():
+def test_cap_checked_before_cached_table(monkeypatch):
     spec = benchmark_a()
     thermo.birkhoff_table(spec, 8)
+    monkeypatch.setattr(coding, "ENUMERATION_CAP", 2 ** 8 - 1)
     with pytest.raises(CapExceededError):
-        thermo.birkhoff_table(spec, 8, 2 ** 8 - 1)
+        thermo.birkhoff_table(spec, 8)
     with pytest.raises(CapExceededError):
-        thermo.pressure_bracket(spec, 1.0, 8, cap=2 ** 7)
+        thermo.pressure_bracket(spec, 1.0, 8)
 
 
 def test_logsumexp_matches_scipy():

@@ -7,12 +7,10 @@ ratios behind packing/covering behavior, and the multiplicity of tube
 overlaps in the y-projection, which grows with the generation.
 """
 
-import math
-
 from solenoidlab import benchmark_a, benchmark_c
 from solenoidlab.geometry import local_density_stats, overlap_multiplicity
 from solenoidlab.thermo import (build_gibbs_model, deviation_decay,
-                                gibbs_weight_array, nl_dimension_bound)
+                                nl_dimension_bound)
 
 nonlinear = benchmark_c()
 decay = deviation_decay(nonlinear, range(6, 13), threshold=0.05)
@@ -26,14 +24,12 @@ nl = nl_dimension_bound(nonlinear, model)
 print(f"weak non-Lipschitz dimension bound {nl.bound:.4f} "
       f"(root interval starts at {model.t0_lo:.4f}, best eps {nl.best_eps:.3f})")
 
-# Ball-mass ratios on a slice of the constant-rate family: bounded below
-# across the radius ladder, with a growing tail of high-density points.
+# Ball-mass ratios of the depth-12 Gibbs measure on a slice of the
+# constant-rate family: bounded below across the radius ladder, with a
+# growing tail of high-density points.
 spec = benchmark_a()
-t0 = math.log(2) / math.log(2.5)
-weights = gibbs_weight_array(spec, t0, 12)
 radii = [0.4 ** k for k in range(3, 9)]
-report = local_density_stats(spec, weights, 0.0, 12, radii, samples=150,
-                             seed=4)
+report = local_density_stats(spec, 0.0, 12, radii, samples=150, seed=4)
 for r, lo, med in zip(report.radii, report.ratio_min, report.ratio_median):
     print(f"  r={r:.2e}: mass/r^t0 in [{lo:.3f}, median {med:.3f}]")
 print(f"bounded-ratio fraction {report.frac_bounded:.2f}, "

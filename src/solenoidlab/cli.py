@@ -379,20 +379,30 @@ def _cmd_bowen(cfg, stages, out_dir):
     return _model_summary(model, flags)
 
 
+def _fit(cfg, stages, name, cloud, depth_field):
+    """The box-dimension fit of one cloud; a refusal is a config error."""
+    try:
+        return stages.run(f"{name}_fit", geometry.box_dimension, cloud,
+                          cfg.k_scales)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{name} cloud at config field '{depth_field}' = "
+            f"{getattr(cfg, depth_field)} cannot be fitted: {exc}") from exc
+
+
 def _cmd_dimension(cfg, stages, out_dir):
     spec = cfg.spec
     sl = stages.run("slice_cloud", geometry.slice_cloud, spec,
                     cfg.slice_fiber, cfg.depth_n)
-    slice_fit = stages.run("slice_fit", geometry.box_dimension, sl,
-                           cfg.k_scales)
-    proj_fit = stages.run("projection_fit", geometry.box_dimension,
-                          geometry.project_cloud(sl, (0,)), cfg.k_scales)
+    slice_fit = _fit(cfg, stages, "slice", sl, "depth_n")
+    proj_fit = _fit(cfg, stages, "projection",
+                    geometry.project_cloud(sl, (0,)), "depth_n")
     full_depth = cfg.full_depth or cfg.depth_n
     full_fibers = cfg.full_fibers or cfg.fibers
     full = stages.run("attractor_cloud", geometry.attractor_cloud, spec,
                       full_depth, full_fibers, threads=cfg.threads)
-    full_fit = stages.run("full_fit", geometry.box_dimension, full,
-                          cfg.k_scales)
+    full_fit = _fit(cfg, stages, "full", full,
+                    "full_depth" if cfg.full_depth else "depth_n")
     stages.run("write_slice_cloud", _cloud_csv,
                os.path.join(out_dir, "slice_cloud.csv"), sl, ("y", "z"))
     stages.run("write_attractor_cloud", _cloud_csv,
@@ -545,6 +555,11 @@ def run_command(cfg: RunConfig, command: str) -> Report:
     if not 0.0 < cfg.tol < math.inf:
         raise ConfigError("config field 'tol' must be a positive finite "
                           f"number, got {cfg.tol!r}")
+    for name, value in vars(cfg).items():
+        values = value if name == "eps_grid" else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"config field '{name}' must be finite, "
+                              f"got {value!r}")
     if cfg.deviation_hi < cfg.deviation_lo:
         raise ConfigError("config field 'deviation_hi' must be >= "
                           f"deviation_lo {cfg.deviation_lo}, "

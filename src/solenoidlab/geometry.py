@@ -2,13 +2,16 @@
 
 Cloud representatives come from the disc-center anchor construction, so a
 generation-n slice cloud approximates the attractor's stable section at
-resolution (sup lam')**n.  Box counting takes one count per scale on an
-origin-anchored dyadic grid; the scale window is auto-selected away from
-the too-few-boxes and saturation regimes and never descends below the
-cloud's stated resolution.  A full attractor cloud is fibre-major: the
-same word over adjacent fibers lies on one leaf, so its boxes are counted
-along the leaf chords between adjacent fibers and its floor is
-max((sup lam')**n, chord error), well below the fiber spacing.
+resolution (sup lam')**n.  One counter serves every cloud: it counts the
+boxes of an origin-anchored dyadic grid met by the segments from row i to
+row i + stride, every level from one fine pass.  A slice or projection
+cloud has stride 0, so its segments are its points.  A full attractor
+cloud is fibre-major: the same word over adjacent fibers lies on one
+leaf, so its segments are the leaf chords between adjacent fibers
+(stride = words) and its floor is max((sup lam')**n, chord error), well
+below the fiber spacing.  The scale window is auto-selected away from the
+too-few-boxes and saturation regimes and never descends below the
+cloud's stated resolution.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .coding import _check_cap, word_representatives
 from .errors import ResolutionError
 from .maps import SolenoidSpec
 from .numerics import TWO_PI
-from .thermo import _weights_as_array, birkhoff_table, build_gibbs_model
+from .thermo import birkhoff_table, build_gibbs_model
 
 BOUND_FACTOR = 16.0  # see local_density_stats
 GROWTH_FACTOR = 2.0
@@ -163,18 +166,6 @@ def _mix(cols, spans) -> np.ndarray:
     return key
 
 
-def _box_count(points: np.ndarray, r: float) -> int:
-    if len(points) == 0:
-        return 0
-    idx = np.floor(points / r).astype(np.int64)
-    mins = idx.min(axis=0)
-    idx -= mins
-    spans = idx.max(axis=0).astype(np.int64) + 1
-    # distinct keys by sorting and comparing neighbours (np.unique is slower)
-    keys = np.sort(_mix(idx.T, spans))
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-
-
 # Chord runs generated per block of chords while counting.
 _CHORD_BLOCK = 1 << 15
 
@@ -252,113 +243,92 @@ def _chord_runs(a: np.ndarray, b: np.ndarray, axes, lo, spans):
     return _union(np.concatenate(starts), np.concatenate(ends))
 
 
-class _ChordCounter:
-    """Box counts of the leaf chords of a fibre-major cloud.
+def _dyadic_counts(points: np.ndarray, stride: int, resolution: float,
+                   n_max: float) -> dict:
+    """Box counts {j: N(2**-j)} of the segments from row i to row i + stride.
 
-    The chord from word w over fiber f to word w over fiber f+1 follows
-    one leaf; N(r) is the number of boxes the chords pass through (their
-    end points included).  The seam gap from the last fiber back to 2*pi
-    is left out, because the word labels permute there.  The counts come
-    from one fine pass whose box indices are halved level by level.
+    N(r) is the number of boxes of the origin-anchored grid that the
+    segments meet, end points included.  With stride 0 every segment is a
+    point, so N(r) counts the boxes holding points.  A fibre-major cloud
+    has stride = words: each segment is the leaf chord from a word over
+    one fiber to the same word over the next, and the seam gap from the
+    last fiber back to 2*pi is left out, because the word labels permute
+    there.  Levels 0 up to the first count above n_max are returned, or up
+    to the finest level with 2**-j at or above the resolution (none if
+    the resolution exceeds 1).
+
+    One fine pass counts a level and every coarser one by halving box
+    indices, exact for dyadic r.  Its level is the first one predicted to
+    pass n_max (first from the middle sixteenth of the segments), so one
+    pass usually serves the whole fit; the prediction steers only the
+    cost, never the counts.
     """
+    finest = max((j for j in range(48)
+                  if 2.0 ** -j >= resolution * (1.0 - 1e-12)), default=-1)
+    segments = points.shape[0] - stride
+    extent = np.array([np.abs(points[stride:, c] - points[:segments, c]).mean()
+                       for c in range(points.shape[1])])
+    # Cut the segments on every axis but the one they run furthest along.
+    run = int(np.argmax(extent))
+    axes = [c for c in range(points.shape[1]) if c != run] + [run]
+    bounds = [(points[:, c].min(), points[:, c].max()) for c in axes]
 
-    def __init__(self, points: np.ndarray, fibers: int, words: int,
-                 resolution: float, n_max: float):
-        if fibers * words != points.shape[0] or fibers < 2:
-            raise ValueError("fibre-major layout does not match the cloud")
-        self.points, self.fibers, self.words = points, fibers, words
-        dim = points.shape[1]
-        self.extent = np.array([np.abs(points[words:, c] - points[:-words, c]).mean()
-                                for c in range(dim)])
-        # Cut the chords on every axis but the one they run furthest along.
-        run = int(np.argmax(self.extent))
-        self.axes = list(c for c in range(dim) if c != run) + [run]
-        self.bounds = [(points[:, c].min(), points[:, c].max())
-                       for c in self.axes]
-        self.finest = max((j for j in range(48)
-                           if 2.0 ** -j >= resolution * (1.0 - 1e-12)),
-                          default=0)
-        self.n_max = n_max
-        self.counts = {}  # dyadic level j -> count at r = 2**-j
-
-    def __call__(self, r: float) -> int:
-        j = int(round(-math.log2(r)))
-        if j not in self.counts:
-            self._fill(j)
-        return self.counts[j]
-
-    def _fill(self, j: int):
-        """Count one level at or below j, then every coarser level by halving.
-
-        The level is the first one predicted to pass saturation, so that one
-        pass usually serves the whole fit; the prediction steers only the
-        cost, never the counts.
-        """
-        known = self.counts or self._estimate()
-        top = max(known)
-        over = [level for level in sorted(known) if known[level] > self.n_max]
-        if over:
-            target = over[0]
-        else:
-            growth = max(known[top] / max(known.get(top - 1, 1), 1), 1.5)
-            # At most three levels (8x the work) past the finest known one.
-            target = top + min(3, math.ceil(
-                math.log(self.n_max / known[top]) / math.log(growth)))
-        target = max(j, min(target, self.finest))
-        self.counts.update(self._levels(self._boxes(2.0 ** -target), target))
-
-    def _estimate(self) -> dict:
-        """Counts extrapolated from the middle sixteenth of the gaps."""
-        gaps = self.fibers - 1
-        sample = max(1, gaps // 16)
-        first = (gaps - sample) // 2 * self.words
-        # Two levels below the typical chord length, where gaps share few boxes.
-        chord = float(np.linalg.norm(self.extent))
-        level = math.ceil(-math.log2(chord)) + 2 if chord > 0 else 0
-        level = max(0, min(level, self.finest))
-        boxes = self._boxes(2.0 ** -level, first, first + sample * self.words)
-        return {lv: c * gaps / sample
-                for lv, c in self._levels(boxes, level).items()}
-
-    @staticmethod
-    def _levels(boxes, level: int) -> dict:
-        counts = {}
-        for lv in range(level, -1, -1):
-            counts[lv] = _interval_total(boxes[:2])
-            if lv:
-                boxes = _halve(*boxes)
-        return counts
-
-    def _boxes(self, r: float, first: int = 0, stop=None):
-        """Boxes met by chords first..stop-1 at scale r: (starts, ends, lo, spans).
-
-        Chord i runs from row i to row i + words; by default all chords.
-        """
-        pts, words, axes = self.points, self.words, self.axes
+    def level_counts(level, first=0, stop=segments):
+        """Counts at level .. 0 of the boxes met by segments first..stop-1."""
+        r = 2.0 ** -level
         lo, hi = (np.floor(np.array(v) / r).astype(np.int64)
-                  for v in zip(*self.bounds))
+                  for v in zip(*bounds))
         spans = hi - lo + 1
-        runs_per_chord = 1.0 + float(np.sum(self.extent[axes[:-1]])) / r
-        step = max(1, int(_CHORD_BLOCK / runs_per_chord))
+        runs_per_segment = 1.0 + float(np.sum(extent[axes[:-1]])) / r
+        step = max(1, int(_CHORD_BLOCK / runs_per_segment))
         starts, ends = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        chords = pts.shape[0] - words if stop is None else stop  # no seam chords
-        for s in range(first, chords, step):
-            e = min(s + step, chords)
-            block = _chord_runs((pts[s:e] / r).T.copy(),
-                                (pts[s + words:e + words] / r).T.copy(),
+        for s in range(first, stop, step):
+            e = min(s + step, stop)
+            block = _chord_runs((points[s:e] / r).T.copy(),
+                                (points[s + stride:e + stride] / r).T.copy(),
                                 axes, lo, spans)
             starts.append(block[0])
             ends.append(block[1])
             # Merge once the new runs outnumber the merged ones.
-            if 2 * starts[0].size <= sum(x.size for x in starts) or e == chords:
+            if 2 * starts[0].size <= sum(x.size for x in starts) or e == stop:
                 merged = _union(np.concatenate(starts), np.concatenate(ends))
                 starts, ends = [merged[0]], [merged[1]]
-        return starts[0], ends[0], lo, spans
+        boxes, counts = (starts[0], ends[0], lo, spans), {}
+        for lv in range(level, -1, -1):
+            counts[lv] = int(np.sum(boxes[1] - boxes[0] + 1))
+            if lv:
+                boxes = _halve(*boxes)
+        return counts
 
+    def estimate():
+        """Counts extrapolated from the middle sixteenth of the segments."""
+        unit = max(stride, 1)  # whole fibre gaps of a fibre-major cloud
+        gaps = segments // unit
+        sample = max(1, gaps // 16)
+        first = (gaps - sample) // 2 * unit
+        # Two levels below the typical segment length, where gaps share
+        # few boxes; level 0 for points.
+        length = float(np.linalg.norm(extent))
+        level = math.ceil(-math.log2(length)) + 2 if length > 0 else 0
+        level = max(0, min(level, finest))
+        return {lv: c * gaps / sample for lv, c in
+                level_counts(level, first, first + sample * unit).items()}
 
-def _interval_total(intervals) -> int:
-    starts, ends = intervals
-    return int(np.sum(ends - starts + 1))
+    counts, j = {}, 0
+    while j <= finest:
+        if j not in counts:
+            known = counts or estimate()
+            top = max(known)
+            over = [lv for lv, c in known.items() if c > n_max]
+            growth = max(known[top] / max(known.get(top - 1, 1), 1), 1.5)
+            # At most three levels (8x the work) past the finest known one.
+            target = min(over) if over else top + min(3, math.ceil(
+                math.log(n_max / known[top]) / math.log(growth)))
+            counts.update(level_counts(max(j, min(target, finest))))
+        if counts[j] > n_max:
+            break
+        j += 1
+    return {lv: counts[lv] for lv in range(min(j, finest) + 1)}
 
 
 def _halve(starts, ends, lo, spans):
@@ -389,38 +359,27 @@ def box_dimension(cloud: PointCloud, k_scales: int = 12) -> DimensionFit:
     Each scale is one count on the origin-anchored grid, not a mean over
     shifted grids.
     """
-    pts = cloud.points
     if len(cloud) < 100:
         raise ValueError("need at least 100 points for a box-dimension fit")
     if k_scales < 5:
         raise ValueError("need at least 5 scales")
     n_max = max(2.0, len(cloud) / 4.0)
+    stride = 0
     layout = cloud.provenance.get("fiber_major")
-    if layout is None:
-        def count_boxes(r):
-            return _box_count(pts, r)
-    else:
-        count_boxes = _ChordCounter(pts, layout["fibers"], layout["words"],
-                                    cloud.resolution, n_max)
-
-    counts = {}
-    for j in range(0, 48):
-        r = 2.0 ** (-j)
-        if r < cloud.resolution * (1.0 - 1e-12):
-            break
-        count = float(count_boxes(r))
-        counts[r] = count
-        if count > n_max:
-            break
+    if layout is not None:
+        stride = layout["words"]
+        if layout["fibers"] * stride != len(cloud) or layout["fibers"] < 2:
+            raise ValueError("fibre-major layout does not match the cloud")
+    counts = {2.0 ** -j: float(c) for j, c in _dyadic_counts(
+        cloud.points, stride, cloud.resolution, n_max).items()}
 
     valid = [(r, c) for r, c in counts.items() if 2.0 <= c <= n_max]
     if not valid:
         if counts and all(c <= 1.0 for c in counts.values()):
             # Everything in one box at every scale: dimension zero.
-            used = dict(list(counts.items())[:max(5, len(counts))])
-            rs = sorted(used)
+            rs = sorted(counts)
             return DimensionFit(slope=0.0, r2=1.0, scale_lo=rs[0],
-                                scale_hi=rs[-1], counts=used)
+                                scale_hi=rs[-1], counts=counts)
         raise ValueError("degenerate scale range: no usable dyadic scales")
     if len(valid) < 5:
         raise ValueError(
@@ -469,17 +428,17 @@ class DensityReport:
                 "samples": self.samples}
 
 
-def local_density_stats(spec: SolenoidSpec, weights, x: float, n: int,
-                        radii, samples: int = 200,
-                        seed: int = 0) -> DensityReport:
-    """Density ratios of the cylinder-weight measure on a stable slice.
+def local_density_stats(spec: SolenoidSpec, x: float, n: int, radii,
+                        samples: int = 200, seed: int = 0) -> DensityReport:
+    """Density ratios of the generation-n Gibbs measure on a stable slice.
 
-    Sample points are drawn with the cylinder weights (fixed seed); for
-    each the measure of the ball of every radius is divided by r**t0, t0
-    the generation-n model root.  frac_bounded is the fraction of points
-    whose ratio stays within BOUND_FACTOR across the radii; frac_growing
-    the fraction whose ratio at the finest radius exceeds GROWTH_FACTOR
-    times the coarsest one (density blow-up, the overlap signature).
+    Sample points are drawn with the weights of `build_gibbs_model(spec,
+    n)` (fixed seed); for each the measure of the ball of every radius is
+    divided by r**t0, t0 the same model's root midpoint.  frac_bounded is
+    the fraction of points whose ratio stays within BOUND_FACTOR across
+    the radii; frac_growing the fraction whose ratio at the finest radius
+    exceeds GROWTH_FACTOR times the coarsest one (density blow-up, the
+    overlap signature).
     """
     radii = tuple(float(r) for r in radii)
     if not radii:
@@ -489,10 +448,9 @@ def local_density_stats(spec: SolenoidSpec, weights, x: float, n: int,
     if below:
         raise ResolutionError(
             f"radii {below} lie below the generation resolution {resolution:g}")
-    warr = _weights_as_array(spec, weights, n)
-    cloud = slice_cloud(spec, x, n)
-    reps = cloud.points
-    t0 = build_gibbs_model(spec, n).t0_mid
+    model = build_gibbs_model(spec, n)
+    warr, t0 = model.weights, model.t0_mid
+    reps = slice_cloud(spec, x, n).points
     rng = np.random.default_rng(seed)
     picks = rng.choice(warr.size, size=samples, replace=True, p=warr)
 

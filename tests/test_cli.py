@@ -242,6 +242,36 @@ def test_bowen_tol_exits_promptly(tmp_path, tol, code):
         assert res["results"]["t0_lo"] <= T0_A <= res["results"]["t0_hi"]
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, field", [
+    ("pressure", "t_max"), ("holonomy", "x_dst"),
+    ("deviations", "deviation_threshold"), ("deviations", "eps_grid")])
+def test_main_exits_2_on_non_finite_floats(tmp_path, capsys, command, field,
+                                           value):
+    path = write_config(
+        tmp_path, **{field: [0.1, value] if field == "eps_grid" else value})
+    assert cli.main([command, "--config", path]) == 2
+    assert f"config field '{field}' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fields, named, reason", [
+    ({"depth_n": 6}, "slice cloud at config field 'depth_n' = 6",
+     "need at least 100 points"),
+    ({"depth_n": 7}, "full cloud at config field 'depth_n' = 7",
+     "only 2 usable scales"),
+    ({"full_depth": 8, "full_fibers": 1},
+     "full cloud at config field 'full_depth' = 8",
+     "no usable dyadic scales")])
+def test_main_exits_2_on_a_refused_fit(tmp_path, capsys, fields, named,
+                                       reason):
+    path = write_config(tmp_path, fibers=4, **fields)
+    assert cli.main(["dimension", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert named in err and reason in err
+
+
 def test_report_solves_each_root_once(tmp_path, monkeypatch):
     # one cached Gibbs model per generation serves every stage
     solve, calls = thermo.solve_bowen, []

@@ -11,6 +11,8 @@ from solenoidlab.coding import word_representatives
 from solenoidlab.numerics import TWO_PI
 
 T0_A = math.log(2.0) / math.log(2.5)
+D3 = SolenoidSpec(d=3, eta_eps=0.4, lam0=0.2, lam1=0.03, lam2=0.02,
+                  nu0=0.08, nu2=0.02, u_amp=0.4, v_amp=0.4)
 
 
 def test_slice_cloud_generation_one():
@@ -169,6 +171,62 @@ def test_chord_counts_floor_and_threads():
     assert geometry.box_dimension(threaded, 12).to_dict() == fit.to_dict()
 
 
+def _box_count(points, r):
+    """Distinct boxes of side r holding a point, by one sort per scale."""
+    idx = np.floor(points / r).astype(np.int64)
+    idx -= idx.min(axis=0)
+    keys = np.sort(geometry._mix(idx.T, idx.max(axis=0) + 1))
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+def _assert_counts_match_sort(cloud):
+    n_max = max(2.0, len(cloud) / 4.0)
+    counts = geometry._dyadic_counts(cloud.points, 0, cloud.resolution, n_max)
+    finest = max(j for j in range(48) if 2.0 ** -j >= cloud.resolution)
+    assert list(counts) == list(range(len(counts)))
+    # levels stop at the first count above n_max, else at the finest level
+    last = max(counts)
+    assert counts[last] > n_max or last == finest
+    assert all(c <= n_max for j, c in counts.items() if j < last)
+    for j, count in counts.items():
+        assert count == _box_count(cloud.points, 2.0 ** -j), j
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_point_counts_match_sort_on_random_clouds(dim):
+    rng = np.random.default_rng(dim)
+    for size in (100, 700, 3000):
+        pts = rng.uniform(-1.0, 1.5, (size, dim))
+        # repeated points, and points sharing a coordinate on a grid line
+        pts[rng.integers(0, size, size // 3)] = pts[rng.integers(0, size, size // 3)]
+        pts[: size // 4, 0] = np.round(pts[: size // 4, 0] * 8) / 8
+        _assert_counts_match_sort(geometry.PointCloud(dim, pts, {}, 1e-9))
+
+
+def test_point_counts_match_sort_on_cantor_cloud():
+    pts = np.zeros(1)
+    for _ in range(12):
+        pts = np.concatenate([pts / 3.0, pts / 3.0 + 2.0 / 3.0])
+    _assert_counts_match_sort(geometry.PointCloud(
+        2, np.column_stack([pts, np.zeros_like(pts)]), {}, 3.0 ** -12))
+
+
+@pytest.mark.parametrize("spec, n", [(benchmark_a(), 12), (benchmark_c(), 12),
+                                     (D3, 7)], ids=["A", "C", "d3"])
+def test_point_counts_match_sort_on_slice_and_projection(spec, n):
+    sl = geometry.slice_cloud(spec, 0.7, n)
+    _assert_counts_match_sort(sl)
+    _assert_counts_match_sort(geometry.project_cloud(sl, (0,)))
+
+
+def test_box_dimension_refuses_a_resolution_above_one():
+    cloud = geometry.attractor_cloud(benchmark_a(), 8, 1)
+    assert cloud.resolution == pytest.approx(TWO_PI)
+    assert geometry._dyadic_counts(cloud.points, 0, cloud.resolution, 64) == {}
+    with pytest.raises(ValueError, match="no usable dyadic scales"):
+        geometry.box_dimension(cloud, 12)
+
+
 def test_box_dimension_single_point():
     pts = np.tile([[0.3, -0.2]], (150, 1))
     fit = geometry.box_dimension(geometry.PointCloud(2, pts, {}, 1e-9), 8)
@@ -217,9 +275,8 @@ def test_z_extent_below_y_extent_for_thin_spec():
 def test_local_density_bounded_below():
     spec = benchmark_a()
     n = 12
-    w = thermo.gibbs_weight_array(spec, T0_A, n)
     radii = [0.4 ** k for k in range(3, 9)]
-    rep = geometry.local_density_stats(spec, w, 0.0, n, radii, samples=100,
+    rep = geometry.local_density_stats(spec, 0.0, n, radii, samples=100,
                                        seed=1)
     assert min(rep.ratio_min) > 0.05
     # lower bound does not decay along the radius ladder
@@ -228,19 +285,18 @@ def test_local_density_bounded_below():
 
 def test_local_density_resolution_error():
     spec = benchmark_a()
-    w = thermo.gibbs_weight_array(spec, T0_A, 8)
     with pytest.raises(ResolutionError):
-        geometry.local_density_stats(spec, w, 0.0, 8, [0.4 ** 10])
+        geometry.local_density_stats(spec, 0.0, 8, [0.4 ** 10])
 
 
 def test_ball_mass_matches_bruteforce():
     # the ball masses inside local_density_stats, ratio * r**t0, against
-    # brute-force sums around the same seeded centres
+    # brute-force sums of the model weights around the same seeded centres
     spec = benchmark_a()
     n, x, seed, samples = 8, 0.5, 3, 20
     radii = (0.01, 0.05, 0.2, 0.5)
-    w = thermo.gibbs_weight_array(spec, T0_A, n)
-    rep = geometry.local_density_stats(spec, w, x, n, radii, samples=samples,
+    w = thermo.build_gibbs_model(spec, n).weights
+    rep = geometry.local_density_stats(spec, x, n, radii, samples=samples,
                                        seed=seed)
     points = geometry.slice_cloud(spec, x, n).points
     picks = np.random.default_rng(seed).choice(w.size, size=samples,
@@ -276,9 +332,6 @@ def test_overlap_growth_exponent_bounded():
 # ---------------------------------------------------------------------------
 # Overlap counts against the heap sweep they replaced
 # ---------------------------------------------------------------------------
-
-D3 = SolenoidSpec(d=3, eta_eps=0.4, lam0=0.2, lam1=0.03, lam2=0.02,
-                  nu0=0.08, nu2=0.02, u_amp=0.4, v_amp=0.4)
 
 
 def _heap_overlap_pairs(lo, hi):

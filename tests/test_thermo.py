@@ -209,13 +209,10 @@ def test_gibbs_model_holds_the_weight_array():
 
 
 def test_weight_array_length_must_be_d_to_the_n():
-    from solenoidlab import geometry
     spec = benchmark_a()
     short = thermo.gibbs_weight_array(spec, T0_A, 7)
     with pytest.raises(ValueError, match=r"2\*\*8 = 256"):
         thermo.lyapunov_exponents(spec, short, 8)
-    with pytest.raises(ValueError, match=r"2\*\*8 = 256"):
-        geometry.local_density_stats(spec, short, 0.0, 8, [0.5])
     with pytest.raises(ValueError, match="sum 1"):
         thermo.lyapunov_exponents(spec, np.full(2 ** 8, 1.0 / 2 ** 7), 8)
 

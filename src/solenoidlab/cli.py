@@ -2,8 +2,9 @@
 
 JSON config in, JSON/CSV artifacts out.  Reports are deterministic: the
 same config and seed produce byte-identical report files; wall-clock
-timings go to a sibling *_timings.json so they never perturb the
-comparable bytes.  Every artifact embeds the spec hash.
+timings, and the process's memory high-water mark after each stage, go
+to a sibling *_timings.json so they never perturb the comparable bytes.
+Every artifact embeds the spec hash.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -90,6 +92,7 @@ class Report:
     inputs: dict
     results: dict
     timings: dict
+    rss_high_water_mb: dict
 
     def to_json(self):
         """Deterministic byte content (timings excluded)."""
@@ -100,7 +103,9 @@ class Report:
     def timings_json(self):
         return json.dumps(_jsonable({"command": self.command,
                                      "spec_hash": self.spec_hash,
-                                     "timings_ms": self.timings}),
+                                     "timings_ms": self.timings,
+                                     "rss_high_water_mb":
+                                         self.rss_high_water_mb}),
                           sort_keys=True, indent=2) + "\n"
 
 
@@ -197,15 +202,19 @@ def load_config(path) -> RunConfig:
 
 
 class _Stages:
-    """Per-stage wall-clock collection."""
+    """Per-stage wall clock, and the peak RSS of the process after each stage."""
 
     def __init__(self):
         self.timings = {}
+        self.rss_high_water_mb = {}
 
     def run(self, name, fn, *args, **kwargs):
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
         self.timings[name] = 1000.0 * (time.perf_counter() - t0)
+        # ru_maxrss is in KiB on Linux.
+        self.rss_high_water_mb[name] = resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0
         return out
 
 
@@ -570,7 +579,8 @@ def run_command(cfg: RunConfig, command: str) -> Report:
     results = _DISPATCH[command](cfg, stages, out_dir)
     report = Report(command=command, spec_hash=cfg.spec.spec_hash(),
                     inputs=cfg.echo(), results=results,
-                    timings=stages.timings)
+                    timings=stages.timings,
+                    rss_high_water_mb=stages.rss_high_water_mb)
     path = os.path.join(out_dir, f"{command}_report.json")
     stages.run("write_report", lambda: _write(path, report.to_json()))
     _write(os.path.join(out_dir, f"{command}_timings.json"),

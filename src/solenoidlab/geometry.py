@@ -31,6 +31,9 @@ from .thermo import birkhoff_table, build_gibbs_model
 BOUND_FACTOR = 16.0  # see local_density_stats
 GROWTH_FACTOR = 2.0
 
+# Points per chunk of whole fibres while building or scanning a full cloud.
+_CLOUD_CHUNK = 1 << 15
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -93,6 +96,11 @@ def attractor_cloud(spec: SolenoidSpec, n: int, fibers: int,
     of how far a straight chord between adjacent fibers strays from its
     leaf arc (see `_chord_error`).  With fewer fibers the resolution is
     max(fiber spacing, (sup lam')**n).
+
+    The cloud is built, and its chord error read, in chunks of whole
+    fibres of at most _CLOUD_CHUNK points, so no temporary spans the whole
+    cloud.  `threads` sets only how many workers map over those chunks:
+    the chunks, and every bit of the result, are the same for any value.
     """
     if fibers <= 0:
         raise ValueError("fiber count must be positive; empty cloud requested")
@@ -108,13 +116,8 @@ def attractor_cloud(spec: SolenoidSpec, n: int, fibers: int,
         block[:, :, 1] = y
         block[:, :, 2] = z
 
-    if threads > 1 and fibers > 1:
-        chunks = [slice(c[0], c[-1] + 1) for c in
-                  np.array_split(np.arange(fibers), min(4 * threads, fibers))]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(build, chunks))
-    else:
-        build(slice(None))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(build, _fibre_chunks(fibers, words)))
     pts = grid.reshape(-1, 3)
     provenance = {"spec_hash": spec.spec_hash(), "generation": n,
                   "fiber": "full"}
@@ -128,20 +131,31 @@ def attractor_cloud(spec: SolenoidSpec, n: int, fibers: int,
                       resolution=resolution)
 
 
+def _fibre_chunks(fibers: int, words: int) -> list:
+    """Runs of whole fibres of at most _CLOUD_CHUNK points, at least one fibre."""
+    step = max(1, _CLOUD_CHUNK // words)
+    return [slice(f, min(f + step, fibers)) for f in range(0, fibers, step)]
+
+
 def _chord_error(points: np.ndarray, fibers: int, words: int) -> float:
     """Estimated largest gap between a leaf chord and its leaf arc.
 
     Over one fiber spacing an arc whose second difference across adjacent
     fibers (word by word) is D2 strays from its chord by about |D2|/8, the
     exact value for a parabola.  This is an estimate, not a bound: it
-    reads the curvature off the samples themselves.
+    reads the curvature off the samples themselves.  The differences are
+    taken over chunks of fibres, each reading two fibres past its end.
     """
     grid = points.reshape(fibers, words, -1)
-    sq = np.zeros((fibers - 2, words))
-    for c in range(grid.shape[2]):
-        d2 = grid[:-2, :, c] - 2.0 * grid[1:-1, :, c] + grid[2:, :, c]
-        sq += d2 * d2
-    return float(np.sqrt(sq.max())) / 8.0
+    worst = 0.0
+    for rows in _fibre_chunks(fibers - 2, words):
+        g = grid[rows.start:rows.stop + 2]
+        sq = np.zeros((g.shape[0] - 2, words))
+        for c in range(g.shape[2]):
+            d2 = g[:-2, :, c] - 2.0 * g[1:-1, :, c] + g[2:, :, c]
+            sq += d2 * d2
+        worst = max(worst, float(sq.max()))
+    return math.sqrt(worst) / 8.0
 
 
 def project_cloud(cloud: PointCloud, cols) -> PointCloud:
@@ -254,24 +268,34 @@ def _dyadic_counts(points: np.ndarray, stride: int, resolution: float,
     one fiber to the same word over the next, and the seam gap from the
     last fiber back to 2*pi is left out, because the word labels permute
     there.  Levels 0 up to the first count above n_max are returned, or up
-    to the finest level with 2**-j at or above the resolution (none if
-    the resolution exceeds 1).
+    to the finest level with 2**-j at or above the resolution and fewer
+    than 2**63 grid boxes over the points' bounding box, so that box keys
+    fit an int64 (none if the resolution exceeds 1).
 
     One fine pass counts a level and every coarser one by halving box
-    indices, exact for dyadic r.  Its level is the first one predicted to
-    pass n_max (first from the middle sixteenth of the segments), so one
-    pass usually serves the whole fit; the prediction steers only the
-    cost, never the counts.
+    indices, exact for dyadic r.  A point is one run at every level, so a
+    point cloud takes a single pass at the finest level.  For chords the
+    pass level is the first one predicted to pass n_max (first from the
+    middle sixteenth of the chords), so one pass usually serves the whole
+    fit; the prediction steers only the cost, never the counts.
     """
-    finest = max((j for j in range(48)
-                  if 2.0 ** -j >= resolution * (1.0 - 1e-12)), default=-1)
     segments = points.shape[0] - stride
-    extent = np.array([np.abs(points[stride:, c] - points[:segments, c]).mean()
-                       for c in range(points.shape[1])])
+    gap, extent = np.empty(segments), np.empty(points.shape[1])
+    for c in range(points.shape[1]):
+        np.subtract(points[stride:, c], points[:segments, c], out=gap)
+        extent[c] = np.abs(gap, out=gap).mean()
+    del gap  # a whole-cloud buffer: not kept through the passes
     # Cut the segments on every axis but the one they run furthest along.
     run = int(np.argmax(extent))
     axes = [c for c in range(points.shape[1]) if c != run] + [run]
     bounds = [(points[:, c].min(), points[:, c].max()) for c in axes]
+    finest = max((j for j in range(48)
+                  if 2.0 ** -j >= resolution * (1.0 - 1e-12)), default=-1)
+    # Box keys are int64: no level whose grid over the bounds has 2**63 boxes.
+    while finest >= 0 and math.prod(
+            math.floor(hi * 2.0 ** finest) - math.floor(lo * 2.0 ** finest) + 1
+            for lo, hi in bounds) >= 2 ** 63:
+        finest -= 1
 
     def level_counts(level, first=0, stop=segments):
         """Counts at level .. 0 of the boxes met by segments first..stop-1."""
@@ -301,29 +325,31 @@ def _dyadic_counts(points: np.ndarray, stride: int, resolution: float,
         return counts
 
     def estimate():
-        """Counts extrapolated from the middle sixteenth of the segments."""
-        unit = max(stride, 1)  # whole fibre gaps of a fibre-major cloud
-        gaps = segments // unit
+        """Counts extrapolated from the middle sixteenth of the chords."""
+        gaps = segments // stride  # whole fibre gaps of a fibre-major cloud
         sample = max(1, gaps // 16)
-        first = (gaps - sample) // 2 * unit
-        # Two levels below the typical segment length, where gaps share
-        # few boxes; level 0 for points.
+        first = (gaps - sample) // 2 * stride
+        # Two levels below the typical chord length, where gaps share few
+        # boxes.
         length = float(np.linalg.norm(extent))
         level = math.ceil(-math.log2(length)) + 2 if length > 0 else 0
         level = max(0, min(level, finest))
         return {lv: c * gaps / sample for lv, c in
-                level_counts(level, first, first + sample * unit).items()}
+                level_counts(level, first, first + sample * stride).items()}
 
     counts, j = {}, 0
     while j <= finest:
         if j not in counts:
-            known = counts or estimate()
-            top = max(known)
-            over = [lv for lv, c in known.items() if c > n_max]
-            growth = max(known[top] / max(known.get(top - 1, 1), 1), 1.5)
-            # At most three levels (8x the work) past the finest known one.
-            target = min(over) if over else top + min(3, math.ceil(
-                math.log(n_max / known[top]) / math.log(growth)))
+            if stride:
+                known = counts or estimate()
+                top = max(known)
+                over = [lv for lv, c in known.items() if c > n_max]
+                growth = max(known[top] / max(known.get(top - 1, 1), 1), 1.5)
+                # At most three levels (8x the work) past the finest known one.
+                target = min(over) if over else top + min(3, math.ceil(
+                    math.log(n_max / known[top]) / math.log(growth)))
+            else:
+                target = finest  # a point is one run at every level
             counts.update(level_counts(max(j, min(target, finest))))
         if counts[j] > n_max:
             break

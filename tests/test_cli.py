@@ -167,12 +167,19 @@ def test_report_schema_and_determinism(tmp_path):
         assert key in body["results"], key
     assert body["spec_hash"] == cfg.spec.spec_hash()
     cfg2 = cli.load_config(path)
-    cli.run_command(cfg2, "report")
+    report = cli.run_command(cfg2, "report")
     assert out.read_bytes() == first
     timings = json.loads(
         (tmp_path / "out" / "report_timings.json").read_text())
     assert {"write_slice_cloud",
             "write_attractor_cloud"} <= set(timings["timings_ms"])
+    # the memory high-water mark after every timed stage, never falling
+    rss = timings["rss_high_water_mb"]
+    assert set(rss) == set(timings["timings_ms"])
+    in_order = list(report.rss_high_water_mb.values())
+    assert list(report.rss_high_water_mb) == list(report.timings)
+    assert in_order[0] > 0 and in_order == sorted(in_order)
+    assert in_order == [rss[name] for name in report.timings]
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,11 +54,83 @@ def test_clouds_stay_in_domain():
 
 
 def test_attractor_cloud_single_fiber_matches_slice():
-    spec = benchmark_a()
-    full = geometry.attractor_cloud(spec, 6, 1)
-    sl = geometry.slice_cloud(spec, 0.0, 6)
-    assert np.allclose(full.points[:, 1:], sl.points)
-    assert np.allclose(full.points[:, 0], 0.0)
+    for spec in (benchmark_a(), benchmark_c()):
+        full = geometry.attractor_cloud(spec, 6, 1)
+        sl = geometry.slice_cloud(spec, 0.0, 6)
+        assert np.array_equal(full.points[:, 1:], sl.points)
+        assert np.array_equal(full.points[:, 0], np.zeros(len(sl)))
+
+
+def _whole_chord_error(points, fibers, words):
+    """The chord error from whole-cloud second differences: the reference."""
+    grid = points.reshape(fibers, words, -1)
+    sq = np.zeros((fibers - 2, words))
+    for c in range(grid.shape[2]):
+        d2 = grid[:-2, :, c] - 2.0 * grid[1:-1, :, c] + grid[2:, :, c]
+        sq += d2 * d2
+    return float(np.sqrt(sq.max())) / 8.0
+
+
+def _whole_attractor_cloud(spec, n, fibers):
+    """The attractor cloud from one forward pass over every fibre at once."""
+    words = spec.d ** n
+    xs = TWO_PI * np.arange(fibers) / fibers
+    y, z = word_representatives(spec, xs, n)
+    grid = np.empty((fibers, words, 3))
+    grid[:, :, 0] = xs[:, None]
+    grid[:, :, 1] = y
+    grid[:, :, 2] = z
+    pts = grid.reshape(-1, 3)
+    provenance = {"spec_hash": spec.spec_hash(), "generation": n,
+                  "fiber": "full"}
+    if fibers >= 3:
+        provenance["fiber_major"] = {"fibers": fibers, "words": words}
+        resolution = max(spec.contraction_sup() ** n,
+                         _whole_chord_error(pts, fibers, words))
+    else:
+        resolution = max(TWO_PI / fibers, spec.contraction_sup() ** n)
+    return pts, provenance, resolution
+
+
+# Fibre counts off the chunk size, one fibre per chunk (d**16 words exceed
+# the chunk), several whole chunks, and the one- and two-fibre layouts.
+@pytest.mark.parametrize("spec, n, fibers", [
+    (benchmark_a(), 12, 37), (benchmark_a(), 16, 3), (benchmark_c(), 9, 256),
+    (benchmark_a(), 10, 1), (benchmark_c(), 10, 2)],
+    ids=["A-12-37", "A-16-3", "C-9-256", "A-10-1", "C-10-2"])
+def test_chunked_attractor_cloud_matches_whole_build(spec, n, fibers):
+    pts, provenance, resolution = _whole_attractor_cloud(spec, n, fibers)
+    for threads in (1, 2, 3):
+        cloud = geometry.attractor_cloud(spec, n, fibers, threads=threads)
+        assert np.array_equal(cloud.points, pts)
+        assert cloud.resolution == resolution
+        assert cloud.provenance == provenance
+
+
+def test_chord_error_reads_across_chunk_ends():
+    # A spike on any one fibre sets the largest second difference, so every
+    # chunk must reach the two fibres past its end to match the whole scan.
+    fibers, words = 11, geometry._CLOUD_CHUNK // 4
+    grid = np.random.default_rng(5).uniform(-1.0, 1.0, (fibers, words, 3))
+    for f in range(fibers):
+        pts = grid.copy()
+        pts[f, 7, 1] += 100.0
+        pts = pts.reshape(-1, 3)
+        assert geometry._chord_error(pts, fibers, words) == \
+            _whole_chord_error(pts, fibers, words), f
+
+
+def test_attractor_cloud_holds_no_whole_cloud_temporaries():
+    # tracemalloc sees numpy buffers: beyond the result, the build and the
+    # chord error may hold only chunk-sized temporaries.
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        cloud = geometry.attractor_cloud(benchmark_a(), 12, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 1.25 * cloud.points.nbytes
 
 
 def test_attractor_cloud_thread_determinism():
@@ -217,6 +290,32 @@ def test_point_counts_match_sort_on_slice_and_projection(spec, n):
     sl = geometry.slice_cloud(spec, 0.7, n)
     _assert_counts_match_sort(sl)
     _assert_counts_match_sort(geometry.project_cloud(sl, (0,)))
+
+
+def test_point_counts_keep_box_keys_in_int64():
+    # Two opposite corners of the unit cube, 75 copies each: no count passes
+    # n_max, and from level 21 on the grid over the cube has 2**63 boxes.
+    pts = np.repeat([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], 75, axis=0)
+    counts = geometry._dyadic_counts(pts, 0, 1e-9, 37.5)
+    assert list(counts) == list(range(21))
+    for j, count in counts.items():
+        assert count == _box_count(pts, 2.0 ** -j) == 2, j
+
+
+def test_point_cloud_fit_takes_one_pass(monkeypatch):
+    calls, chord_runs = [], geometry._chord_runs
+
+    def counted(a, *rest):
+        calls.append(a.shape[1])
+        return chord_runs(a, *rest)
+
+    monkeypatch.setattr(geometry, "_chord_runs", counted)
+    for spec in (benchmark_a(), benchmark_c()):
+        sl = geometry.slice_cloud(spec, 0.0, 10)
+        for cloud in (sl, geometry.project_cloud(sl, (0,))):
+            calls.clear()
+            geometry.box_dimension(cloud, 12)
+            assert calls == [len(cloud)]
 
 
 def test_box_dimension_refuses_a_resolution_above_one():

@@ -19,17 +19,15 @@ from .maps import (SolenoidSpec, ValidationReport, benchmark_a, benchmark_b,
                    benchmark_c, validate_spec)
 from .thermo import (GibbsModel, PressureBracket, RegimeFlags,
                      build_gibbs_model, classify_regime, deviation_decay,
-                     lyapunov_exponents, nl_dimension_bound,
-                     pressure_bracket, rate_function, solve_bowen)
+                     nl_dimension_bound, pressure_bracket, solve_bowen)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SolenoidSpec", "ValidationReport", "validate_spec",
     "PressureBracket", "GibbsModel", "RegimeFlags",
-    "pressure_bracket", "solve_bowen", "lyapunov_exponents",
-    "build_gibbs_model", "classify_regime", "rate_function",
-    "nl_dimension_bound", "deviation_decay",
+    "pressure_bracket", "solve_bowen", "build_gibbs_model",
+    "classify_regime", "nl_dimension_bound", "deviation_decay",
     "PointCloud", "DimensionFit", "slice_cloud", "attractor_cloud",
     "project_cloud", "box_dimension", "local_density_stats",
     "overlap_multiplicity",

@@ -147,7 +147,8 @@ _FIELD_TYPES = {
 _MIN_SIZES = {"depth_n": 1, "fibers": 1, "threads": 1, "full_depth": 0,
               "full_fibers": 0, "leaf_samples": 2, "pair_budget": 1,
               "n_past": 1, "gamma_depth": 1, "deviation_lo": 1,
-              "grid_density": 16, "k_scales": 5, "t_points": 0}
+              "grid_density": 16, "k_scales": 5, "t_points": 0,
+              "scan_pairs": 0, "gamma_budget": 0, "leaf_margin": 0}
 
 
 def _check_sizes(cfg, names):
@@ -561,14 +562,18 @@ def run_command(cfg: RunConfig, command: str) -> Report:
         raise ConfigError(f"unknown command {command!r}; "
                           f"choose one of {', '.join(COMMANDS)}")
     _check_sizes(cfg, _MIN_SIZES)
-    if not 0.0 < cfg.tol < math.inf:
-        raise ConfigError("config field 'tol' must be a positive finite "
-                          f"number, got {cfg.tol!r}")
     for name, value in vars(cfg).items():
         values = value if name == "eps_grid" else [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+        # a non-finite tol fails the positive finite check below instead
+        if name != "tol" and any(isinstance(v, float) and not math.isfinite(v)
+                                 for v in values):
             raise ConfigError(f"config field '{name}' must be finite, "
                               f"got {value!r}")
+    for name in ("tol", "scan_L", "deviation_threshold"):
+        value = getattr(cfg, name)
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"config field '{name}' must be a positive "
+                              f"finite number, got {value!r}")
     if cfg.deviation_hi < cfg.deviation_lo:
         raise ConfigError("config field 'deviation_hi' must be >= "
                           f"deviation_lo {cfg.deviation_lo}, "

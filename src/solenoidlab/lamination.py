@@ -385,10 +385,9 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
         # partner: same most recent j_share symbols, different next digit
         digit = (i // block) % d
         new_digit = (digit + 1 + rng.integers(0, d - 1)) % d
-        deep = rng.integers(0, max(1, size // (block * d)))
+        deep = rng.integers(0, size // (block * d))
         j = int(deep) * block * d + int(new_digit) * block + int(i % block)
-        if j != i and j < size:
-            drawn.append((int(i), j))
+        drawn.append((int(i), j))
     ys, zs = leaf_states(spec, _digit_rows(np.ravel(drawn), d, n),
                          np.array([x_src, x_dst], dtype=float))
     dy, dz = ys[0::2] - ys[1::2], zs[0::2] - zs[1::2]

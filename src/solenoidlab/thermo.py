@@ -22,6 +22,8 @@ generation, and the root interval of the pressure function returned by
 Every deviation rate comes from one tilt family s -> (P(s), tilted mean),
 ``_tilt``, and one Legendre solve, ``_solve_tilt``, for the tilt whose
 mean deviates by the target; the rate is the Legendre gap at that tilt.
+The observable psi enters as the array of its per-word midpoint sums:
+``table.lam_mid`` for log lam', ``-table.eta_mid`` for -log eta'.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ from .maps import SolenoidSpec
 from .numerics import (TWO_PI, interval_cos, interval_mul, interval_sin,
                        interval_square)
 
-PSI_LOG_LAM = "log_lam"
-PSI_NEG_LOG_ETA = "neg_log_eta"
 REGIME_GRID = 256  # base points of the grid behind the uniform regime flags
 
 
@@ -71,13 +71,6 @@ class BirkhoffTable:
     @property
     def nu_mid(self):
         return 0.5 * (self.nu_inf + self.nu_sup)
-
-    def psi_mid(self, psi):
-        if psi == PSI_LOG_LAM:
-            return self.lam_mid
-        if psi == PSI_NEG_LOG_ETA:
-            return -self.eta_mid
-        raise ValueError(f"unknown potential name {psi!r}")
 
 
 def _scale_interval(lo, hi, c):
@@ -311,34 +304,11 @@ def gibbs_weight_array(spec: SolenoidSpec, t: float, n: int) -> np.ndarray:
     return np.exp(logw)
 
 
-def _weights_as_array(spec, weights, n):
-    if weights.shape != (spec.d ** n,):
-        raise ValueError(f"need one weight per word, {spec.d}**{n} = "
-                         f"{spec.d ** n}; got shape {weights.shape}")
-    if abs(float(weights.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must be normalized to sum 1")
-    return weights
-
-
-def lyapunov_exponents(spec: SolenoidSpec, weights, n: int):
-    """Weighted per-step means of the log-derivatives plus the word entropy.
-
-    Returns (chi_eta, chi_lam, chi_nu, entropy); the entropy is the
-    normalized Shannon entropy -(1/n) sum w log w of the weight table.
-    """
-    arr = _weights_as_array(spec, weights, n)
-    table = birkhoff_table(spec, n)
-    chi_eta = float(arr @ table.eta_mid) / n
-    chi_lam = float(arr @ table.lam_mid) / n
-    chi_nu = float(arr @ table.nu_mid) / n
-    pos = arr[arr > 0.0]
-    entropy = float(-(pos * np.log(pos)).sum()) / n
-    return chi_eta, chi_lam, chi_nu, entropy
-
-
 @dataclass(frozen=True)
 class GibbsModel:
-    """Dimension-root bracket plus the generation-n Gibbs approximation."""
+    """Dimension-root bracket plus the generation-n Gibbs approximation:
+    the weights, their per-step means chi_* of the log-derivatives and
+    their normalized Shannon entropy -(1/n) sum w log w."""
 
     t0_lo: float
     t0_hi: float
@@ -364,11 +334,14 @@ def build_gibbs_model(spec: SolenoidSpec, n: int,
 def _build_gibbs_model(spec: SolenoidSpec, n: int, tol: float) -> GibbsModel:
     t0_lo, t0_hi = solve_bowen(spec, n, tol)
     arr = gibbs_weight_array(spec, 0.5 * (t0_lo + t0_hi), n)
-    chi_eta, chi_lam, chi_nu, entropy = lyapunov_exponents(spec, arr, n)
+    table = birkhoff_table(spec, n)
+    pos = arr[arr > 0.0]
     arr.flags.writeable = False
     return GibbsModel(t0_lo=t0_lo, t0_hi=t0_hi, n=n, weights=arr,
-                      chi_eta=chi_eta, chi_lam=chi_lam, chi_nu=chi_nu,
-                      entropy=entropy)
+                      chi_eta=float(arr @ table.eta_mid) / n,
+                      chi_lam=float(arr @ table.lam_mid) / n,
+                      chi_nu=float(arr @ table.nu_mid) / n,
+                      entropy=float(-(pos * np.log(pos)).sum()) / n)
 
 
 build_gibbs_model.cache_info = _build_gibbs_model.cache_info
@@ -410,28 +383,20 @@ def classify_regime(spec: SolenoidSpec, model: GibbsModel) -> RegimeFlags:
 # Tilted pressures, deviation rates, and the non-Lipschitz dimension bound
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateResult:
-    """Legendre deviation rate of a tilted cylinder potential."""
-
-    i_value: float
-    eps: float
-    degenerate: bool
-
-
 # Tilts stronger than this count as unreachable deviations.
 S_MAX = 512.0
 
 
-def _tilt(table: BirkhoffTable, t0: float, psi: str):
+def _tilt(table: BirkhoffTable, t0: float, psi_sum: np.ndarray):
     """(stats, degenerate) of the tilt family of psi at the root t0.
 
-    stats(s) is the midpoint pressure P(t0*log lam' + s*psi) and the tilted
-    per-step mean of psi; degenerate: psi's per-step spread is below 1e-12.
+    psi_sum is the array of psi's per-word Birkhoff sums at the cylinder
+    midpoints, in table word order.  stats(s) is the midpoint pressure
+    P(t0*log lam' + s*psi) and the tilted per-step mean of psi;
+    degenerate: psi's per-step spread is below 1e-12.
     """
     n = table.n
     base = t0 * table.lam_mid
-    psi_sum = table.psi_mid(psi)
 
     def stats(s):
         logw = base + s * psi_sum
@@ -441,29 +406,6 @@ def _tilt(table: BirkhoffTable, t0: float, psi: str):
 
     degenerate = float(psi_sum.max() - psi_sum.min()) / n < 1e-12
     return stats, degenerate
-
-
-def rate_function(spec: SolenoidSpec, psi: str, t_aux: float, n: int) -> RateResult:
-    """Deviation epsilon and positive rate I of the tilt t_aux.
-
-    psi selects the observable: "log_lam" or "neg_log_eta".  The rate is
-    the Legendre gap  t*E_tilted[psi] - (P(phi + t*psi) - P(phi)),
-    nonnegative and zero exactly at t_aux = 0; epsilon is the shift of the
-    mean of psi under the tilt.  A constant observable is flagged
-    degenerate: deviations of positive size then have infinite rate.
-    """
-    stats, degenerate = _tilt(birkhoff_table(spec, n),
-                              build_gibbs_model(spec, n).t0_mid, psi)
-    p0, mean0 = stats(0.0)
-    i_value, means = _legendre_gap(stats, p0, t_aux)
-    return RateResult(i_value=float(i_value), eps=float(means - mean0),
-                      degenerate=bool(degenerate))
-
-
-def _legendre_gap(stats, p0, s):
-    """Rate s*mean(s) - (P(s) - P(0)) of the tilt s, and the tilted mean."""
-    ps, means = stats(s)
-    return s * means - (ps - p0), means
 
 
 def _solve_tilt(stats, mean0, target):
@@ -495,30 +437,27 @@ def _solve_tilt(stats, mean0, target):
     return 0.5 * (lo + hi)
 
 
-def _deviation_rates(table: BirkhoffTable, t0: float, psi: str, eps):
+def _deviation_rates(table: BirkhoffTable, t0: float, psi_sum, eps):
     """Slower-tail rate at every deviation size in eps, one Legendre solve
-    per tail; math.inf where neither tail reaches (or psi is degenerate)."""
-    stats, degenerate = _tilt(table, t0, psi)
+    per tail; psi_sum is psi's per-word midpoint sums, as in `_tilt`.  The
+    rate of a tilt s is its Legendre gap s*mean(s) - (P(s) - P(0));
+    math.inf where neither tail reaches (or psi is degenerate)."""
+    stats, degenerate = _tilt(table, t0, psi_sum)
     eps = np.asarray(eps, dtype=float)
     rates = np.full(eps.size, math.inf)
     if degenerate:
         return rates
     p0, mean0 = stats(0.0)
+
+    def gap(s):
+        ps, means = stats(s)
+        return s * means - (ps - p0)
+
     for k, e in enumerate(eps):
         tilts = (_solve_tilt(stats, mean0, target) for target in (e, -e))
-        rates[k] = min((_legendre_gap(stats, p0, s)[0]
-                        for s in tilts if s is not None), default=math.inf)
+        rates[k] = min((gap(s) for s in tilts if s is not None),
+                       default=math.inf)
     return rates
-
-
-def deviation_rate(spec: SolenoidSpec, psi: str, eps: float, n: int) -> float:
-    """Two-sided rate at deviation size eps: the slower of the two tails.
-
-    Returns math.inf when neither tail can deviate by eps (degenerate or
-    bounded observable), meaning the deviating set is empty.
-    """
-    t0 = build_gibbs_model(spec, n).t0_mid
-    return float(_deviation_rates(birkhoff_table(spec, n), t0, psi, [eps])[0])
 
 
 @dataclass(frozen=True)
@@ -579,8 +518,8 @@ def nl_dimension_bound(spec: SolenoidSpec, model: GibbsModel,
     # Deviations of at least -chi_lam leave both channels at +inf.
     inside = ~(eps_grid >= -chi_lam)
     eps = eps_grid[inside]
-    i_lam = _deviation_rates(table, t0, PSI_LOG_LAM, eps)
-    i_eta = _deviation_rates(table, t0, PSI_NEG_LOG_ETA, eps)
+    i_lam = _deviation_rates(table, t0, table.lam_mid, eps)
+    i_eta = _deviation_rates(table, t0, -table.eta_mid, eps)
     d1 = 1.0 + (-chi_lam - eps) / (chi_eta + eps)
     d2 = 1.0 + (chi_eta + eps) / (-chi_lam - eps)
     # An infinite rate empties its channel variant: a -inf candidate.
@@ -649,7 +588,10 @@ def deviation_decay(spec: SolenoidSpec, n_values,
         tau_emp = -float(slope)
     else:
         tau_emp = math.inf
-    tau_pred = deviation_rate(spec, PSI_LOG_LAM, threshold, max(n_values))
+    table = birkhoff_table(spec, max(n_values))
+    t0 = build_gibbs_model(spec, table.n).t0_mid
+    tau_pred = float(_deviation_rates(table, t0, table.lam_mid,
+                                      [threshold])[0])
     return DeviationDecay(threshold=threshold, n_values=n_values,
                           fractions=tuple(fractions), tau_emp=tau_emp,
                           tau_pred=tau_pred)

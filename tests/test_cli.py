@@ -223,11 +223,28 @@ def test_main_overrides(tmp_path):
         ([], {"deviation_hi": 5}, "deviation_hi"),
         ([], {"k_scales": 4}, "k_scales"),
         ([], {"t_points": -1}, "t_points"),
-        ([], {"grid_density": 8}, "grid_density")]])
+        ([], {"grid_density": 8}, "grid_density"),
+        ([], {"scan_pairs": -1}, "scan_pairs"),
+        ([], {"gamma_budget": -1}, "gamma_budget"),
+        ([], {"leaf_margin": -0.5}, "leaf_margin"),
+        ([], {"leaf_margin": -4.0}, "leaf_margin")]])
 def test_main_exits_2_on_bad_run_sizes(tmp_path, capsys, flags, fields, name):
     path = write_config(tmp_path, **fields)
     assert cli.main(["report", "--config", path] + flags) == 2
     assert f"config field '{name}' must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [0, -1.0])
+@pytest.mark.parametrize("field", ["scan_L", "deviation_threshold"])
+def test_main_exits_2_on_non_positive_thresholds(tmp_path, capsys, field,
+                                                 value):
+    # scan_L <= 0 flagged no word or every word, and a zero or negative
+    # deviation_threshold counted every cylinder as deviating
+    path = write_config(tmp_path, **{field: value})
+    assert cli.main(["report", "--config", path]) == 2
+    assert f"config field '{field}' must be a positive finite number" \
+        in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -180,13 +180,12 @@ def test_gibbs_weight_ratio_bound():
 
 
 def test_exponents_closed_form():
-    spec = benchmark_a()
-    arr = thermo.gibbs_weight_array(spec, T0_A, 10)
-    chi_eta, chi_lam, chi_nu, entropy = thermo.lyapunov_exponents(spec, arr, 10)
-    assert abs(chi_lam - math.log(0.4)) < 1e-9
-    assert abs(chi_nu - math.log(0.25)) < 1e-9
-    assert abs(chi_eta - LOG2) < 1e-9
-    assert abs(entropy - LOG2) < 1e-9
+    # A's weights are uniform, so the exponents and entropy are closed forms
+    m = thermo.build_gibbs_model(benchmark_a(), 10)
+    assert abs(m.chi_lam - math.log(0.4)) < 1e-9
+    assert abs(m.chi_nu - math.log(0.25)) < 1e-9
+    assert abs(m.chi_eta - LOG2) < 1e-9
+    assert abs(m.entropy - LOG2) < 1e-9
 
 
 def test_entropy_stabilizes_in_generation():
@@ -208,15 +207,6 @@ def test_gibbs_model_holds_the_weight_array():
     assert not m.weights.flags.writeable
 
 
-def test_weight_array_length_must_be_d_to_the_n():
-    spec = benchmark_a()
-    short = thermo.gibbs_weight_array(spec, T0_A, 7)
-    with pytest.raises(ValueError, match=r"2\*\*8 = 256"):
-        thermo.lyapunov_exponents(spec, short, 8)
-    with pytest.raises(ValueError, match="sum 1"):
-        thermo.lyapunov_exponents(spec, np.full(2 ** 8, 1.0 / 2 ** 7), 8)
-
-
 def test_entropy_dimension_identity():
     spec = benchmark_a()
     m = thermo.build_gibbs_model(spec, 8)
@@ -235,38 +225,49 @@ def test_regime_flags_all_benchmarks():
     assert fc.uniform_dissipation
 
 
+def tilt_at_root(spec, n):
+    """The table, the model root t0 and (stats, degenerate) of log lam'."""
+    table = thermo.birkhoff_table(spec, n)
+    t0 = thermo.build_gibbs_model(spec, n).t0_mid
+    return table, t0, thermo._tilt(table, t0, table.lam_mid)
+
+
+def tilt_gap(stats, s):
+    """Legendre gap s*mean(s) - (P(s) - P(0)) and mean shift of the tilt s."""
+    p0, mean0 = stats(0.0)
+    ps, means = stats(s)
+    return s * means - (ps - p0), means - mean0
+
+
 def test_rate_function_zero_tilt():
-    r = thermo.rate_function(benchmark_c(), thermo.PSI_LOG_LAM, 0.0, 8)
-    assert abs(r.i_value) < 1e-12 and abs(r.eps) < 1e-12
+    _, _, (stats, _) = tilt_at_root(benchmark_c(), 8)
+    i_value, eps = tilt_gap(stats, 0.0)
+    assert abs(i_value) < 1e-12 and abs(eps) < 1e-12
 
 
 def test_rate_function_degenerate_constant_family():
-    r = thermo.rate_function(benchmark_a(), thermo.PSI_LOG_LAM, 0.5, 8)
-    assert r.degenerate
-    assert thermo.deviation_rate(benchmark_a(), thermo.PSI_LOG_LAM, 0.05, 8) \
+    table, t0, (_, degenerate) = tilt_at_root(benchmark_a(), 8)
+    assert degenerate
+    assert thermo._deviation_rates(table, t0, table.lam_mid, [0.05])[0] \
         == math.inf
 
 
 def test_rate_function_convex_growth():
-    spec = benchmark_c()
-    r1 = thermo.rate_function(spec, thermo.PSI_LOG_LAM, 0.25, 10)
-    r2 = thermo.rate_function(spec, thermo.PSI_LOG_LAM, 0.5, 10)
-    assert r2.i_value > r1.i_value > 0.0
-    assert r2.eps > r1.eps > 0.0
+    _, _, (stats, _) = tilt_at_root(benchmark_c(), 10)
+    i1, eps1 = tilt_gap(stats, 0.25)
+    i2, eps2 = tilt_gap(stats, 0.5)
+    assert i2 > i1 > 0.0
+    assert eps2 > eps1 > 0.0
 
 
 def test_deviation_rate_matches_solved_tilt():
-    spec = benchmark_c()
     eps = 0.03
-    rate = thermo.deviation_rate(spec, thermo.PSI_LOG_LAM, eps, 10)
+    table, t0, (stats, _) = tilt_at_root(benchmark_c(), 10)
+    rate = thermo._deviation_rates(table, t0, table.lam_mid, [eps])[0]
     assert 0.0 < rate < math.inf
     # the rate at the solved tilt reproduces eps
-    stats, _ = thermo._tilt(thermo.birkhoff_table(spec, 10),
-                            thermo.build_gibbs_model(spec, 10).t0_mid,
-                            thermo.PSI_LOG_LAM)
     s = thermo._solve_tilt(stats, stats(0.0)[1], eps)
-    r = thermo.rate_function(spec, thermo.PSI_LOG_LAM, s, 10)
-    assert abs(r.eps - eps) < 1e-6
+    assert abs(tilt_gap(stats, s)[1] - eps) < 1e-6
 
 
 def test_solve_bowen_needs_a_positive_tol():
@@ -318,12 +319,20 @@ def test_nl_bound_takes_rates_at_the_model_root(monkeypatch):
 D3 = SolenoidSpec(d=3, eta_eps=0.4, lam0=0.2, lam1=0.03, lam2=0.02,
                   nu0=0.08, nu2=0.02, u_amp=0.4, v_amp=0.4)
 
+# The observables of the deviation rates, by name.
+PSIS = ("log_lam", "neg_log_eta")
+
+
+def psi_mid(table, psi):
+    """psi's per-word Birkhoff sums at the cylinder midpoints."""
+    return table.lam_mid if psi == "log_lam" else -table.eta_mid
+
 
 def ref_tilt_stats(table, t0, psi, s):
     """Midpoint tilted pressure and tilted mean of psi at tilt strength s."""
     n = table.n
     base = t0 * table.lam_mid
-    psi_sum = table.psi_mid(psi)
+    psi_sum = psi_mid(table, psi)
     logw = base + s * psi_sum
     norm = thermo._logsumexp(logw)
     w = np.exp(logw - norm)
@@ -332,21 +341,19 @@ def ref_tilt_stats(table, t0, psi, s):
     return pressure, mean_psi
 
 
+def ref_degenerate(table, psi):
+    psi_sum = psi_mid(table, psi)
+    return float(psi_sum.max() - psi_sum.min()) / table.n < 1e-12
+
+
 def ref_rate(table, t0, psi, t_aux):
-    psi_sum = table.psi_mid(psi)
-    spread = float(psi_sum.max() - psi_sum.min()) / table.n
-    degenerate = spread < 1e-12
-    p0, mean0 = ref_tilt_stats(table, t0, psi, 0.0)
+    p0, _ = ref_tilt_stats(table, t0, psi, 0.0)
     ps, means = ref_tilt_stats(table, t0, psi, t_aux)
-    eps = means - mean0
-    i_value = t_aux * means - (ps - p0)
-    return thermo.RateResult(i_value=float(i_value), eps=float(eps),
-                             degenerate=bool(degenerate))
+    return float(t_aux * means - (ps - p0))
 
 
 def ref_solve_tilt(table, t0, psi, eps_target, s_max=512.0):
-    psi_sum = table.psi_mid(psi)
-    if float(psi_sum.max() - psi_sum.min()) / table.n < 1e-12:
+    if ref_degenerate(table, psi):
         return None
     _, mean0 = ref_tilt_stats(table, t0, psi, 0.0)
 
@@ -374,7 +381,7 @@ def ref_deviation_rate(table, t0, psi, eps):
     for target in (eps, -eps):
         s = ref_solve_tilt(table, t0, psi, target)
         if s is not None:
-            rates.append(ref_rate(table, t0, psi, s).i_value)
+            rates.append(ref_rate(table, t0, psi, s))
     return min(rates) if rates else math.inf
 
 
@@ -392,8 +399,8 @@ def ref_nl_bound(spec, model, eps_grid, rate=ref_deviation_rate):
             a_vals[k] = math.inf
             b_vals[k] = math.inf
             continue
-        i_lam = rate(table, t0, thermo.PSI_LOG_LAM, eps)
-        i_eta = rate(table, t0, thermo.PSI_NEG_LOG_ETA, eps)
+        i_lam = rate(table, t0, "log_lam", eps)
+        i_eta = rate(table, t0, "neg_log_eta", eps)
         d1 = 1.0 + (-chi_lam - eps) / (chi_eta + eps)
         d2 = 1.0 + (chi_eta + eps) / (-chi_lam - eps)
         cands = []
@@ -453,15 +460,17 @@ def test_deviation_rates_match_per_call_reference(spec, n):
                             thermo.default_eps_grid() if grid is None
                             else grid, rate)
         _same_nl_bound(thermo.nl_dimension_bound(spec, model, grid), want)
-    for psi in (thermo.PSI_LOG_LAM, thermo.PSI_NEG_LOG_ETA):
+    for psi in PSIS:
         assert rate(table, t0, psi, 0.6) == math.inf
         for eps in (1e-3, 0.03, 0.6):
-            got = thermo.deviation_rate(spec, psi, eps, n)
+            got = thermo._deviation_rates(table, t0, psi_mid(table, psi),
+                                          [eps])[0]
             want = rate(table, t0, psi, eps)
-            assert type(got) is float and repr(got) == repr(want)
+            assert repr(float(got)) == repr(want)
+        stats, degenerate = thermo._tilt(table, t0, psi_mid(table, psi))
+        assert degenerate == ref_degenerate(table, psi)
         for t_aux in (-3.0, 0.0, 0.25, 2.0):
-            assert thermo.rate_function(spec, psi, t_aux, n) \
-                == ref_rate(table, t0, psi, t_aux)
+            assert stats(t_aux) == ref_tilt_stats(table, t0, psi, t_aux)
 
 
 def test_solve_tilt_stops_once_the_bracket_closes(monkeypatch):
@@ -477,8 +486,8 @@ def test_solve_tilt_stops_once_the_bracket_closes(monkeypatch):
         ref_calls.append(args)
         return ref_stats(*args)
 
-    for psi in (thermo.PSI_LOG_LAM, thermo.PSI_NEG_LOG_ETA):
-        stats, _ = thermo._tilt(table, t0, psi)
+    for psi in PSIS:
+        stats, _ = thermo._tilt(table, t0, psi_mid(table, psi))
         mean0 = stats(0.0)[1]
         for eps in (1e-3, 0.03, -0.03):
             calls = []

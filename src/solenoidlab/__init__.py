@@ -9,8 +9,9 @@ holonomy regularity, and measure-density behavior at desk scale.
 from .errors import (CapExceededError, ConfigError, ResolutionError,
                      SolenoidError, SpecInvalidError, WordTooShortError)
 from .geometry import (DimensionFit, PointCloud, attractor_cloud,
-                       box_dimension, local_density_stats,
-                       overlap_multiplicity, project_cloud, slice_cloud)
+                       attractor_dimension, box_dimension,
+                       local_density_stats, overlap_multiplicity,
+                       project_cloud, slice_cloud)
 from .lamination import (HolonomyReport, IntersectionRecord,
                          build_gamma_pool, holonomy_lipschitz_scan,
                          leaf_intersections, min_transversal_angle,
@@ -29,7 +30,8 @@ __all__ = [
     "pressure_bracket", "solve_bowen", "build_gibbs_model",
     "classify_regime", "nl_dimension_bound", "deviation_decay",
     "PointCloud", "DimensionFit", "slice_cloud", "attractor_cloud",
-    "project_cloud", "box_dimension", "local_density_stats",
+    "attractor_dimension", "project_cloud", "box_dimension",
+    "local_density_stats",
     "overlap_multiplicity",
     "IntersectionRecord", "HolonomyReport", "leaf_intersections",
     "min_transversal_angle", "holonomy_lipschitz_scan",

@@ -148,7 +148,8 @@ _MIN_SIZES = {"depth_n": 1, "fibers": 1, "threads": 1, "full_depth": 0,
               "full_fibers": 0, "leaf_samples": 2, "pair_budget": 1,
               "n_past": 1, "gamma_depth": 1, "deviation_lo": 1,
               "grid_density": 16, "k_scales": 5, "t_points": 0,
-              "scan_pairs": 0, "gamma_budget": 0, "leaf_margin": 0}
+              "scan_pairs": 0, "gamma_budget": 0, "leaf_margin": 0,
+              "seed": 0}
 
 
 def _check_sizes(cfg, names):
@@ -212,11 +213,15 @@ class _Stages:
     def run(self, name, fn, *args, **kwargs):
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
-        self.timings[name] = 1000.0 * (time.perf_counter() - t0)
+        self.record(name, time.perf_counter() - t0)
+        return out
+
+    def record(self, name, seconds):
+        """Log a stage that took `seconds`, with the memory high-water mark."""
+        self.timings[name] = 1000.0 * seconds
         # ru_maxrss is in KiB on Linux.
         self.rss_high_water_mb[name] = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        return out
 
 
 def _write(path, text):
@@ -331,15 +336,21 @@ def _cloud_csv(path, cloud, header_cols):
     [1e11, 1e12), i.e. a misjudged exponent, ±0, |v| < 1e-4 or >= 10,
     nan and ±inf.
     """
-    points = np.asarray(cloud.points, dtype=float)
-    prov = cloud.provenance
     with open(path, "wb") as fh:
-        fh.write(f"# spec_hash={prov.get('spec_hash')} "
-                 f"generation={prov.get('generation')} "
-                 f"fiber={prov.get('fiber')}\n".encode())
-        fh.write((",".join(header_cols) + "\n").encode())
-        for start in range(0, len(points), _CSV_BLOCK_ROWS):
-            fh.write(_csv_block(points[start:start + _CSV_BLOCK_ROWS]))
+        _csv_header(fh, cloud.provenance, header_cols)
+        _csv_rows(fh, np.asarray(cloud.points, dtype=float))
+
+
+def _csv_header(fh, prov, header_cols):
+    fh.write(f"# spec_hash={prov.get('spec_hash')} "
+             f"generation={prov.get('generation')} "
+             f"fiber={prov.get('fiber')}\n".encode())
+    fh.write((",".join(header_cols) + "\n").encode())
+
+
+def _csv_rows(fh, points):
+    for start in range(0, len(points), _CSV_BLOCK_ROWS):
+        fh.write(_csv_block(points[start:start + _CSV_BLOCK_ROWS]))
 
 
 def _model_summary(model, flags):
@@ -389,11 +400,10 @@ def _cmd_bowen(cfg, stages, out_dir):
     return _model_summary(model, flags)
 
 
-def _fit(cfg, stages, name, cloud, depth_field):
+def _fit(cfg, name, depth_field, fit, *args, **kwargs):
     """The box-dimension fit of one cloud; a refusal is a config error."""
     try:
-        return stages.run(f"{name}_fit", geometry.box_dimension, cloud,
-                          cfg.k_scales)
+        return fit(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(
             f"{name} cloud at config field '{depth_field}' = "
@@ -404,20 +414,32 @@ def _cmd_dimension(cfg, stages, out_dir):
     spec = cfg.spec
     sl = stages.run("slice_cloud", geometry.slice_cloud, spec,
                     cfg.slice_fiber, cfg.depth_n)
-    slice_fit = _fit(cfg, stages, "slice", sl, "depth_n")
-    proj_fit = _fit(cfg, stages, "projection",
-                    geometry.project_cloud(sl, (0,)), "depth_n")
+    slice_fit = stages.run("slice_fit", _fit, cfg, "slice", "depth_n",
+                           geometry.box_dimension, sl, cfg.k_scales)
+    proj_fit = stages.run("projection_fit", _fit, cfg, "projection",
+                          "depth_n", geometry.box_dimension,
+                          geometry.project_cloud(sl, (0,)), cfg.k_scales)
     full_depth = cfg.full_depth or cfg.depth_n
     full_fibers = cfg.full_fibers or cfg.fibers
-    full = stages.run("attractor_cloud", geometry.attractor_cloud, spec,
-                      full_depth, full_fibers, threads=cfg.threads)
-    full_fit = _fit(cfg, stages, "full", full,
-                    "full_depth" if cfg.full_depth else "depth_n")
+    # One sweep builds, writes and counts the full cloud chunk by chunk;
+    # each of its three stages is the time spent on that activity.
+    times = {}
+    with open(os.path.join(out_dir, "attractor_cloud.csv"), "wb") as fh:
+        _csv_header(fh, {"spec_hash": spec.spec_hash(),
+                         "generation": full_depth, "fiber": "full"},
+                    ("x", "y", "z"))
+        full_fit = _fit(
+            cfg, "full", "full_depth" if cfg.full_depth else "depth_n",
+            geometry.attractor_dimension, spec, full_depth, full_fibers,
+            cfg.k_scales, threads=cfg.threads,
+            sink=lambda block: _csv_rows(fh, block.reshape(-1, 3)),
+            times=times)
+    for stage, activity in (("attractor_cloud", "build"),
+                            ("full_fit", "count"),
+                            ("write_attractor_cloud", "sink")):
+        stages.record(stage, times.get(activity, 0.0))
     stages.run("write_slice_cloud", _cloud_csv,
                os.path.join(out_dir, "slice_cloud.csv"), sl, ("y", "z"))
-    stages.run("write_attractor_cloud", _cloud_csv,
-               os.path.join(out_dir, "attractor_cloud.csv"), full,
-               ("x", "y", "z"))
     return {
         "slice": {"fiber": cfg.slice_fiber, "n": cfg.depth_n,
                   **slice_fit.to_dict()},
@@ -569,11 +591,14 @@ def run_command(cfg: RunConfig, command: str) -> Report:
                                  for v in values):
             raise ConfigError(f"config field '{name}' must be finite, "
                               f"got {value!r}")
-    for name in ("tol", "scan_L", "deviation_threshold"):
+    # eps_grid holds deviations |alpha - chi|, each one positive
+    for name in ("tol", "scan_L", "deviation_threshold", "t_max", "eps_grid"):
         value = getattr(cfg, name)
-        if not 0.0 < value < math.inf:
+        values = value if name == "eps_grid" else [value]
+        if not all(0.0 < v < math.inf for v in values):
+            each = " in every entry" if name == "eps_grid" else ""
             raise ConfigError(f"config field '{name}' must be a positive "
-                              f"finite number, got {value!r}")
+                              f"finite number{each}, got {value!r}")
     if cfg.deviation_hi < cfg.deviation_lo:
         raise ConfigError("config field 'deviation_hi' must be >= "
                           f"deviation_lo {cfg.deviation_lo}, "

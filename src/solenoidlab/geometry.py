@@ -9,16 +9,23 @@ cloud has stride 0, so its segments are its points.  A full attractor
 cloud is fibre-major: the same word over adjacent fibers lies on one
 leaf, so its segments are the leaf chords between adjacent fibers
 (stride = words) and its floor is max((sup lam')**n, chord error), well
-below the fiber spacing.  The scale window is auto-selected away from the
-too-few-boxes and saturation regimes and never descends below the
-cloud's stated resolution.
+below the fiber spacing.  The counter takes the chords one chunk of whole
+fibres at a time and drops each box column the sweep has passed, so
+`attractor_dimension` builds, hands out and counts the full cloud chunk
+by chunk without ever holding it.  The scale window is auto-selected away
+from the too-few-boxes and saturation regimes and never descends below
+the cloud's stated resolution.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -94,41 +101,88 @@ def attractor_cloud(spec: SolenoidSpec, n: int, fibers: int,
     provenance ("fiber_major") and the resolution is
     max((sup lam')**n, chord error), where the chord error is an estimate
     of how far a straight chord between adjacent fibers strays from its
-    leaf arc (see `_chord_error`).  With fewer fibers the resolution is
+    leaf arc (see `_ChordError`).  With fewer fibers the resolution is
     max(fiber spacing, (sup lam')**n).
 
-    The cloud is built, and its chord error read, in chunks of whole
-    fibres of at most _CLOUD_CHUNK points, so no temporary spans the whole
-    cloud.  `threads` sets only how many workers map over those chunks:
-    the chunks, and every bit of the result, are the same for any value.
+    The array is collected from the chunk source that `attractor_dimension`
+    sweeps (`_attractor_chunks`: runs of whole fibres of at most
+    _CLOUD_CHUNK points), and the chord error is read chunk by chunk, so
+    no temporary spans the whole cloud.  `threads` sets only how many
+    threads build chunks: every bit of the result is the same for any
+    value.
     """
     if fibers <= 0:
         raise ValueError("fiber count must be positive; empty cloud requested")
     _check_cap(fibers * spec.d ** n)
-    words = spec.d ** n
-    xs = TWO_PI * np.arange(fibers) / fibers
-    grid = np.empty((fibers, words, 3))
+    grid = np.empty((fibers, spec.d ** n, 3))
+    error, start = _ChordError(), 0
+    for block in _attractor_chunks(spec, n, _fibre_xs(fibers), threads):
+        grid[start:start + len(block)] = block
+        start += len(block)
+        error.add(block)
+    provenance, resolution = _attractor_layout(spec, n, fibers, error)
+    return PointCloud(dim=3, points=grid.reshape(-1, 3),
+                      provenance=provenance, resolution=resolution)
 
-    def build(rows):
-        y, z = word_representatives(spec, xs[rows], n)
-        block = grid[rows]
-        block[:, :, 0] = xs[rows, None]
-        block[:, :, 1] = y
-        block[:, :, 2] = z
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(build, _fibre_chunks(fibers, words)))
-    pts = grid.reshape(-1, 3)
-    provenance = {"spec_hash": spec.spec_hash(), "generation": n,
-                  "fiber": "full"}
+def attractor_dimension(spec: SolenoidSpec, n: int, fibers: int,
+                        k_scales: int = 12, threads: int = 1, sink=None,
+                        times=None) -> DimensionFit:
+    """`box_dimension(attractor_cloud(spec, n, fibers))`, without the cloud.
+
+    One sweep over the fibre chunks of `attractor_cloud`: each chunk is
+    built, passed to `sink(block)` (a (fibres, d**n, 3) array, in row
+    order), read for the chord error and fed to one box counter, then
+    dropped.  The counter's boxes live on the grid over the solid torus
+    [0, 2*pi) x (-1, 1)**2, and it keeps only the band of box columns the
+    sweep has not yet passed (`_BoxCounter`), so memory is a few chunks
+    and one band, not the cloud.  The pass level is predicted from the
+    middle sixteenth of the fibre gaps, built first; the resolution, and
+    so the finest level, is known only once the sweep has read every
+    chord error, and finer levels are then dropped.  Every count is
+    exact whatever the pass level, so the fit equals `box_dimension` of
+    the collected cloud bit for bit.  In the rare case that the pass
+    stops short of |cloud|/4 boxes, the chunks are built again for a
+    finer pass, without `sink`.
+
+    With threads > 1, threads - 1 workers build chunks ahead (at most
+    threads + 1 alive) while the caller's thread formats and counts; with
+    one thread the caller builds too.  `times`, if given, is a dict that
+    gains the seconds spent on "build" (building, or waiting for, chunks
+    and the chord error), "count" and "sink".
+    """
+    if fibers <= 0:
+        raise ValueError("fiber count must be positive; empty cloud requested")
+    _check_cap(fibers * spec.d ** n)
+    n_max = _fit_limit(fibers * spec.d ** n, k_scales)
+    lap = _lap_clock(times)
+    xs = _fibre_xs(fibers)
+
+    def blocks(fib):
+        return _attractor_chunks(spec, n, xs[fib], threads)
+
+    level, error = -1, _ChordError()
+    # Fewer than three fibres: a point cloud whose resolution (at least the
+    # fiber spacing, pi) leaves no level to count.
     if fibers >= 3:
-        provenance["fiber_major"] = {"fibers": fibers, "words": words}
-        resolution = max(spec.contraction_sup() ** n,
-                         _chord_error(pts, fibers, words))
-    else:
-        resolution = max(TWO_PI / fibers, spec.contraction_sup() ** n)
-    return PointCloud(dim=3, points=pts, provenance=provenance,
-                      resolution=resolution)
+        bound = _finest(spec.contraction_sup() ** n, _TORUS)
+        if bound >= 0:
+            known = _estimate(blocks, xs[:, None], xs, _TORUS, bound, lap)
+            level = max(0, min(_next_level(known, n_max), bound))
+    first = _sweep(blocks(slice(None)), xs, level, _TORUS, lap, sink, error)
+    _, resolution = _attractor_layout(spec, n, fibers, error)
+    counts = _levels(first, _finest(resolution, _TORUS), n_max,
+                     lambda lv: _sweep(blocks(slice(None)), xs, lv, _TORUS,
+                                       lap))
+    return _fit_counts(counts, n_max, k_scales)
+
+
+# Every attractor point lies in the solid torus [0, 2*pi) x (-1, 1)**2.
+_TORUS = ((0.0, TWO_PI), (-1.0, 1.0), (-1.0, 1.0))
+
+
+def _fibre_xs(fibers: int) -> np.ndarray:
+    return TWO_PI * np.arange(fibers) / fibers
 
 
 def _fibre_chunks(fibers: int, words: int) -> list:
@@ -137,25 +191,105 @@ def _fibre_chunks(fibers: int, words: int) -> list:
     return [slice(f, min(f + step, fibers)) for f in range(0, fibers, step)]
 
 
-def _chord_error(points: np.ndarray, fibers: int, words: int) -> float:
+def _build_fibres(spec: SolenoidSpec, n: int, xs: np.ndarray) -> np.ndarray:
+    """Every generation-n word over each fibre of xs: (len(xs), d**n, 3)."""
+    y, z = word_representatives(spec, xs, n)
+    block = np.empty(y.shape + (3,))
+    block[:, :, 0] = xs[:, None]
+    block[:, :, 1] = y
+    block[:, :, 2] = z
+    return block
+
+
+def _attractor_chunks(spec: SolenoidSpec, n: int, xs: np.ndarray,
+                      threads: int):
+    """The fibres xs built in `_fibre_chunks` runs, yielded in order.
+
+    `threads` counts the caller: with one, the caller builds each chunk
+    when it asks for it; with more, threads - 1 workers keep as many
+    chunks building ahead while the caller works on one, so at most
+    threads + 1 chunks are alive.  On two cores a worker building beside
+    the caller bought no time at one thread (building and formatting
+    slowed each other), and its own malloc arena held about 4 MB more.
+    A fibre's bits do not depend on the chunk that builds it.
+    """
+    todo = (xs[rows] for rows in _fibre_chunks(xs.size, spec.d ** n))
+    if threads == 1:
+        yield from (_build_fibres(spec, n, x) for x in todo)
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        ahead = deque(pool.submit(_build_fibres, spec, n, x)
+                      for x in islice(todo, threads - 1))
+        while ahead:
+            done = ahead.popleft()
+            ahead.extend(pool.submit(_build_fibres, spec, n, x)
+                         for x in islice(todo, 1))
+            yield done.result()
+
+
+def _attractor_layout(spec: SolenoidSpec, n: int, fibers: int,
+                      error: "_ChordError"):
+    """The provenance and resolution of the attractor cloud."""
+    provenance = {"spec_hash": spec.spec_hash(), "generation": n,
+                  "fiber": "full"}
+    if fibers < 3:
+        return provenance, max(TWO_PI / fibers, spec.contraction_sup() ** n)
+    provenance["fiber_major"] = {"fibers": fibers, "words": spec.d ** n}
+    return provenance, max(spec.contraction_sup() ** n, error.value)
+
+
+class _ChordError:
     """Estimated largest gap between a leaf chord and its leaf arc.
 
     Over one fiber spacing an arc whose second difference across adjacent
     fibers (word by word) is D2 strays from its chord by about |D2|/8, the
     exact value for a parabola.  This is an estimate, not a bound: it
-    reads the curvature off the samples themselves.  The differences are
-    taken over chunks of fibres, each reading two fibres past its end.
+    reads the curvature off the samples themselves.  Chunks of whole
+    fibres are added in order, and the last two fibres of each are carried
+    into the next.
     """
-    grid = points.reshape(fibers, words, -1)
-    worst = 0.0
-    for rows in _fibre_chunks(fibers - 2, words):
-        g = grid[rows.start:rows.stop + 2]
-        sq = np.zeros((g.shape[0] - 2, words))
+
+    def __init__(self):
+        self.tail, self.worst = None, 0.0
+
+    def add(self, block: np.ndarray):
+        if self.tail is not None:
+            self._scan(np.concatenate([self.tail, block[:2]]))
+            block_tail = np.concatenate([self.tail, block[-2:]])[-2:]
+        else:
+            block_tail = block[-2:]
+        self.tail = block_tail.copy()
+        self._scan(block)
+
+    def _scan(self, g):
+        if len(g) < 3:
+            return
+        sq = np.zeros((len(g) - 2, g.shape[1]))
         for c in range(g.shape[2]):
             d2 = g[:-2, :, c] - 2.0 * g[1:-1, :, c] + g[2:, :, c]
             sq += d2 * d2
-        worst = max(worst, float(sq.max()))
-    return math.sqrt(worst) / 8.0
+        self.worst = max(self.worst, float(sq.max()))
+
+    @property
+    def value(self) -> float:
+        return math.sqrt(self.worst) / 8.0
+
+
+def _lap_clock(times):
+    """lap(key) adds the seconds since the last lap to times[key].
+
+    With times None, lap does nothing.
+    """
+    if times is None:
+        return lambda key: None
+    last = time.perf_counter()
+
+    def lap(key):
+        nonlocal last
+        now = time.perf_counter()
+        times[key] = times.get(key, 0.0) + now - last
+        last = now
+    return lap
 
 
 def project_cloud(cloud: PointCloud, cols) -> PointCloud:
@@ -257,8 +391,243 @@ def _chord_runs(a: np.ndarray, b: np.ndarray, axes, lo, spans):
     return _union(np.concatenate(starts), np.concatenate(ends))
 
 
-def _dyadic_counts(points: np.ndarray, stride: int, resolution: float,
-                   n_max: float) -> dict:
+@functools.cache
+def _keep_heap():
+    """Free an untouched 2 MB block once per process.
+
+    glibc raises its mmap threshold to the size of the largest mapped
+    block freed, and its heap-trim threshold to twice that.  Left at
+    their defaults, the heap is trimmed after nearly every block of chord
+    runs and the next block faults its temporaries in afresh: on
+    `report_a`'s 1M-point sweep, 78k minor faults against 15k, and 30 to
+    150 ms more.  A larger block keeps more freed memory resident (3 MB
+    already raised that report's peak RSS by 2.7 MB).
+    """
+    np.empty(1 << 18)
+
+
+class _BoxCounter:
+    """Exact box counts at `level` and every coarser one, fed in sweep order.
+
+    N(r) is the number of boxes of the origin-anchored grid that the
+    chords meet, end points included.  A box's key mixes its cells on the
+    grid over the fixed `box` ((lo, hi) per axis, holding every chord),
+    axis 0 as the last digit: `_chord_runs` cuts each chord wherever it
+    crosses a plane of another axis, so a run of boxes along axis 0 is one
+    interval of keys.  Each level keeps a band of disjoint key intervals.
+    `close(x)` is told that no chord fed later reaches below x on axis 0
+    (rounding may still put one of its runs one cell lower): it counts and
+    drops every box of the finest band whose axis-0 cell lies below that,
+    halves those boxes to the next coarser level, and repeats there with
+    the cell index halved, since later boxes of the finer level halve to
+    cells at or above it.  Each closed box is counted once at every level,
+    and a sweep in axis-0 order keeps only the open columns in each band.
+    """
+
+    def __init__(self, level: int, box):
+        _keep_heap()
+        self.level = level
+        self.axes = list(range(1, len(box))) + [0]
+        r = 2.0 ** -level
+        lo, hi = (np.floor(np.array([box[c][k] for c in self.axes]) / r)
+                  .astype(np.int64) for k in (0, 1))
+        self.grids = [(lo, hi - lo + 1)]
+        for _ in range(level):
+            self.grids.append(_coarser(*self.grids[-1]))
+        empty = np.empty(0, dtype=np.int64)
+        self.bands = [(empty, empty)] * (level + 1)
+        self.totals = [0] * (level + 1)
+        self.pending, self.last = [], None
+
+    def add(self, a: np.ndarray, b: np.ndarray):
+        """Feed the chords from each row of a to the same row of b.
+
+        A point is fed as a chord of length zero (b is a).
+        """
+        if len(a) == 0:
+            return
+        r = 2.0 ** -self.level
+        lo, spans = self.grids[0]
+        # A chord makes one run plus one per plane crossed off axis 0.
+        spread = 0.0 if a is b else sum(
+            float(np.abs(b[:, c] - a[:, c]).mean()) for c in self.axes[:-1])
+        # Equal blocks of at most _CHORD_BLOCK runs (as estimated).
+        parts = math.ceil(len(a) * (1.0 + spread / r) / _CHORD_BLOCK)
+        step = -(-len(a) // parts)
+        for s in range(0, len(a), step):
+            self.pending.append(_chord_runs(
+                (a[s:s + step] / r).T.copy(), (b[s:s + step] / r).T.copy(),
+                self.axes, lo, spans))
+            # Merge once the new runs outnumber the merged ones.
+            if (sum(p[0].size for p in self.pending)
+                    >= self.bands[0][0].size):
+                self._merge()
+
+    def add_fibres(self, block: np.ndarray, x: float):
+        """Feed the leaf chords from the last fibre fed through `block`.
+
+        block holds whole fibres, (fibres, words, dim); then close(x).
+        """
+        flat = (-1, block.shape[-1])
+        starts = block[:-1] if self.last is None else np.concatenate(
+            [self.last[None], block[:-1]])
+        self.add(starts.reshape(flat),
+                 block[len(block) - len(starts):].reshape(flat))
+        self.last = block[-1].copy()
+        self.close(x)
+
+    def _merge(self):
+        if not self.pending:
+            return
+        parts = [self.bands[0]] + self.pending
+        self.bands[0] = _union(np.concatenate([p[0] for p in parts]),
+                               np.concatenate([p[1] for p in parts]))
+        self.pending = []
+
+    def close(self, x: float = math.inf):
+        """Count and drop the boxes that no chord fed after this can meet."""
+        self._merge()
+        edge = (math.floor(x * 2.0 ** self.level) - 1 if x < math.inf
+                else None)
+        for i, (lo, spans) in enumerate(self.grids):
+            starts, ends = self.bands[i]
+            if edge is None:
+                cut = ends + 1
+            else:
+                # The first key of each interval whose axis-0 cell is edge.
+                cut = np.clip(starts + (edge - lo[-1] - starts % spans[-1]),
+                              starts, ends + 1)
+                edge >>= 1
+            done = np.flatnonzero(cut > starts)
+            if done.size == 0:
+                continue
+            self.totals[i] += int(np.sum(cut[done] - starts[done]))
+            keep = cut <= ends
+            self.bands[i] = (cut[keep], ends[keep])
+            if i < self.level:
+                halves = _halve(starts[done], cut[done] - 1, lo, spans)
+                coarse = self.bands[i + 1]
+                self.bands[i + 1] = _union(
+                    np.concatenate([coarse[0], halves[0]]),
+                    np.concatenate([coarse[1], halves[1]]))
+
+    def counts(self) -> dict:
+        """{j: N(2**-j)} for j = level .. 0, once every chord is fed."""
+        self.close()
+        return {self.level - i: c for i, c in enumerate(self.totals)}
+
+
+def _coarser(lo, spans):
+    """The grid one dyadic level up from the cells lo .. lo + spans - 1."""
+    new_lo = lo >> 1
+    return new_lo, ((lo + spans - 1) >> 1) - new_lo + 1
+
+
+def _halve(starts, ends, lo, spans):
+    """The same boxes one dyadic level up, as key intervals."""
+    cells, keys = [], starts
+    for c in range(len(spans) - 1, -1, -1):
+        cells.append(keys % spans[c] + lo[c])
+        keys = keys // spans[c]
+    cells.reverse()
+    last = cells[-1] + (ends - starts)  # run-axis cell at each interval's end
+    new_lo, new_spans = _coarser(lo, spans)
+    new_starts = _mix([(cl >> 1) - l for cl, l in zip(cells, new_lo)], new_spans)
+    return _union(new_starts, new_starts + (last >> 1) - (cells[-1] >> 1)) + (
+        new_lo, new_spans)
+
+
+def _sweep(blocks, lower, level: int, box, lap, sink=None,
+           error=None) -> dict:
+    """Counts at level .. 0 of the leaf chords between adjacent fibres.
+
+    blocks yields chunks of whole fibres, (fibres, words, dim), in order;
+    lower[f] bounds axis 0 of fibre f and of every later fibre from below.
+    Each chunk goes to `sink` and `error` (if given), then to the counter.
+    A negative level counts nothing.
+    """
+    counter = _BoxCounter(level, box) if level >= 0 else None
+    fed = 0
+    for block in blocks:
+        lap("build")
+        if sink is not None:
+            sink(block)
+            lap("sink")
+        if error is not None:
+            error.add(block)
+            lap("build")
+        fed += len(block)
+        if counter is not None:
+            counter.add_fibres(block, lower[fed - 1])
+            lap("count")
+    counts = counter.counts() if counter is not None else {}
+    lap("count")
+    return counts
+
+
+def _estimate(blocks, col0, lower, box, finest: int, lap) -> dict:
+    """Counts extrapolated from the chords of the middle sixteenth of the gaps.
+
+    blocks(fib) yields the chunks of the fibres in slice fib, col0 holds
+    axis 0 of each fibre (one row per fibre) and lower is as in `_sweep`.
+    """
+    gaps = len(lower) - 1
+    sample = max(1, gaps // 16)
+    first = (gaps - sample) // 2
+    fib = slice(first, first + sample + 1)
+    # Two levels below the typical chord length, where gaps share few boxes.
+    length = float(np.abs(np.diff(col0[fib], axis=0)).mean())
+    level = math.ceil(-math.log2(length)) + 2 if length > 0 else 0
+    counts = _sweep(blocks(fib), lower[fib], max(0, min(level, finest)), box,
+                    lap)
+    return {lv: c * gaps / sample for lv, c in counts.items()}
+
+
+def _next_level(known: dict, n_max: float) -> int:
+    """The first level predicted to pass n_max from the counts known.
+
+    At most three levels (8x the work) past the finest known one.
+    """
+    top = max(known)
+    over = [lv for lv, c in known.items() if c > n_max]
+    growth = max(known[top] / max(known.get(top - 1, 1), 1), 1.5)
+    return min(over) if over else top + min(3, math.ceil(
+        math.log(n_max / known[top]) / math.log(growth)))
+
+
+def _finest(resolution: float, box) -> int:
+    """The finest level j with 2**-j at or above the resolution, or -1.
+
+    Box keys are int64: no level whose grid over the box has 2**63 boxes.
+    """
+    finest = max((j for j in range(48)
+                  if 2.0 ** -j >= resolution * (1.0 - 1e-12)), default=-1)
+    while finest >= 0 and math.prod(
+            math.floor(hi * 2.0 ** finest) - math.floor(lo * 2.0 ** finest) + 1
+            for lo, hi in box) >= 2 ** 63:
+        finest -= 1
+    return finest
+
+
+def _levels(first: dict, finest: int, n_max: float, count_pass) -> dict:
+    """Levels 0 up to the first count above n_max, or up to finest.
+
+    first holds exact counts at levels 0 .. some pass level;
+    count_pass(level) counts level .. 0 when a finer pass is needed.
+    """
+    counts, j = {lv: c for lv, c in first.items() if lv <= finest}, 0
+    while j <= finest:
+        if j not in counts:
+            counts.update(count_pass(
+                max(j, min(_next_level(counts, n_max), finest))))
+        if counts[j] > n_max:
+            break
+        j += 1
+    return {lv: counts[lv] for lv in range(min(j, finest) + 1)}
+
+
+def _cloud_counts(points: np.ndarray, stride: int, resolution: float,
+                  n_max: float) -> dict:
     """Box counts {j: N(2**-j)} of the segments from row i to row i + stride.
 
     N(r) is the number of boxes of the origin-anchored grid that the
@@ -272,104 +641,46 @@ def _dyadic_counts(points: np.ndarray, stride: int, resolution: float,
     than 2**63 grid boxes over the points' bounding box, so that box keys
     fit an int64 (none if the resolution exceeds 1).
 
-    One fine pass counts a level and every coarser one by halving box
-    indices, exact for dyadic r.  A point is one run at every level, so a
-    point cloud takes a single pass at the finest level.  For chords the
-    pass level is the first one predicted to pass n_max (first from the
-    middle sixteenth of the chords), so one pass usually serves the whole
-    fit; the prediction steers only the cost, never the counts.
+    One `_BoxCounter` pass counts a level and every coarser one, exact
+    for dyadic r.  A point cloud takes a single pass at the finest level.
+    A fibre-major cloud is swept in chunks of whole fibres (views of the
+    array, each closed at the least axis-0 value still to come), at the
+    level first predicted to pass n_max from the middle sixteenth of the
+    fibre gaps; the prediction steers only the cost, never the counts.
     """
-    segments = points.shape[0] - stride
-    gap, extent = np.empty(segments), np.empty(points.shape[1])
-    for c in range(points.shape[1]):
-        np.subtract(points[stride:, c], points[:segments, c], out=gap)
-        extent[c] = np.abs(gap, out=gap).mean()
-    del gap  # a whole-cloud buffer: not kept through the passes
-    # Cut the segments on every axis but the one they run furthest along.
-    run = int(np.argmax(extent))
-    axes = [c for c in range(points.shape[1]) if c != run] + [run]
-    bounds = [(points[:, c].min(), points[:, c].max()) for c in axes]
-    finest = max((j for j in range(48)
-                  if 2.0 ** -j >= resolution * (1.0 - 1e-12)), default=-1)
-    # Box keys are int64: no level whose grid over the bounds has 2**63 boxes.
-    while finest >= 0 and math.prod(
-            math.floor(hi * 2.0 ** finest) - math.floor(lo * 2.0 ** finest) + 1
-            for lo, hi in bounds) >= 2 ** 63:
-        finest -= 1
+    dim = points.shape[1]
+    box = [(points[:, c].min(), points[:, c].max()) for c in range(dim)]
+    finest = _finest(resolution, box)
+    if finest < 0:
+        return {}
+    if not stride:
+        counter = _BoxCounter(finest, box)
+        counter.add(points, points)
+        return _levels(counter.counts(), finest, n_max, None)
+    grid = points.reshape(-1, stride, dim)
+    col0 = grid[:, :, 0]
+    lower = np.minimum.accumulate(col0.min(axis=1)[::-1])[::-1]
+    lap = _lap_clock(None)
 
-    def level_counts(level, first=0, stop=segments):
-        """Counts at level .. 0 of the boxes met by segments first..stop-1."""
-        r = 2.0 ** -level
-        lo, hi = (np.floor(np.array(v) / r).astype(np.int64)
-                  for v in zip(*bounds))
-        spans = hi - lo + 1
-        runs_per_segment = 1.0 + float(np.sum(extent[axes[:-1]])) / r
-        step = max(1, int(_CHORD_BLOCK / runs_per_segment))
-        starts, ends = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for s in range(first, stop, step):
-            e = min(s + step, stop)
-            block = _chord_runs((points[s:e] / r).T.copy(),
-                                (points[s + stride:e + stride] / r).T.copy(),
-                                axes, lo, spans)
-            starts.append(block[0])
-            ends.append(block[1])
-            # Merge once the new runs outnumber the merged ones.
-            if 2 * starts[0].size <= sum(x.size for x in starts) or e == stop:
-                merged = _union(np.concatenate(starts), np.concatenate(ends))
-                starts, ends = [merged[0]], [merged[1]]
-        boxes, counts = (starts[0], ends[0], lo, spans), {}
-        for lv in range(level, -1, -1):
-            counts[lv] = int(np.sum(boxes[1] - boxes[0] + 1))
-            if lv:
-                boxes = _halve(*boxes)
-        return counts
+    def blocks(fib):
+        part = grid[fib]
+        return (part[rows] for rows in _fibre_chunks(len(part), stride))
 
-    def estimate():
-        """Counts extrapolated from the middle sixteenth of the chords."""
-        gaps = segments // stride  # whole fibre gaps of a fibre-major cloud
-        sample = max(1, gaps // 16)
-        first = (gaps - sample) // 2 * stride
-        # Two levels below the typical chord length, where gaps share few
-        # boxes.
-        length = float(np.linalg.norm(extent))
-        level = math.ceil(-math.log2(length)) + 2 if length > 0 else 0
-        level = max(0, min(level, finest))
-        return {lv: c * gaps / sample for lv, c in
-                level_counts(level, first, first + sample * stride).items()}
+    def count_pass(level):
+        return _sweep(blocks(slice(None)), lower, level, box, lap)
 
-    counts, j = {}, 0
-    while j <= finest:
-        if j not in counts:
-            if stride:
-                known = counts or estimate()
-                top = max(known)
-                over = [lv for lv, c in known.items() if c > n_max]
-                growth = max(known[top] / max(known.get(top - 1, 1), 1), 1.5)
-                # At most three levels (8x the work) past the finest known one.
-                target = min(over) if over else top + min(3, math.ceil(
-                    math.log(n_max / known[top]) / math.log(growth)))
-            else:
-                target = finest  # a point is one run at every level
-            counts.update(level_counts(max(j, min(target, finest))))
-        if counts[j] > n_max:
-            break
-        j += 1
-    return {lv: counts[lv] for lv in range(min(j, finest) + 1)}
+    known = _estimate(blocks, col0, lower, box, finest, lap)
+    return _levels(count_pass(max(0, min(_next_level(known, n_max), finest))),
+                   finest, n_max, count_pass)
 
 
-def _halve(starts, ends, lo, spans):
-    """The same boxes one dyadic level up, as key intervals."""
-    cells, keys = [], starts
-    for c in range(len(spans) - 1, -1, -1):
-        cells.append(keys % spans[c] + lo[c])
-        keys = keys // spans[c]
-    cells.reverse()
-    last = cells[-1] + (ends - starts)  # run-axis cell at each interval's end
-    new_lo = lo >> 1
-    new_spans = ((lo + spans - 1) >> 1) - new_lo + 1
-    new_starts = _mix([(cl >> 1) - l for cl, l in zip(cells, new_lo)], new_spans)
-    return _union(new_starts, new_starts + (last >> 1) - (cells[-1] >> 1)) + (
-        new_lo, new_spans)
+def _fit_limit(size: int, k_scales: int) -> float:
+    """The count limit n_max = |cloud|/4 of a fit, once its inputs pass."""
+    if size < 100:
+        raise ValueError("need at least 100 points for a box-dimension fit")
+    if k_scales < 5:
+        raise ValueError("need at least 5 scales")
+    return max(2.0, size / 4.0)
 
 
 def box_dimension(cloud: PointCloud, k_scales: int = 12) -> DimensionFit:
@@ -383,22 +694,25 @@ def box_dimension(cloud: PointCloud, k_scales: int = 12) -> DimensionFit:
     between adjacent fibers rather than by the points alone, so the
     window reaches below the fiber spacing; other clouds count points.
     Each scale is one count on the origin-anchored grid, not a mean over
-    shifted grids.
+    shifted grids.  The counts come from the counter that
+    `attractor_dimension` sweeps, fed with views of the cloud's array
+    (`_cloud_counts`), and its keys live on the grid over the cloud's
+    bounding box.
     """
-    if len(cloud) < 100:
-        raise ValueError("need at least 100 points for a box-dimension fit")
-    if k_scales < 5:
-        raise ValueError("need at least 5 scales")
-    n_max = max(2.0, len(cloud) / 4.0)
+    n_max = _fit_limit(len(cloud), k_scales)
     stride = 0
     layout = cloud.provenance.get("fiber_major")
     if layout is not None:
         stride = layout["words"]
         if layout["fibers"] * stride != len(cloud) or layout["fibers"] < 2:
             raise ValueError("fibre-major layout does not match the cloud")
-    counts = {2.0 ** -j: float(c) for j, c in _dyadic_counts(
-        cloud.points, stride, cloud.resolution, n_max).items()}
+    return _fit_counts(_cloud_counts(cloud.points, stride, cloud.resolution,
+                                     n_max), n_max, k_scales)
 
+
+def _fit_counts(levels: dict, n_max: float, k_scales: int) -> DimensionFit:
+    """The fit of `box_dimension` to the counts {j: N(2**-j)}."""
+    counts = {2.0 ** -j: float(c) for j, c in levels.items()}
     valid = [(r, c) for r, c in counts.items() if 2.0 <= c <= n_max]
     if not valid:
         if counts and all(c <= 1.0 for c in counts.values()):

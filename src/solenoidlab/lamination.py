@@ -70,6 +70,7 @@ class HolonomyReport:
     strong_lipschitz_fraction: float
     flagged_words: list       # digit tuples of the failing words
     flagged_weight: float
+    usable: int               # tested samples the margin test could use
 
     def to_dict(self):
         return {
@@ -79,6 +80,7 @@ class HolonomyReport:
             "strong_lipschitz_fraction": self.strong_lipschitz_fraction,
             "flagged_words": [_word_label(w) for w in self.flagged_words],
             "flagged_weight": self.flagged_weight,
+            "usable": self.usable,
         }
 
 
@@ -371,7 +373,10 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
     strong-Lipschitz margin test against `pool` at depth n//2 (all words
     in one batched pass); the failing words are the flagged set, whose
     sampled weight estimates the Gibbs mass of the weak non-Lipschitz part
-    at this generation.
+    at this generation.  That weight, and the strong fraction 1 - weight,
+    are taken over the `usable` samples only: those whose word the test
+    could use (some pool leaf from another tube).  With none usable both
+    are nan.
     """
     rng = np.random.default_rng(seed)
     idx_a = _sample_words(spec, n, rng, pairs)
@@ -416,12 +421,16 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
     failing = {i for i, w, u in zip(words, worst, usable) if u and w < 1.0}
     flagged = [tuple(r) for i, r in zip(words, rows.tolist()) if i in failing]
     flagged_hits = sum(i in failing for i in tested)
+    usable_words = {i for i, u in zip(words, usable) if u}
+    used = sum(i in usable_words for i in tested)
 
     for stats in scale_stats.values():
         stats["ratio_mean"] = stats["ratio_sum"] / stats["count"]
         del stats["ratio_sum"]
-    flagged_weight = flagged_hits / len(tested) if tested else 0.0
+    # A word the margin test could not use is neither strong nor flagged.
+    flagged_weight = flagged_hits / used if used else math.nan
     return HolonomyReport(
         x_src=float(x_src), x_dst=float(x_dst), scale_stats=scale_stats,
         strong_lipschitz_fraction=1.0 - flagged_weight,
-        flagged_words=flagged, flagged_weight=float(flagged_weight))
+        flagged_words=flagged, flagged_weight=float(flagged_weight),
+        usable=used)

@@ -169,17 +169,21 @@ def test_report_schema_and_determinism(tmp_path):
     cfg2 = cli.load_config(path)
     report = cli.run_command(cfg2, "report")
     assert out.read_bytes() == first
-    timings = json.loads(
-        (tmp_path / "out" / "report_timings.json").read_text())
-    assert {"write_slice_cloud",
-            "write_attractor_cloud"} <= set(timings["timings_ms"])
-    # the memory high-water mark after every timed stage, never falling
-    rss = timings["rss_high_water_mb"]
-    assert set(rss) == set(timings["timings_ms"])
-    in_order = list(report.rss_high_water_mb.values())
-    assert list(report.rss_high_water_mb) == list(report.timings)
-    assert in_order[0] > 0 and in_order == sorted(in_order)
-    assert in_order == [rss[name] for name in report.timings]
+    for command in ("report", "dimension"):
+        if command != "report":
+            report = cli.run_command(cli.load_config(path), command)
+        timings = json.loads(
+            (tmp_path / "out" / f"{command}_timings.json").read_text())
+        # the benchmark reads a missing stage as 0 s, so each must be there
+        assert {"attractor_cloud", "full_fit", "write_slice_cloud",
+                "write_attractor_cloud"} <= set(timings["timings_ms"])
+        # the memory high-water mark after every timed stage, never falling
+        rss = timings["rss_high_water_mb"]
+        assert set(rss) == set(timings["timings_ms"])
+        in_order = list(report.rss_high_water_mb.values())
+        assert list(report.rss_high_water_mb) == list(report.timings)
+        assert in_order[0] > 0 and in_order == sorted(in_order)
+        assert in_order == [rss[name] for name in report.timings]
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -227,7 +231,8 @@ def test_main_overrides(tmp_path):
         ([], {"scan_pairs": -1}, "scan_pairs"),
         ([], {"gamma_budget": -1}, "gamma_budget"),
         ([], {"leaf_margin": -0.5}, "leaf_margin"),
-        ([], {"leaf_margin": -4.0}, "leaf_margin")]])
+        ([], {"leaf_margin": -4.0}, "leaf_margin"),
+        ([], {"seed": -3}, "seed"), (["--seed", "-3"], {}, "seed")]])
 def test_main_exits_2_on_bad_run_sizes(tmp_path, capsys, flags, fields, name):
     path = write_config(tmp_path, **fields)
     assert cli.main(["report", "--config", path] + flags) == 2
@@ -236,12 +241,16 @@ def test_main_exits_2_on_bad_run_sizes(tmp_path, capsys, flags, fields, name):
 
 
 @pytest.mark.parametrize("value", [0, -1.0])
-@pytest.mark.parametrize("field", ["scan_L", "deviation_threshold"])
+@pytest.mark.parametrize("field", ["scan_L", "deviation_threshold", "t_max",
+                                   "eps_grid"])
 def test_main_exits_2_on_non_positive_thresholds(tmp_path, capsys, field,
                                                  value):
-    # scan_L <= 0 flagged no word or every word, and a zero or negative
-    # deviation_threshold counted every cylinder as deviating
-    path = write_config(tmp_path, **{field: value})
+    # scan_L <= 0 flagged no word or every word, a zero or negative
+    # deviation_threshold counted every cylinder as deviating, t_max <= 0
+    # wrote a pressure curve of identical rows, and an eps_grid entry <= 0
+    # took the NL bound at a deviation that is no deviation
+    path = write_config(
+        tmp_path, **{field: [0.1, value] if field == "eps_grid" else value})
     assert cli.main(["report", "--config", path]) == 2
     assert f"config field '{field}' must be a positive finite number" \
         in capsys.readouterr().err
@@ -493,3 +502,15 @@ def test_cli_import_does_not_load_scipy():
                          check=True, capture_output=True, text=True,
                          timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_holonomy_without_a_usable_word_reports_nan(tmp_path):
+    # With no pool leaf the margin test can use no word, so no sample is
+    # strong or flagged: the weights are nan, not 1.0 and 0.0.
+    path = write_config(tmp_path, spec=BENCH_C, depth_n=10, gamma_budget=0)
+    assert cli.main(["holonomy", "--config", path, "--seed", "7"]) == 0
+    scan = json.loads((tmp_path / "out" / "holonomy_report.json")
+                      .read_text())["results"]["scan"]
+    assert scan["usable"] == 0
+    assert scan["flagged_weight"] == scan["strong_lipschitz_fraction"] == "nan"
+    assert scan["flagged_words"] == []

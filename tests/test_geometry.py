@@ -1,5 +1,8 @@
 import heapq
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 from solenoidlab import (CapExceededError, ResolutionError, SolenoidSpec,
                          benchmark_a, benchmark_c)
-from solenoidlab import coding, geometry, thermo
+from solenoidlab import cli, coding, geometry, thermo
 from solenoidlab.coding import word_representatives
 from solenoidlab.numerics import TWO_PI
 
@@ -108,16 +111,20 @@ def test_chunked_attractor_cloud_matches_whole_build(spec, n, fibers):
 
 
 def test_chord_error_reads_across_chunk_ends():
-    # A spike on any one fibre sets the largest second difference, so every
-    # chunk must reach the two fibres past its end to match the whole scan.
-    fibers, words = 11, geometry._CLOUD_CHUNK // 4
+    # A spike on any one fibre sets the largest second difference, so each
+    # chunk must carry the last two fibres of the chunks before it, also
+    # when a chunk holds fewer than two fibres.
+    fibers, words = 11, 64
     grid = np.random.default_rng(5).uniform(-1.0, 1.0, (fibers, words, 3))
-    for f in range(fibers):
-        pts = grid.copy()
-        pts[f, 7, 1] += 100.0
-        pts = pts.reshape(-1, 3)
-        assert geometry._chord_error(pts, fibers, words) == \
-            _whole_chord_error(pts, fibers, words), f
+    for step in (1, 2, 3, 4, fibers):
+        for f in range(fibers):
+            pts = grid.copy()
+            pts[f, 7, 1] += 100.0
+            error = geometry._ChordError()
+            for start in range(0, fibers, step):
+                error.add(pts[start:start + step])
+            assert error.value == _whole_chord_error(
+                pts.reshape(-1, 3), fibers, words), (step, f)
 
 
 def test_attractor_cloud_holds_no_whole_cloud_temporaries():
@@ -131,6 +138,52 @@ def test_attractor_cloud_holds_no_whole_cloud_temporaries():
     finally:
         tracemalloc.stop()
     assert peak - entry <= 1.25 * cloud.points.nbytes
+
+
+def test_fused_sweep_holds_no_whole_cloud_state(tmp_path):
+    # Counting the cloud and writing its CSV chunk by chunk: the peak above
+    # entry stays below a third of the cloud's point bytes, and four times
+    # the fibres add at most one chunk.  The once-per-process set-up (the
+    # CSV lookup tables and the untouched block of `_keep_heap`) runs first.
+    spec, peaks = benchmark_a(), {}
+    geometry._keep_heap()
+    cli._format_tables()
+    for fibers in (64, 256):
+        with open(tmp_path / "attractor_cloud.csv", "wb") as fh:
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                geometry.attractor_dimension(
+                    spec, 12, fibers,
+                    sink=lambda block: cli._csv_rows(fh, block.reshape(-1, 3)))
+                peaks[fibers] = tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+    points_bytes = 256 * spec.d ** 12 * 3 * 8
+    assert peaks[256] < points_bytes / 3
+    assert peaks[256] - peaks[64] <= geometry._CLOUD_CHUNK * 3 * 8
+
+
+def test_deep_chord_count_stays_small_in_a_fresh_process():
+    # A's chords (depth 12, 256 fibres) down to 2**-12, where they meet
+    # 26.5M boxes: the whole-cloud counter held every box interval of that
+    # level (536 MB); the sweep holds one band of columns.
+    code = (
+        "import resource\n"
+        "from solenoidlab import benchmark_a, geometry as g\n"
+        "xs = g._fibre_xs(256)\n"
+        "counts = g._sweep(g._attractor_chunks(benchmark_a(), 12, xs, 1), xs,"
+        " 12, g._TORUS, g._lap_clock(None))\n"
+        "print(counts[12], counts[9],"
+        " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(geometry.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    boxes, fit_level, maxrss_kb = map(int, out.stdout.split())
+    assert (boxes, fit_level) == (26517766, 774425)
+    assert maxrss_kb / 1024 < 150
 
 
 def test_attractor_cloud_thread_determinism():
@@ -254,7 +307,7 @@ def _box_count(points, r):
 
 def _assert_counts_match_sort(cloud):
     n_max = max(2.0, len(cloud) / 4.0)
-    counts = geometry._dyadic_counts(cloud.points, 0, cloud.resolution, n_max)
+    counts = geometry._cloud_counts(cloud.points, 0, cloud.resolution, n_max)
     finest = max(j for j in range(48) if 2.0 ** -j >= cloud.resolution)
     assert list(counts) == list(range(len(counts)))
     # levels stop at the first count above n_max, else at the finest level
@@ -296,7 +349,7 @@ def test_point_counts_keep_box_keys_in_int64():
     # Two opposite corners of the unit cube, 75 copies each: no count passes
     # n_max, and from level 21 on the grid over the cube has 2**63 boxes.
     pts = np.repeat([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], 75, axis=0)
-    counts = geometry._dyadic_counts(pts, 0, 1e-9, 37.5)
+    counts = geometry._cloud_counts(pts, 0, 1e-9, 37.5)
     assert list(counts) == list(range(21))
     for j, count in counts.items():
         assert count == _box_count(pts, 2.0 ** -j) == 2, j
@@ -321,7 +374,7 @@ def test_point_cloud_fit_takes_one_pass(monkeypatch):
 def test_box_dimension_refuses_a_resolution_above_one():
     cloud = geometry.attractor_cloud(benchmark_a(), 8, 1)
     assert cloud.resolution == pytest.approx(TWO_PI)
-    assert geometry._dyadic_counts(cloud.points, 0, cloud.resolution, 64) == {}
+    assert geometry._cloud_counts(cloud.points, 0, cloud.resolution, 64) == {}
     with pytest.raises(ValueError, match="no usable dyadic scales"):
         geometry.box_dimension(cloud, 12)
 
@@ -506,3 +559,176 @@ def test_overlap_multiplicity_matches_heap_sweep(spec, n_max):
         assert rep == ref
         assert rep.h_n.hex() == ref.h_n.hex()
         assert rep.to_dict() == ref.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# The fibre-chunk sweep against the whole-cloud counter it replaced
+# ---------------------------------------------------------------------------
+
+
+def _dyadic_counts(points, stride, resolution, n_max):
+    """Box counts {j: N(2**-j)} with every run of the pass level held at once.
+
+    The whole-cloud counter the sweep replaced, kept as its reference: the
+    segments run from row i to row i + stride (stride 0: points), cut on
+    every axis but the one they run furthest along, all runs of one pass
+    merged into one interval list and halved level by level.  Levels 0 up
+    to the first count above n_max, or up to the finest level at or above
+    the resolution with fewer than 2**63 boxes over the bounding box.
+    """
+    segments = points.shape[0] - stride
+    gap, extent = np.empty(segments), np.empty(points.shape[1])
+    for c in range(points.shape[1]):
+        np.subtract(points[stride:, c], points[:segments, c], out=gap)
+        extent[c] = np.abs(gap, out=gap).mean()
+    del gap
+    run = int(np.argmax(extent))
+    axes = [c for c in range(points.shape[1]) if c != run] + [run]
+    bounds = [(points[:, c].min(), points[:, c].max()) for c in axes]
+    finest = max((j for j in range(48)
+                  if 2.0 ** -j >= resolution * (1.0 - 1e-12)), default=-1)
+    while finest >= 0 and math.prod(
+            math.floor(hi * 2.0 ** finest) - math.floor(lo * 2.0 ** finest) + 1
+            for lo, hi in bounds) >= 2 ** 63:
+        finest -= 1
+
+    def level_counts(level, first=0, stop=segments):
+        r = 2.0 ** -level
+        lo, hi = (np.floor(np.array(v) / r).astype(np.int64)
+                  for v in zip(*bounds))
+        spans = hi - lo + 1
+        runs_per_segment = 1.0 + float(np.sum(extent[axes[:-1]])) / r
+        step = max(1, int(geometry._CHORD_BLOCK / runs_per_segment))
+        starts, ends = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for s in range(first, stop, step):
+            e = min(s + step, stop)
+            block = geometry._chord_runs(
+                (points[s:e] / r).T.copy(),
+                (points[s + stride:e + stride] / r).T.copy(), axes, lo, spans)
+            starts.append(block[0])
+            ends.append(block[1])
+            if 2 * starts[0].size <= sum(x.size for x in starts) or e == stop:
+                merged = geometry._union(np.concatenate(starts),
+                                         np.concatenate(ends))
+                starts, ends = [merged[0]], [merged[1]]
+        boxes, counts = (starts[0], ends[0], lo, spans), {}
+        for lv in range(level, -1, -1):
+            counts[lv] = int(np.sum(boxes[1] - boxes[0] + 1))
+            if lv:
+                boxes = geometry._halve(*boxes)
+        return counts
+
+    def estimate():
+        gaps = segments // stride
+        sample = max(1, gaps // 16)
+        first = (gaps - sample) // 2 * stride
+        length = float(np.linalg.norm(extent))
+        level = math.ceil(-math.log2(length)) + 2 if length > 0 else 0
+        level = max(0, min(level, finest))
+        return {lv: c * gaps / sample for lv, c in
+                level_counts(level, first, first + sample * stride).items()}
+
+    counts, j = {}, 0
+    while j <= finest:
+        if j not in counts:
+            if stride:
+                known = counts or estimate()
+                top = max(known)
+                over = [lv for lv, c in known.items() if c > n_max]
+                growth = max(known[top] / max(known.get(top - 1, 1), 1), 1.5)
+                target = min(over) if over else top + min(3, math.ceil(
+                    math.log(n_max / known[top]) / math.log(growth)))
+            else:
+                target = finest
+            counts.update(level_counts(max(j, min(target, finest))))
+        if counts[j] > n_max:
+            break
+        j += 1
+    return {lv: counts[lv] for lv in range(min(j, finest) + 1)}
+
+
+def _sweep_counts(spec, n, fibers, level, threads=1):
+    """Counts at level .. 0 from one sweep over freshly built chunks."""
+    xs = geometry._fibre_xs(fibers)
+    return geometry._sweep(geometry._attractor_chunks(spec, n, xs, threads),
+                           xs, level, geometry._TORUS,
+                           geometry._lap_clock(None))
+
+
+def _fit_or_refusal(fit, *args, **kwargs):
+    try:
+        return fit(*args, **kwargs).to_dict()
+    except ValueError as exc:
+        return str(exc)
+
+
+# 37 fibres are not a multiple of a chunk; A at depth 16 has more words
+# than a chunk, so one fibre per chunk (and a fit refused: too few scales).
+@pytest.mark.parametrize("spec, n, fibers", [
+    (benchmark_a(), 12, 37), (benchmark_a(), 16, 3), (benchmark_c(), 10, 64),
+    (D3, 7, 64)], ids=["A-12-37", "A-16-3", "C-10-64", "d3-7-64"])
+def test_sweep_counts_match_whole_cloud_oracle(spec, n, fibers):
+    cloud = geometry.attractor_cloud(spec, n, fibers)
+    words, n_max = spec.d ** n, len(cloud) / 4.0
+    want = _dyadic_counts(cloud.points, words, cloud.resolution, n_max)
+    assert geometry._cloud_counts(cloud.points, words, cloud.resolution,
+                                  n_max) == want
+    # Every level of one sweep two levels past the fit's last one.
+    level = max(want) + 2
+    deep = _dyadic_counts(cloud.points, words, 2.0 ** -level, 1e18)
+    assert list(deep) == list(range(level + 1))
+    fit = _fit_or_refusal(geometry.box_dimension, cloud, 12)
+    for threads in (1, 2, 3):
+        assert _sweep_counts(spec, n, fibers, level, threads) == deep
+        assert _fit_or_refusal(geometry.attractor_dimension, spec, n, fibers,
+                               12, threads=threads) == fit
+
+
+def test_sweep_counts_match_oracle_on_steep_lines():
+    # Chords steeper than the diagonal: the oracle runs them along y, the
+    # sweep always along axis 0.  In general position (no chord through a
+    # grid corner, hence the jitter) the counts agree at every level.
+    fibers, words = 300, 10
+    rng = np.random.default_rng(3)
+    for slope in (math.pi, -2.3 - 1.0 / math.e):
+        xs = np.sort(0.05 + 4.3 * np.arange(fibers) / (fibers - 1)
+                     + rng.uniform(0.0, 1e-3, fibers))
+        ys = 10.0 * np.arange(words) + rng.uniform(0.0, 1.0, words)
+        pts = np.column_stack([np.repeat(xs, words),
+                               (ys[None, :] + slope * xs[:, None]).ravel()])
+        for n_max in (100.0, 1e18):
+            want = _dyadic_counts(pts, words, 1e-3, n_max)
+            assert geometry._cloud_counts(pts, words, 1e-3, n_max) == want
+
+
+def test_short_first_pass_builds_again_without_the_sink(monkeypatch):
+    # An estimate cut off at level 2 sets a first pass (at most three
+    # levels further) that stops short of n_max: the chunks are built again
+    # for finer passes, and the sink, which writes the CSV, still sees
+    # every chunk exactly once.
+    spec, n, fibers = benchmark_c(), 10, 64
+    cloud = geometry.attractor_cloud(spec, n, fibers)
+    words, n_max = spec.d ** n, len(cloud) / 4.0
+    want = _dyadic_counts(cloud.points, words, cloud.resolution, n_max)
+    fit = geometry.box_dimension(cloud, 12).to_dict()
+    estimate, sweep, levels = geometry._estimate, geometry._sweep, []
+
+    def low(*args):
+        return {lv: c for lv, c in estimate(*args).items() if lv <= 2}
+
+    def logged(blocks, lower, level, *rest):
+        levels.append(level)
+        return sweep(blocks, lower, level, *rest)
+
+    monkeypatch.setattr(geometry, "_estimate", low)
+    monkeypatch.setattr(geometry, "_sweep", logged)
+    assert geometry._cloud_counts(cloud.points, words, cloud.resolution,
+                                  n_max) == want
+    passes = levels[1:]  # levels[0] counts the middle sixteenth
+    assert len(passes) >= 2 and passes == sorted(passes)
+    levels.clear()
+    blocks = []
+    assert geometry.attractor_dimension(
+        spec, n, fibers, 12, sink=blocks.append).to_dict() == fit
+    assert levels[1:] == passes
+    assert np.array_equal(np.concatenate(blocks).reshape(-1, 3), cloud.points)

@@ -30,6 +30,9 @@ from .numerics import TWO_PI
 
 ENUMERATION_CAP = 2 ** 24
 
+# Least numpy inner-loop length of a forward-pass level's broadcast updates.
+INNER_RUN = 64
+
 
 # ---------------------------------------------------------------------------
 # Bulk backward-chain machinery
@@ -85,7 +88,9 @@ def _fiber_forward(spec, chain, shape, dx=None):
     float.  A zero lam2 (nu2) makes lam2 y**2 (nu2 y z) a signed zero,
     which can only turn -0.0 into +0.0; when lam0 > |lam1| (nu0 > |nu1|)
     the factor is positive, y (z) never holds -0.0, and the term is
-    skipped.  Otherwise it is formed in one scratch buffer.
+    skipped.  Otherwise it is formed in one scratch buffer.  A level that
+    broadcasts over deeper axes has its sin and cos widened (``_widen``),
+    so each update runs numpy inner loops at least INNER_RUN long.
 
     Given dx[j-1] = d x_(-j) / dx, the slope dy/dx rides along by the
     chain rule through lam and u, from the same sin and cos, and (y, dy)
@@ -100,7 +105,8 @@ def _fiber_forward(spec, chain, shape, dx=None):
     dy = None if dx is None else np.zeros(shape)
     scratch = np.empty(shape)  # its pages are touched only when used
     for j in reversed(range(len(chain))):
-        sin, cos = np.sin(chain[j]), np.cos(chain[j])
+        sin = _widen(np.sin(chain[j]), shape)
+        cos = _widen(np.cos(chain[j]), shape)
         if dx is None:
             if yz_term:
                 np.multiply(y, nu2, out=scratch)
@@ -135,6 +141,28 @@ def _fiber_forward(spec, chain, shape, dx=None):
         y += cos
         del sin, cos, lam  # freed before the next level's trig
     return (y, z) if dx is None else (y, dy)
+
+
+def _widen(a, shape):
+    """a, copied out over the size-1 axes just before its trailing full
+    axes until those hold INNER_RUN elements (or no size-1 axis is left).
+
+    a has the ndim of shape and broadcasts to it; the copy holds the
+    same values.  An in-place update of a shape-sized array by it runs
+    numpy inner loops over the trailing full axes only, which at a
+    shallow level hold d**j elements.
+    """
+    k, run = a.ndim, 1
+    while k > 0 and a.shape[k - 1] == shape[k - 1]:
+        k -= 1
+        run *= shape[k]
+    i = k
+    while i > 0 and run < INNER_RUN and a.shape[i - 1] == 1:
+        i -= 1
+        run *= shape[i]
+    if i == k:
+        return a
+    return np.ascontiguousarray(np.broadcast_to(a, a.shape[:i] + shape[i:]))
 
 
 def word_representatives(spec: SolenoidSpec, lifts, n: int):

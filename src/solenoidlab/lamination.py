@@ -276,8 +276,10 @@ def build_gamma_pool(spec: SolenoidSpec, n_past: int, budget: int,
     """Draw weighted pasts and precompute their leaves over the window."""
     rng = np.random.default_rng(seed)
     grid = _grid(POOL_MARGIN, samples)
-    digits = _digit_rows(np.unique(_sample_words(spec, n_past, rng, budget)),
-                         spec.d, n_past)
+    # A return flag keeps np.unique off the path that imports numpy.ma.
+    words, _ = np.unique(_sample_words(spec, n_past, rng, budget),
+                         return_counts=True)
+    digits = _digit_rows(words, spec.d, n_past)
     y, _ = leaf_states(spec, digits, grid)
     # pairs a < b from different generation-one tubes, row-major
     a, b = np.nonzero(np.triu(digits[:, -1, None] != digits[:, -1]))

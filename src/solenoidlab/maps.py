@@ -31,6 +31,7 @@ from .numerics import TWO_PI, solve_increasing
 
 LIFT_NODES = 4096      # intervals of the inverse-lift start table
 LIFT_TOL = 1e-13       # relative error bound accepted from the table lift
+IMAGE_BLOCK_POINTS = 2 ** 14  # grid points per block of the image check
 
 SPEC_FIELDS = ("d", "eta_eps", "lam0", "lam1", "lam2",
                "nu0", "nu1", "nu2", "u_amp", "v_amp")
@@ -307,19 +308,11 @@ def validate_spec(spec: SolenoidSpec, grid_density: int = 64) -> ValidationRepor
     # f(closure M) inside M, on a polar grid of the closed disc.
     phis = np.linspace(0.0, TWO_PI, grid_density, endpoint=False)
     rads = np.linspace(0.0, 1.0, max(8, grid_density // 4))
-    px, pr, pphi = np.meshgrid(xs, rads, phis, indexing="ij")
-    py = pr * np.cos(pphi)
-    pz = pr * np.sin(pphi)
-    img_y = spec.lam(px, py) + spec.u(px)
-    img_z = spec.nu(px, py, pz) + spec.v(px)
-    norm2 = (img_y ** 2 + img_z ** 2).ravel()
-    coords = np.column_stack([px.ravel(), py.ravel(), pz.ravel()])
-    i = int(np.argmax(norm2))
-    val = float(norm2[i])
+    val, wit = _image_max(spec, xs, rads, phis)
     checks.append(CheckResult(
         "image_inside_domain", bool(val < 1.0),
         f"max |f(p)|_fiber^2 = {val:.6g} (need < 1)",
-        tuple(float(c) for c in coords[i]) if val >= 1.0 else None))
+        wit if val >= 1.0 else None))
 
     # Injectivity: branch image tubes pairwise separated on sampled fibers.
     margin, wit = _branch_separation(spec, xs)
@@ -330,6 +323,35 @@ def validate_spec(spec: SolenoidSpec, grid_density: int = 64) -> ValidationRepor
         wit if margin <= 0.0 else None))
 
     return ValidationReport(spec=spec, checks=tuple(checks))
+
+
+def _image_max(spec, xs, rads, phis):
+    """First maximum of |f(p)|_fiber^2 over the polar grid (x, r, phi).
+
+    The grid is swept in its (x, r, phi) order, in blocks of whole x rows
+    that hold at most IMAGE_BLOCK_POINTS points (or one row), so memory
+    grows with one row, len(rads) * len(phis) points, not with the grid.
+    Returns (value, (x, y, z)), the point built only for the winner; a
+    NaN wins, as under np.argmax.
+    """
+    per_row = rads.size * phis.size
+    rows = max(1, IMAGE_BLOCK_POINTS // per_row)
+    pr, pphi = rads[:, None], phis[None, :]
+    py = pr * np.cos(pphi)
+    pz = pr * np.sin(pphi)
+    best, at = None, 0
+    for i in range(0, xs.size, rows):
+        px = xs[i:i + rows, None, None]
+        img_y = spec.lam(px, py) + spec.u(px)
+        img_z = spec.nu(px, py, pz) + spec.v(px)
+        norm2 = (img_y ** 2 + img_z ** 2).ravel()
+        k = int(np.argmax(norm2))
+        if best is None or norm2[k] > best or (np.isnan(norm2[k])
+                                               and not np.isnan(best)):
+            best, at = norm2[k], i * per_row + k
+    ix, rest = divmod(at, per_row)
+    ir, ip = divmod(rest, phis.size)
+    return float(best), (float(xs[ix]), float(py[ir, ip]), float(pz[ir, ip]))
 
 
 def _branch_separation(spec, fibers):

@@ -5,8 +5,9 @@ coding, and thermodynamic modules.  ``solve_increasing`` is not the
 inverse lift's main path: ``SolenoidSpec.eta_inverse_lift`` starts from a
 per-spec table, takes one Newton step and checks a residual bound, and
 calls it only to build that table and for the elements that miss the
-check.  The interval routines return outward enclosures (min, max) so
-callers can build rigorous sup/inf bounds.
+check.  ``trig_range`` encloses sin or cos over intervals as (min, max),
+from the function's values at the ends, so callers can build rigorous
+sup/inf bounds and take each endpoint's sin and cos once.
 """
 
 from __future__ import annotations
@@ -58,36 +59,19 @@ def _crosses(lo, hi, theta):
     return theta + TWO_PI * k <= hi
 
 
-def interval_sin(lo, hi):
-    """Range of sin over [lo, hi], returned as (min, max) arrays."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    slo, shi = np.sin(lo), np.sin(hi)
-    smin = np.where(_crosses(lo, hi, -0.5 * np.pi), -1.0, np.minimum(slo, shi))
-    smax = np.where(_crosses(lo, hi, 0.5 * np.pi), 1.0, np.maximum(slo, shi))
-    return smin, smax
+SIN_PEAKS = (-0.5 * np.pi, 0.5 * np.pi)  # phases of sin's -1 and +1
+COS_PEAKS = (np.pi, 0.0)
 
 
-def interval_cos(lo, hi):
-    """Range of cos over [lo, hi], returned as (min, max) arrays."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    clo, chi = np.cos(lo), np.cos(hi)
-    cmin = np.where(_crosses(lo, hi, np.pi), -1.0, np.minimum(clo, chi))
-    cmax = np.where(_crosses(lo, hi, 0.0), 1.0, np.maximum(clo, chi))
-    return cmin, cmax
+def trig_range(lo, hi, f_lo, f_hi, peaks, out):
+    """Range of sin or cos over [lo, hi] from its values f_lo, f_hi there.
 
-
-def interval_mul(alo, ahi, blo, bhi):
-    """Product of two intervals, (min, max) of the four corner products."""
-    p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    pmin = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    pmax = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return pmin, pmax
-
-
-def interval_square(lo, hi):
-    """Range of x**2 over [lo, hi]."""
-    smax = np.maximum(lo * lo, hi * hi)
-    smin = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, np.minimum(lo * lo, hi * hi))
-    return smin, smax
+    peaks holds the phases of the function's -1 and +1 (SIN_PEAKS or
+    COS_PEAKS).  Writes (min, max) into out, shape (2,) + the broadcast
+    shape, and returns it.
+    """
+    np.minimum(f_lo, f_hi, out=out[0])
+    np.maximum(f_lo, f_hi, out=out[1])
+    np.copyto(out[0], -1.0, where=_crosses(lo, hi, peaks[0]))
+    np.copyto(out[1], 1.0, where=_crosses(lo, hi, peaks[1]))
+    return out

@@ -8,10 +8,13 @@ the fiber coordinate, the y-range of the cylinder is propagated by
 interval iteration from the anchor disc, so the bounds stay rigorous and
 the per-word slack stays summable in the depth.
 
-A table keeps six read-only arrays, 48 * d**n bytes.  It is built in
-blocks of at most BLOCK_WORDS words that each descend their own deep
-chain levels, so the memory the build needs on top of the table is
-O(BLOCK_WORDS) rather than a multiple of d**n.
+A table keeps six read-only arrays, 48 * d**n bytes.  A derivative that
+no cylinder can vary is one scalar sum; the others are built in blocks
+of at most BLOCK_WORDS words that each descend their own deep chain
+levels and reuse a few block-sized buffers, so the memory the build
+needs on top of the table is O(BLOCK_WORDS) rather than a multiple of
+d**n.  The pressure, weight and tilt passes each hold one d**n scratch
+array.
 
 Sup-sums are subadditive under word concatenation and inf-sums are
 superadditive, which gives nested pressure brackets: the true pressure of
@@ -37,8 +40,7 @@ import numpy as np
 from .coding import _check_cap, cylinder_endpoints, descend_levels
 from .errors import SpecInvalidError
 from .maps import SolenoidSpec
-from .numerics import (TWO_PI, interval_cos, interval_mul, interval_sin,
-                       interval_square)
+from .numerics import COS_PEAKS, SIN_PEAKS, TWO_PI, trig_range
 
 REGIME_GRID = 256  # base points of the grid behind the uniform regime flags
 
@@ -62,34 +64,45 @@ class BirkhoffTable:
 
     @property
     def eta_mid(self):
-        return 0.5 * (self.eta_inf + self.eta_sup)
+        return _mid(self.eta_inf, self.eta_sup)
 
     @property
     def lam_mid(self):
-        return 0.5 * (self.lam_inf + self.lam_sup)
+        return _mid(self.lam_inf, self.lam_sup)
 
     @property
     def nu_mid(self):
-        return 0.5 * (self.nu_inf + self.nu_sup)
+        return _mid(self.nu_inf, self.nu_sup)
 
 
-def _scale_interval(lo, hi, c):
-    return (c * lo, c * hi) if c >= 0.0 else (c * hi, c * lo)
+def _mid(inf, sup, out=None):
+    """0.5 * (inf + sup), formed in out when given."""
+    out = np.add(inf, sup, out=out)
+    out *= 0.5
+    return out
 
 
-def _log_interval(lo, hi, what):
-    if np.min(lo) <= 0.0:
+def _scale_pair(pair, c, out):
+    """c * [lo, hi] for pair = (lo, hi), as (min, max), written into out."""
+    return np.multiply(pair if c >= 0.0 else pair[::-1], c, out=out)
+
+
+def _log_pair(pair, what):
+    """log of the interval with rows (lo, hi) of pair, in place."""
+    if np.min(pair[0]) <= 0.0:
         raise SpecInvalidError(
             f"{what} is not positive on a cylinder enclosure; "
             "the family violates the derivative hypotheses")
-    return np.log(lo), np.log(hi)
+    return np.log(pair, out=pair)
 
 
 BASE_SPLIT_DEPTH = 3
 
 # Words per block of the table build: the widest word axis that a block's
-# accumulators and descent levels hold at once (see `birkhoff_table`).
-BLOCK_WORDS = 2 ** 12
+# accumulators and interval buffers hold at once (see `birkhoff_table`).
+BLOCK_WORDS = 2 ** 11
+
+TERMS = ("eta'", "lam'", "nu'")
 
 
 def birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
@@ -102,13 +115,15 @@ def birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
     exact sub/super-additivity under concatenation that bracket nesting
     relies on, while the per-level intervals shrink by roughly d**3.
 
-    The words are built in blocks of at most BLOCK_WORDS: block k holds
-    the words whose b most recent symbols are k, b the fewest that make
-    d**(n-b) fit.  One descent gives levels 1..b; each block descends its
-    own levels b+1..n from its level-b column, sums over the levels and
+    A derivative that no cylinder can vary (``_constant_terms``) is summed
+    as one scalar, level by level, and fills its two rows.  The others are
+    built in blocks of at most BLOCK_WORDS words: block k holds the words
+    whose b most recent symbols are k, b the fewest that make d**(n-b)
+    fit.  One descent gives levels 1..b; each block descends its own
+    levels b+1..n from its level-b column, sums over the levels and
     reduces over pieces.  Every lift and every sum is the one an all-words
     build would compute, bit for bit, but memory beyond the retained
-    48 * d**n bytes of the six read-only arrays is O(BLOCK_WORDS).
+    48 * d**n bytes of the six read-only arrays is a fixed block budget.
     """
     if n < 1:
         raise ValueError("table generation must be >= 1")
@@ -119,29 +134,36 @@ def birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
 @lru_cache(maxsize=8)
 def _birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
     d = spec.d
-    lo, hi = cylinder_endpoints(spec, min(BASE_SPLIT_DEPTH, n))
-    n_pieces = lo.size
-    # Adjacent pieces share endpoints, so each distinct value (by its bits)
-    # is descended once; `ends` takes a level back to (2, n_pieces, ...).
-    bits, ends = np.unique(np.concatenate([lo, hi]).view(np.int64),
-                           return_inverse=True)
-    lifts = bits.view(float)
-    b = 0
-    while d ** (n - b) > BLOCK_WORDS:
-        b += 1
-    top = descend_levels(spec, lifts, b)
     # (eta, lam, nu) x (inf, sup) per word; block k fills columns k::d**b,
     # since the deeper symbols of a word are its higher base-d digits.
     out = np.empty((3, 2, d ** n))
-    for k in range(d ** b):
-        # Level j <= b is the single column k mod d**j of the shared levels;
-        # level j > b of the block's descent is the all-words level's
-        # columns k::d**b.
-        levels = [x[:, k % d ** j, None] for j, x in enumerate(top, 1)]
-        levels += descend_levels(spec, top[-1][:, k] if b else lifts, n - b)
-        sums = _block_sums(spec, levels, ends, n_pieces)
-        out[:, 0, k::d ** b] = sums[:, 0].min(axis=1)
-        out[:, 1, k::d ** b] = sums[:, 1].max(axis=1)
+    constants = _constant_terms(spec)
+    terms = [k for k, c in enumerate(constants) if c is None]
+    if terms:
+        lo, hi = cylinder_endpoints(spec, min(BASE_SPLIT_DEPTH, n))
+        n_pieces = lo.size
+        # Adjacent pieces share endpoints, so each distinct value (by its
+        # bits) is descended once; `ends` takes a level back to the
+        # (2 * n_pieces, ...) piece ends.
+        bits, ends = np.unique(np.concatenate([lo, hi]).view(np.int64),
+                               return_inverse=True)
+        lifts = bits.view(float)
+        b = 0
+        while d ** (n - b) > BLOCK_WORDS:
+            b += 1
+        top = descend_levels(spec, lifts, b)
+        for k in range(d ** b):
+            # Level j <= b is the single column k mod d**j of the shared
+            # levels; level j > b of the block's descent is the all-words
+            # level's columns k::d**b.
+            levels = [x[:, k % d ** j, None] for j, x in enumerate(top, 1)]
+            levels += descend_levels(spec, top[-1][:, k] if b else lifts,
+                                     n - b)
+            _block_sums(spec, levels, ends, n_pieces, terms,
+                        out[:, :, k::d ** b])
+    for k, c in enumerate(constants):
+        if c is not None:
+            out[k] = _constant_sum(c, n, TERMS[k])
     out.flags.writeable = False
     return BirkhoffTable(spec=spec, n=n, eta_inf=out[0, 0], eta_sup=out[0, 1],
                          lam_inf=out[1, 0], lam_sup=out[1, 1],
@@ -152,60 +174,136 @@ birkhoff_table.cache_info = _birkhoff_table.cache_info
 birkhoff_table.cache_clear = _birkhoff_table.cache_clear
 
 
-def _block_sums(spec, levels, ends, n_pieces):
-    """Sums of (eta, lam, nu) x (inf, sup) per base piece and block word.
+def _constant_terms(spec):
+    """(eta', lam', nu') where no cylinder can vary them, else None.
+
+    eta' is d when eta_eps = 0, lam' is lam0 when lam1 = lam2 = 0 and nu'
+    is nu0 when nu1 = nu2 = 0: the interval steps would add c * (+-0.0)
+    to them, which leaves them as they are.
+    """
+    return (float(spec.d) if spec.eta_eps == 0.0 else None,
+            spec.lam0 if spec.lam1 == 0.0 and spec.lam2 == 0.0 else None,
+            spec.nu0 if spec.nu1 == 0.0 and spec.nu2 == 0.0 else None)
+
+
+def _constant_sum(c, n, what):
+    """n levels of log c, added one level at a time from 0.0 as a block
+    adds a term to every word, so the scalar has the bits of its sums."""
+    log_c = _log_pair(np.array([c, c]), what)[0]
+    total = 0.0
+    for _ in range(n):
+        total += log_c
+    return total
+
+
+def _block_sums(spec, levels, ends, n_pieces, terms, out):
+    """One block's (inf, sup) sums of the varying terms, into out.
 
     levels[j-1] holds the level-j lifts of the distinct piece endpoints,
     one column per class of block words, the word q taking column
-    q mod (column count); the last level has one column per word.
-    Returns shape (3, 2, n_pieces, words).
+    q mod (column count); the last level has one column per word.  terms
+    lists the varying derivatives (indices into TERMS); out[k] takes
+    term k's inf and sup over the pieces, shape (2, words).
+
+    Sin and cos are taken once per distinct endpoint and gathered to the
+    piece ends.  Every interval (lo, hi) is a pair of rows, and every
+    step writes into one of six buffers of 2 * n_pieces * words floats,
+    reused from level to level.
     """
-    d, n = spec.d, len(levels)
     count = levels[-1].shape[-1]
     track_y = spec.lam2 != 0.0 or spec.nu2 != 0.0
-    acc = np.zeros((3, 2, n_pieces, count))
-    y_lo = np.full((n_pieces, count), -1.0)
-    y_hi = np.full((n_pieces, count), 1.0)
+    need_sin = 1 in terms or track_y  # a, the y-free part of lam'
+    need_cos = 0 in terms or 2 in terms or track_y
+    acc = np.zeros((len(terms), 2, n_pieces, count))
+    bufs = np.empty((6, 2 * n_pieces * count))
+    if track_y:
+        y = np.empty((2, n_pieces, count))
+        y[0], y[1] = -1.0, 1.0
 
-    for j in range(n, 0, -1):
+    for j in range(len(levels), 0, -1):
         # View the word axis as (words // cols, cols) and let the level
         # broadcast over it.
-        cols = levels[j - 1].shape[-1]
-        shape = (n_pieces, count // cols, cols)
-        sums = acc.reshape((3, 2) + shape)
-        y_lo, y_hi = y_lo.reshape(shape), y_hi.reshape(shape)
-        xlo, xhi = levels[j - 1][ends].reshape(2, n_pieces, 1, -1)
-        s_lo, s_hi = interval_sin(xlo, xhi)
-        c_lo, c_hi = interval_cos(xlo, xhi)
-        e_lo, e_hi = _scale_interval(c_lo, c_hi, spec.eta_eps)
-        # a: the y-free part of lam', also the slope of the fiber step below
-        a_lo, a_hi = _scale_interval(s_lo, s_hi, spec.lam1)
-        a_lo, a_hi = spec.lam0 + a_lo, spec.lam0 + a_hi
-        v_lo, v_hi = _scale_interval(c_lo, c_hi, spec.nu1)
-        v_lo, v_hi = spec.nu0 + v_lo, spec.nu0 + v_hi
-        l_lo, l_hi = a_lo, a_hi
-        if track_y:
-            t_lo, t_hi = _scale_interval(y_lo, y_hi, 2.0 * spec.lam2)
-            l_lo, l_hi = l_lo + t_lo, l_hi + t_hi
-            t_lo, t_hi = _scale_interval(y_lo, y_hi, spec.nu2)
-            v_lo, v_hi = v_lo + t_lo, v_hi + t_hi
-        for k, (lo_k, hi_k, what) in enumerate((
-                (d + e_lo, d + e_hi, "eta'"), (l_lo, l_hi, "lam'"),
-                (v_lo, v_hi, "nu'"))):
-            log_lo, log_hi = _log_interval(lo_k, hi_k, what)
-            sums[k, 0] += log_lo
-            sums[k, 1] += log_hi
+        x = levels[j - 1]
+        cols = x.shape[-1]
+        edge = (2, n_pieces, 1, cols)
+        grid = (2, n_pieces, count // cols, cols)
+        sums = acc.reshape((len(terms),) + grid)
+        # The lifts and a trig function at the piece ends, the ranges of
+        # cos and of a, and one term; bufs[1] takes the trig function at
+        # the distinct lifts.
+        xe, _, fe, c, a, t = (b[:2 * n_pieces * cols].reshape(edge)
+                              for b in bufs)
+        fx = bufs[1, :x.size].reshape(x.shape)
+        t_grid = bufs[5].reshape(grid)
+        y_grid = y.reshape(grid) if track_y else None
+        # ends are in range; mode "clip" spares take a buffered copy.
+        np.take(x, ends, axis=0, out=xe.reshape(-1, cols), mode="clip")
+        if need_sin:
+            np.take(np.sin(x, out=fx), ends, axis=0,
+                    out=fe.reshape(-1, cols), mode="clip")
+            _scale_pair(trig_range(xe[0], xe[1], fe[0], fe[1], SIN_PEAKS, t),
+                        spec.lam1, a)
+            a += spec.lam0
+        if need_cos:
+            np.take(np.cos(x, out=fx), ends, axis=0,
+                    out=fe.reshape(-1, cols), mode="clip")
+            trig_range(xe[0], xe[1], fe[0], fe[1], COS_PEAKS, c)
+        for i, k in enumerate(terms):
+            if k == 0:
+                term = _scale_pair(c, spec.eta_eps, t)
+                term += spec.d
+            elif k == 1:
+                term = a
+                if track_y:
+                    term = _scale_pair(y_grid, 2.0 * spec.lam2, t_grid)
+                    term += a
+            else:
+                term = _scale_pair(c, spec.nu1, fe)
+                term += spec.nu0
+                if track_y:
+                    v = term
+                    term = _scale_pair(y_grid, spec.nu2, t_grid)
+                    term += v
+            sums[i] += _log_pair(term, TERMS[k])
 
         if track_y and j > 1:
-            # One fiber step of the interval enclosure: y <- lam(x, y) + u(x).
-            p_lo, p_hi = interval_mul(a_lo, a_hi, y_lo, y_hi)
-            q_lo, q_hi = interval_square(y_lo, y_hi)
-            q_lo, q_hi = _scale_interval(q_lo, q_hi, spec.lam2)
-            u_lo, u_hi = _scale_interval(c_lo, c_hi, spec.u_amp)
-            y_lo = np.clip(p_lo + q_lo + u_lo, -1.0, 1.0)
-            y_hi = np.clip(p_hi + q_hi + u_hi, -1.0, 1.0)
+            _fiber_step(spec, a, c, y_grid, bufs[0].reshape(grid),
+                        bufs[2].reshape(grid), t_grid)
 
-    return acc
+    for i, k in enumerate(terms):
+        acc[i, 0].min(axis=0, out=out[k, 0])
+        acc[i, 1].max(axis=0, out=out[k, 1])
+
+
+def _fiber_step(spec, a, c, y, p, q, r):
+    """One fiber step of the interval enclosure, y <- lam(x, y) + u(x).
+
+    a is the y-free part of lam' and c the range of cos on the level; y is
+    updated in place through the scratch pairs p, q and r.  a * y is the
+    (min, max) of the corner products, taken as min(min(p1, p2),
+    min(p3, p4)); y**2 is (min, max) of lo**2 and hi**2, its min 0 where
+    the interval holds 0; each is then scaled and summed in the order of
+    the map, lam2 * y**2 after a * y and u last.
+    """
+    lo, hi = y
+    np.multiply(a[0], lo, out=q[0])
+    np.multiply(a[0], hi, out=q[1])
+    np.minimum(q[0], q[1], out=p[0])
+    np.maximum(q[0], q[1], out=p[1])
+    np.multiply(a[1], lo, out=q[0])
+    np.multiply(a[1], hi, out=q[1])
+    np.minimum(q[0], q[1], out=r[0])
+    np.maximum(q[0], q[1], out=r[1])
+    np.minimum(p[0], r[0], out=p[0])
+    np.maximum(p[1], r[1], out=p[1])
+    np.multiply(lo, lo, out=q[0])
+    np.multiply(hi, hi, out=q[1])
+    np.minimum(q[0], q[1], out=r[0])
+    np.maximum(q[0], q[1], out=r[1])
+    np.copyto(r[0], 0.0, where=(lo <= 0.0) & (hi >= 0.0))
+    p += _scale_pair(r, spec.lam2, q)
+    p += _scale_pair(c, spec.u_amp, r.reshape(-1)[:c.size].reshape(c.shape))
+    np.clip(p, -1.0, 1.0, out=y)
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +318,34 @@ class PressureBracket:
     p_hi: float
 
 
-def _logsumexp(a):
-    """log(sum(exp(a))) of a 1-d array in scipy.special.logsumexp's steps."""
+def _logsumexp(a, out=None):
+    """log(sum(exp(a))) of a 1-d array in scipy.special.logsumexp's steps.
+
+    The steps run in out, a float array of a's shape that may be a itself
+    (a is then overwritten), or else in one new array.  scipy's steps end
+    in a non-finite value exactly when max(a) is not finite, and then
+    fall back to log(sum(exp(a))), taken here at once.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max()
+        if not np.isfinite(a_max):
+            return np.log(np.exp(a).sum())
         top = a == a_max
         m = np.count_nonzero(top)
-        s = np.exp(np.where(top, -np.inf, a) - a_max).sum()
+        out = np.subtract(a, a_max, out=out)
+        np.copyto(out, -np.inf, where=top)
+        del top
+        s = np.exp(out, out=out).sum()
         if s != 0.0:
             s = s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.exp(a).sum())
-    return out
+        return np.log1p(s) + np.log(m) + a_max
 
 
 def _pressure(table: BirkhoffTable, t: float, upper: bool) -> float:
     """Upper (or lower) cylinder-sum pressure bound of t*log(lam')."""
     sums = table.lam_sup if (t >= 0.0) == upper else table.lam_inf
-    return float(_logsumexp(t * sums)) / table.n
+    a = np.multiply(sums, t)
+    return float(_logsumexp(a, out=a)) / table.n
 
 
 def pressure_bracket(spec: SolenoidSpec, t: float, n: int) -> PressureBracket:
@@ -298,10 +405,10 @@ def solve_bowen(spec: SolenoidSpec, n: int, tol: float = 1e-6):
 
 def gibbs_weight_array(spec: SolenoidSpec, t: float, n: int) -> np.ndarray:
     """Normalized cylinder weights exp(t*S_mid) in lexicographic word order."""
-    table = birkhoff_table(spec, n)
-    logw = t * table.lam_mid
-    logw = logw - _logsumexp(logw)
-    return np.exp(logw)
+    logw = birkhoff_table(spec, n).lam_mid
+    logw *= t
+    logw -= _logsumexp(logw)
+    return np.exp(logw, out=logw)
 
 
 @dataclass(frozen=True)
@@ -334,14 +441,20 @@ def build_gibbs_model(spec: SolenoidSpec, n: int,
 def _build_gibbs_model(spec: SolenoidSpec, n: int, tol: float) -> GibbsModel:
     t0_lo, t0_hi = solve_bowen(spec, n, tol)
     arr = gibbs_weight_array(spec, 0.5 * (t0_lo + t0_hi), n)
-    table = birkhoff_table(spec, n)
-    pos = arr[arr > 0.0]
     arr.flags.writeable = False
+    table = birkhoff_table(spec, n)
+    # One scratch array takes each midpoint sum in turn, then w log w.
+    scratch = np.empty_like(arr)
+    chi = [float(arr @ _mid(inf, sup, scratch)) / n
+           for inf, sup in ((table.eta_inf, table.eta_sup),
+                            (table.lam_inf, table.lam_sup),
+                            (table.nu_inf, table.nu_sup))]
+    pos = arr if np.all(arr) else arr[arr > 0.0]  # weights are >= 0
+    w_log_w = np.log(pos, out=scratch[:pos.size])
+    w_log_w *= pos
     return GibbsModel(t0_lo=t0_lo, t0_hi=t0_hi, n=n, weights=arr,
-                      chi_eta=float(arr @ table.eta_mid) / n,
-                      chi_lam=float(arr @ table.lam_mid) / n,
-                      chi_nu=float(arr @ table.nu_mid) / n,
-                      entropy=float(-(pos * np.log(pos)).sum()) / n)
+                      chi_eta=chi[0], chi_lam=chi[1], chi_nu=chi[2],
+                      entropy=float(-w_log_w.sum()) / n)
 
 
 build_gibbs_model.cache_info = _build_gibbs_model.cache_info
@@ -396,12 +509,19 @@ def _tilt(table: BirkhoffTable, t0: float, psi_sum: np.ndarray):
     degenerate: psi's per-step spread is below 1e-12.
     """
     n = table.n
-    base = t0 * table.lam_mid
+    base = table.lam_mid
+    base *= t0
+    scratch = np.empty_like(base)
 
     def stats(s):
-        logw = base + s * psi_sum
-        norm = _logsumexp(logw)
-        w = np.exp(logw - norm)
+        # The log-sum-exp runs in the scratch, which then takes logw again.
+        logw = np.multiply(psi_sum, s, out=scratch)
+        logw += base
+        norm = _logsumexp(logw, out=logw)
+        np.multiply(psi_sum, s, out=logw)
+        logw += base
+        logw -= norm
+        w = np.exp(logw, out=logw)
         return float(norm) / n, float(w @ psi_sum) / n
 
     degenerate = float(psi_sum.max() - psi_sum.min()) / n < 1e-12

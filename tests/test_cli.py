@@ -504,6 +504,19 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_report_does_not_load_numpy_ma(tmp_path):
+    # np.unique without a return flag imports numpy.ma on every report.
+    path = write_config(tmp_path, spec=BENCH_C, fibers=64, pair_budget=4,
+                        scan_pairs=4, gamma_budget=4)
+    code = ("import sys; from solenoidlab import cli; "
+            f"assert cli.main(['report', '--config', {path!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_holonomy_without_a_usable_word_reports_nan(tmp_path):
     # With no pool leaf the margin test can use no word, so no sample is
     # strong or flagged: the weights are nan, not 1.0 and 0.0.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,54 @@ def test_wrong_derivative_order_fails():
     spec = SolenoidSpec(d=2, lam0=0.4, nu0=0.5, u_amp=0.3, v_amp=0.3)
     report = validate_spec(spec, grid_density=32)
     assert "nu_below_lam" in {c.name for c in report.failures()}
+
+
+def whole_grid_image_check(spec, grid_density):
+    """The image_inside_domain check on the whole polar grid at once."""
+    xs = np.linspace(0.0, TWO_PI, grid_density, endpoint=False)
+    phis = np.linspace(0.0, TWO_PI, grid_density, endpoint=False)
+    rads = np.linspace(0.0, 1.0, max(8, grid_density // 4))
+    px, pr, pphi = np.meshgrid(xs, rads, phis, indexing="ij")
+    py = pr * np.cos(pphi)
+    pz = pr * np.sin(pphi)
+    img_y = spec.lam(px, py) + spec.u(px)
+    img_z = spec.nu(px, py, pz) + spec.v(px)
+    norm2 = (img_y ** 2 + img_z ** 2).ravel()
+    coords = np.column_stack([px.ravel(), py.ravel(), pz.ravel()])
+    i = int(np.argmax(norm2))
+    val = float(norm2[i])
+    return (bool(val < 1.0), f"max |f(p)|_fiber^2 = {val:.6g} (need < 1)",
+            tuple(float(c) for c in coords[i]) if val >= 1.0 else None)
+
+
+# Images leave the disc: the check fails and names a witness.
+OUTSIDE = SolenoidSpec(d=2, eta_eps=0.3, lam0=0.35, lam1=0.05, lam2=0.1,
+                       nu0=0.15, nu2=0.05, u_amp=0.9, v_amp=0.9)
+D3 = SolenoidSpec(d=3, lam0=0.25, lam1=0.03, lam2=0.02, nu0=0.15, nu2=0.03,
+                  u_amp=0.4, v_amp=0.4)
+
+
+@pytest.mark.parametrize("grid_density", [16, 64, 128])
+@pytest.mark.parametrize("spec", [benchmark_a(), benchmark_c(), D3, OUTSIDE],
+                         ids=["A", "C", "d3", "outside"])
+def test_image_check_matches_whole_grid(spec, grid_density):
+    check = {c.name: c for c in validate_spec(spec, grid_density).checks}
+    got = check["image_inside_domain"]
+    passed, detail, witness = whole_grid_image_check(spec, grid_density)
+    assert (got.passed, got.detail, got.witness) == (passed, detail, witness)
+    assert got.passed == (spec is not OUTSIDE)
+
+
+def test_image_check_memory_grows_with_one_row():
+    # The whole grid at 128 is 128 * 32 * 128 points, 44.9 MB traced.
+    validate_spec(benchmark_c(), 16)
+    tracemalloc.start()
+    try:
+        validate_spec(benchmark_c(), 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_validate_rejects_sparse_grid():

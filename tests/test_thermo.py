@@ -10,6 +10,7 @@ from solenoidlab import coding, thermo
 from solenoidlab.coding import cylinder_endpoints
 
 LOG2 = math.log(2.0)
+TWO_PI = 2.0 * np.pi
 T0_A = math.log(2.0) / math.log(2.5)
 
 
@@ -535,15 +536,58 @@ def test_quasi_multiplicativity_bounded():
         assert 1.0 / 2.0 <= lo <= hi <= 2.0
 
 
+# Interval ranges of the reference table, each in one expression of its
+# own arrays; the table takes them in place through shared buffers.
+
+def crosses(lo, hi, theta):
+    k = np.ceil((lo - theta) / TWO_PI)
+    return theta + TWO_PI * k <= hi
+
+
+def interval_sin(lo, hi):
+    slo, shi = np.sin(lo), np.sin(hi)
+    smin = np.where(crosses(lo, hi, -0.5 * np.pi), -1.0, np.minimum(slo, shi))
+    smax = np.where(crosses(lo, hi, 0.5 * np.pi), 1.0, np.maximum(slo, shi))
+    return smin, smax
+
+
+def interval_cos(lo, hi):
+    clo, chi = np.cos(lo), np.cos(hi)
+    cmin = np.where(crosses(lo, hi, np.pi), -1.0, np.minimum(clo, chi))
+    cmax = np.where(crosses(lo, hi, 0.0), 1.0, np.maximum(clo, chi))
+    return cmin, cmax
+
+
+def interval_mul(alo, ahi, blo, bhi):
+    p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    pmin = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    pmax = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return pmin, pmax
+
+
+def interval_square(lo, hi):
+    smax = np.maximum(lo * lo, hi * hi)
+    smin = np.where((lo <= 0.0) & (hi >= 0.0), 0.0,
+                    np.minimum(lo * lo, hi * hi))
+    return smin, smax
+
+
+def scale_interval(lo, hi, c):
+    return (c * lo, c * hi) if c >= 0.0 else (c * hi, c * lo)
+
+
+def log_interval(lo, hi, what):
+    assert np.min(lo) > 0.0, what
+    return np.log(lo), np.log(hi)
+
+
 def tiled_birkhoff_arrays(spec, n):
     """The bound table computed on word-indexed copies of each level.
 
     Both endpoints of every base piece are descended on their own (2 * d**3
     lifts), where the table descends each shared endpoint once.
     """
-    from solenoidlab.numerics import (TWO_PI, interval_cos, interval_mul,
-                                      interval_sin, interval_square)
-    scale, log_iv = thermo._scale_interval, thermo._log_interval
+    scale, log_iv = scale_interval, log_interval
     d, count = spec.d, spec.d ** n
     lo, hi = cylinder_endpoints(spec, min(thermo.BASE_SPLIT_DEPTH, n))
     lo, hi = lo[:, None], hi[:, None]
@@ -643,6 +687,55 @@ def test_table_build_memory_stays_near_its_output():
                  for k in ("eta", "lam", "nu") for s in ("inf", "sup"))
     assert output == 48 * 2 ** 16
     assert peak <= 8 * output, f"traced peak {peak / output:.1f}x the output"
+
+
+# lam2 and nu2 nonzero: the build carries y intervals through every level.
+TRACK_Y = SolenoidSpec(d=2, eta_eps=0.3, lam0=0.3, lam1=0.04, lam2=0.03,
+                       nu0=0.12, nu1=0.02, nu2=0.03, u_amp=0.4, v_amp=0.4)
+MB = 2 ** 20
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", [benchmark_c(), TRACK_Y],
+                         ids=["C", "track_y"])
+def test_table_build_holds_a_fixed_block_budget(spec):
+    # Blocks of 4,096 words with fresh temporaries held 8.6 MB (C) and
+    # 10.8 MB (track_y) at every depth.
+    thermo.birkhoff_table(spec, 3)  # warm imports and small caches
+    try:
+        for n in (12, 16, 18):
+            thermo.birkhoff_table.cache_clear()
+            transient = traced_peak(thermo.birkhoff_table, spec, n) \
+                - 48 * spec.d ** n
+            assert transient < 4 * MB, \
+                f"n = {n}: {transient / MB:.2f} MB above the table"
+    finally:
+        thermo.birkhoff_table.cache_clear()
+
+
+def test_gibbs_passes_hold_one_scratch_array():
+    # Fresh temporaries per pass held three word-sized float arrays and
+    # a mask, 6.3 MB.
+    spec, n = benchmark_c(), 18
+    words = spec.d ** n
+    thermo.birkhoff_table(spec, n)
+    thermo.build_gibbs_model.cache_clear()
+    try:
+        peak = traced_peak(thermo.build_gibbs_model, spec, n)
+    finally:
+        thermo.birkhoff_table.cache_clear()
+        thermo.build_gibbs_model.cache_clear()
+    # The returned weights and one scratch array (4 MB at n = 18), the
+    # one-byte mask of the maximum in the log-sum-exp, and bookkeeping.
+    assert peak <= 17 * words + 2 ** 16, f"{peak / MB:.2f} MB traced"
 
 
 def test_gibbs_model_builds_each_table_once():

@@ -268,7 +268,7 @@ def _head_table():
 
 @functools.cache
 def _format_tables():
-    """The lookup tables of `_csv_block`, built on first use."""
+    """The lookup tables of `_slot_words`, built on first use."""
     return _head_table(), _digit_table(4), _digit_table(3)
 
 
@@ -276,7 +276,7 @@ def _mantissas(a):
     """(mantissa, e + 4, fast) of the 12-digit rounding of each |v| = a.
 
     `fast` marks the values whose mantissa and exponent e are exact (see
-    `_cloud_csv`); elsewhere the mantissa is a placeholder 1e11.
+    `_slot_words`); elsewhere the mantissa is a placeholder 1e11.
     """
     e4 = ((a >= 1e-3).astype(np.intp) + (a >= 1e-2) + (a >= 1e-1)
           + (a >= 1.0))
@@ -289,37 +289,12 @@ def _mantissas(a):
     return np.where(fast, mant, 1e11).astype(np.int64), e4, fast
 
 
-def _csv_block(block):
-    """The bytes of '%.12g' % v for every value of `block`, as CSV rows."""
-    m, k = block.shape
-    v = block.ravel()
-    mant, e4, fast = _mantissas(np.abs(v))
-    hi, lo = np.divmod(mant, 10 ** 7)
-    lead, g1 = np.divmod(hi, 10 ** 4)
-    g2, g3 = np.divmod(lo, 1000)
-    zeros7 = lo == 0              # g1 ends the digits; with g1 = 0, no point
-    code = (((v < 0) * 5 + e4) * 10 + lead) * 2 + ((g1 != 0) | ~zeros7)
-    head, digits4, digits3 = _format_tables()
-    words = np.empty((m * k, _SLOT // 4), np.uint32)
-    words[:, 0] = head[0][code]
-    words[:, 1] = head[1][code]
-    words[:, 2] = digits4[g1 + 10 ** 4 * zeros7]
-    words[:, 3] = digits4[g2 + 10 ** 4 * (g3 == 0)]
-    words[:, 4] = digits3[g3 + 10 ** 3]
-    slots = words.view(np.uint8)
-    slots.reshape(m, k, _SLOT)[:, :, -1] = np.frombuffer(
-        b"," * (k - 1) + b"\n", np.uint8)
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        text = np.array(["%.12g" % x for x in v[slow].tolist()], dtype="S19")
-        slots[slow, :-1] = text.view(np.uint8).reshape(-1, _SLOT - 1)
-    # Deleting the zero padding with bytes.translate takes about half the
-    # time of the boolean mask slots[slots != 0] on cloud blocks.
-    return slots.tobytes().translate(None, b"\0")
+def _slot_words(v, out=None):
+    """The '%.12g' slot of each value of v, as _SLOT // 4 uint32 words.
 
-
-def _cloud_csv(path, cloud, header_cols):
-    """Write a cloud as CSV, each value exactly as '%.12g' % v formats it.
+    The words go into out (shape v.shape + (_SLOT // 4,), its last axis
+    contiguous) or a new array; the last byte of every slot is left 0 for
+    its separator (see `_csv_text`).
 
     The numpy path guesses e in -4 .. 0 from the thresholds 1e-3, 1e-2,
     0.1 and 1 on |v|.  s = |v| * 10**(11 - e) is then one rounding of the
@@ -336,9 +311,47 @@ def _cloud_csv(path, cloud, header_cols):
     [1e11, 1e12), i.e. a misjudged exponent, ±0, |v| < 1e-4 or >= 10,
     nan and ±inf.
     """
+    mant, e4, fast = _mantissas(np.abs(v))
+    hi, lo = np.divmod(mant, 10 ** 7)
+    lead, g1 = np.divmod(hi, 10 ** 4)
+    g2, g3 = np.divmod(lo, 1000)
+    zeros7 = lo == 0              # g1 ends the digits; with g1 = 0, no point
+    code = (((v < 0) * 5 + e4) * 10 + lead) * 2 + ((g1 != 0) | ~zeros7)
+    head, digits4, digits3 = _format_tables()
+    words = np.empty(v.shape + (_SLOT // 4,), np.uint32) if out is None \
+        else out
+    words[..., 0] = head[0][code]
+    words[..., 1] = head[1][code]
+    words[..., 2] = digits4[g1 + 10 ** 4 * zeros7]
+    words[..., 3] = digits4[g2 + 10 ** 4 * (g3 == 0)]
+    words[..., 4] = digits3[g3 + 10 ** 3]
+    slow = ~fast
+    if slow.any():
+        text = np.array(["%.12g" % x for x in v[slow].tolist()], dtype="S19")
+        words.view(np.uint8)[slow, :-1] = text.view(np.uint8).reshape(
+            -1, _SLOT - 1)
+    return words
+
+
+def _csv_text(words):
+    """CSV rows from slot words of shape (rows, columns, _SLOT // 4)."""
+    k = words.shape[1]
+    slots = words.view(np.uint8)
+    slots[:, :, -1] = np.frombuffer(b"," * (k - 1) + b"\n", np.uint8)
+    # Deleting the zero padding with bytes.translate takes about half the
+    # time of the boolean mask slots[slots != 0] on cloud blocks.
+    return slots.tobytes().translate(None, b"\0")
+
+
+def _cloud_csv(path, cloud, header_cols):
+    """Write a cloud as CSV, each value exactly as '%.12g' % v formats it
+    (see `_slot_words`), _CSV_BLOCK_ROWS rows at a time."""
+    points = np.asarray(cloud.points, dtype=float)
     with open(path, "wb") as fh:
         _csv_header(fh, cloud.provenance, header_cols)
-        _csv_rows(fh, np.asarray(cloud.points, dtype=float))
+        for start in range(0, len(points), _CSV_BLOCK_ROWS):
+            fh.write(_csv_text(_slot_words(
+                points[start:start + _CSV_BLOCK_ROWS])))
 
 
 def _csv_header(fh, prov, header_cols):
@@ -348,9 +361,25 @@ def _csv_header(fh, prov, header_cols):
     fh.write((",".join(header_cols) + "\n").encode())
 
 
-def _csv_rows(fh, points):
-    for start in range(0, len(points), _CSV_BLOCK_ROWS):
-        fh.write(_csv_block(points[start:start + _CSV_BLOCK_ROWS]))
+def _fibre_csv_rows(fh, block):
+    """Write a (fibres, words, 3) cloud chunk as CSV rows (x, y, z).
+
+    Every row of a fibre has the fibre's x, so each x is formatted once
+    and its slot broadcast to the fibre's rows; the rows go out in pieces
+    of about _CSV_BLOCK_ROWS.
+    """
+    fibres, words = block.shape[:2]
+    x_words = _slot_words(block[:, 0, 0])
+    per_piece = max(1, _CSV_BLOCK_ROWS // words)
+    for f in range(0, fibres, per_piece):
+        for w in range(0, words, _CSV_BLOCK_ROWS):
+            piece = block[f:f + per_piece, w:w + _CSV_BLOCK_ROWS]
+            rows = np.empty(piece.shape + (_SLOT // 4,), np.uint32)
+            rows[:, :, 0] = x_words[f:f + per_piece, None]
+            # One column at a time keeps the kernel's inner loops long.
+            for c in (1, 2):
+                _slot_words(piece[:, :, c], out=rows[:, :, c])
+            fh.write(_csv_text(rows.reshape(-1, 3, _SLOT // 4)))
 
 
 def _model_summary(model, flags):
@@ -432,7 +461,7 @@ def _cmd_dimension(cfg, stages, out_dir):
             cfg, "full", "full_depth" if cfg.full_depth else "depth_n",
             geometry.attractor_dimension, spec, full_depth, full_fibers,
             cfg.k_scales, threads=cfg.threads,
-            sink=lambda block: _csv_rows(fh, block.reshape(-1, 3)),
+            sink=lambda block: _fibre_csv_rows(fh, block),
             times=times)
     for stage, activity in (("attractor_cloud", "build"),
                             ("full_fit", "count"),

@@ -23,7 +23,6 @@ import functools
 import math
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
@@ -211,12 +210,14 @@ def _attractor_chunks(spec: SolenoidSpec, n: int, xs: np.ndarray,
     threads + 1 chunks are alive.  On two cores a worker building beside
     the caller bought no time at one thread (building and formatting
     slowed each other), and its own malloc arena held about 4 MB more.
+    The pool's module (with `logging`) is imported only when it is used.
     A fibre's bits do not depend on the chunk that builds it.
     """
     todo = (xs[rows] for rows in _fibre_chunks(xs.size, spec.d ** n))
     if threads == 1:
         yield from (_build_fibres(spec, n, x) for x in todo)
         return
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
         ahead = deque(pool.submit(_build_fibres, spec, n, x)
                       for x in islice(todo, threads - 1))

@@ -18,7 +18,6 @@ hashable; every operation is a pure function of (spec, inputs).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import numbers
 from dataclasses import dataclass, fields
@@ -28,6 +27,16 @@ import numpy as np
 
 from .errors import SpecInvalidError
 from .numerics import TWO_PI, solve_increasing
+
+# CPython's built-in SHA-256; `hashlib` would also load OpenSSL's libcrypto
+# (3.6 MB resident) for the one spec hash most commands take.
+try:
+    from _sha2 import sha256 as _sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 LIFT_NODES = 4096      # intervals of the inverse-lift start table
 LIFT_TOL = 1e-13       # relative error bound accepted from the table lift
@@ -175,7 +184,7 @@ class SolenoidSpec:
 
     def spec_hash(self):
         blob = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _sha256(blob.encode()).hexdigest()[:16]
 
 
 assert SPEC_FIELDS == tuple(f.name for f in fields(SolenoidSpec))

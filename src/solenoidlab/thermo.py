@@ -8,8 +8,9 @@ the fiber coordinate, the y-range of the cylinder is propagated by
 interval iteration from the anchor disc, so the bounds stay rigorous and
 the per-word slack stays summable in the depth.
 
-A table keeps six read-only arrays, 48 * d**n bytes.  A derivative that
-no cylinder can vary is one scalar sum; the others are built in blocks
+A table keeps six read-only arrays of d**n floats.  A derivative that
+no cylinder can vary is one scalar sum, and its two rows view it with
+stride 0; the others (16 * d**n bytes each) are built in blocks
 of at most BLOCK_WORDS words that each descend their own deep chain
 levels and reuse a few block-sized buffers, so the memory the build
 needs on top of the table is O(BLOCK_WORDS) rather than a multiple of
@@ -116,14 +117,16 @@ def birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
     relies on, while the per-level intervals shrink by roughly d**3.
 
     A derivative that no cylinder can vary (``_constant_terms``) is summed
-    as one scalar, level by level, and fills its two rows.  The others are
-    built in blocks of at most BLOCK_WORDS words: block k holds the words
-    whose b most recent symbols are k, b the fewest that make d**(n-b)
-    fit.  One descent gives levels 1..b; each block descends its own
-    levels b+1..n from its level-b column, sums over the levels and
-    reduces over pieces.  Every lift and every sum is the one an all-words
-    build would compute, bit for bit, but memory beyond the retained
-    48 * d**n bytes of the six read-only arrays is a fixed block budget.
+    as one scalar, level by level, and both its rows view that one value
+    with stride 0.  The others are built in blocks of at most BLOCK_WORDS
+    words: block k holds the words whose b most recent symbols are k, b
+    the fewest that make d**(n-b) fit.  One descent gives levels 1..b;
+    each block descends its own levels b+1..n from its level-b column,
+    sums over the levels and reduces over pieces.  Every lift and every
+    sum is the one an all-words build would compute, bit for bit, but
+    memory beyond the retained 16 * d**n bytes per varying term (none on
+    A and B, 32 * d**n on C) is a fixed block budget.  All six arrays are
+    read-only.
     """
     if n < 1:
         raise ValueError("table generation must be >= 1")
@@ -134,11 +137,12 @@ def birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
 @lru_cache(maxsize=8)
 def _birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
     d = spec.d
-    # (eta, lam, nu) x (inf, sup) per word; block k fills columns k::d**b,
-    # since the deeper symbols of a word are its higher base-d digits.
-    out = np.empty((3, 2, d ** n))
     constants = _constant_terms(spec)
     terms = [k for k, c in enumerate(constants) if c is None]
+    # (inf, sup) per word of each varying term; block k fills columns
+    # k::d**b, since the deeper symbols of a word are its higher base-d
+    # digits.
+    out = np.empty((len(terms), 2, d ** n))
     if terms:
         lo, hi = cylinder_endpoints(spec, min(BASE_SPLIT_DEPTH, n))
         n_pieces = lo.size
@@ -161,13 +165,14 @@ def _birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
                                      n - b)
             _block_sums(spec, levels, ends, n_pieces, terms,
                         out[:, :, k::d ** b])
-    for k, c in enumerate(constants):
-        if c is not None:
-            out[k] = _constant_sum(c, n, TERMS[k])
     out.flags.writeable = False
-    return BirkhoffTable(spec=spec, n=n, eta_inf=out[0, 0], eta_sup=out[0, 1],
-                         lam_inf=out[1, 0], lam_sup=out[1, 1],
-                         nu_inf=out[2, 0], nu_sup=out[2, 1])
+    varying = iter(out)
+    (eta_inf, eta_sup), (lam_inf, lam_sup), (nu_inf, nu_sup) = (
+        next(varying) if c is None else _constant_rows(c, n, TERMS[k], d ** n)
+        for k, c in enumerate(constants))
+    return BirkhoffTable(spec=spec, n=n, eta_inf=eta_inf, eta_sup=eta_sup,
+                         lam_inf=lam_inf, lam_sup=lam_sup,
+                         nu_inf=nu_inf, nu_sup=nu_sup)
 
 
 birkhoff_table.cache_info = _birkhoff_table.cache_info
@@ -196,14 +201,26 @@ def _constant_sum(c, n, what):
     return total
 
 
+def _constant_rows(c, n, what, words):
+    """The (inf, sup) rows of a constant term: its one sum, held once.
+
+    Both rows view one read-only value with stride 0; a writeable base
+    would let a caller set the rows' writeable flag.
+    """
+    value = np.array([_constant_sum(c, n, what)])
+    value.flags.writeable = False
+    row = np.broadcast_to(value, (words,))
+    return row, row
+
+
 def _block_sums(spec, levels, ends, n_pieces, terms, out):
     """One block's (inf, sup) sums of the varying terms, into out.
 
     levels[j-1] holds the level-j lifts of the distinct piece endpoints,
     one column per class of block words, the word q taking column
     q mod (column count); the last level has one column per word.  terms
-    lists the varying derivatives (indices into TERMS); out[k] takes
-    term k's inf and sup over the pieces, shape (2, words).
+    lists the varying derivatives (indices into TERMS); out[i] takes
+    the inf and sup of term terms[i] over the pieces, shape (2, words).
 
     Sin and cos are taken once per distinct endpoint and gathered to the
     piece ends.  Every interval (lo, hi) is a pair of rows, and every
@@ -270,9 +287,9 @@ def _block_sums(spec, levels, ends, n_pieces, terms, out):
             _fiber_step(spec, a, c, y_grid, bufs[0].reshape(grid),
                         bufs[2].reshape(grid), t_grid)
 
-    for i, k in enumerate(terms):
-        acc[i, 0].min(axis=0, out=out[k, 0])
-        acc[i, 1].max(axis=0, out=out[k, 1])
+    for i in range(len(terms)):
+        acc[i, 0].min(axis=0, out=out[i, 0])
+        acc[i, 1].max(axis=0, out=out[i, 1])
 
 
 def _fiber_step(spec, a, c, y, p, q, r):

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -495,6 +496,30 @@ def test_cloud_csv_matches_reference_on_benchmark_clouds(tmp_path):
         assert np.mean(~fast) < 0.01
 
 
+@pytest.mark.parametrize("block_rows, fibres, words",
+                         [(16, 5, 4), (16, 3, 7), (16, 2, 40),
+                          (None, 3, 3 ** 9)])
+def test_fibre_csv_rows_match_per_value_format(monkeypatch, block_rows,
+                                               fibres, words):
+    # A piece holds several whole fibres, one fibre that does not fill it,
+    # or part of a fibre; each fibre's x is formatted once for its rows.
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(fibres * words)
+    block = np.empty((fibres, words, 3))
+    xs = np.concatenate([[0.0], rng.uniform(0.0, 2 * math.pi, fibres - 1)])
+    block[:, :, 0] = xs[:, None]
+    yz = rng.uniform(-1.0, 1.0, (fibres, words, 2))
+    special = [-0.0, 0.0, 1e-5, -12.5, math.nan, 0.5 + 5e-13, 1 / 3]
+    yz.reshape(-1)[:len(special)] = special
+    block[:, :, 1:] = yz
+    fh = io.BytesIO()
+    cli._fibre_csv_rows(fh, block)
+    want = "".join(",".join(f"{v:.12g}" for v in row) + "\n"
+                   for row in block.reshape(-1, 3))
+    assert fh.getvalue().decode() == want
+
+
 def test_cli_import_does_not_load_scipy():
     code = ("import sys, solenoidlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -515,6 +540,21 @@ def test_report_does_not_load_numpy_ma(tmp_path):
                          check=True, capture_output=True, text=True,
                          timeout=120)
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_bowen_loads_neither_openssl_nor_the_thread_pool(tmp_path):
+    # hashlib loads OpenSSL's libcrypto for the one spec hash, and
+    # concurrent.futures loads logging for a pool that threads = 1 never
+    # starts.
+    path = write_config(tmp_path, spec=BENCH_C, depth_n=8)
+    code = ("import sys; from solenoidlab import cli; "
+            f"assert cli.main(['bowen', '--config', {path!r}]) == 0; "
+            "print(sorted(m for m in ('_hashlib', 'concurrent.futures') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                         check=True, capture_output=True, text=True,
+                         timeout=120)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_holonomy_without_a_usable_word_reports_nan(tmp_path):

@@ -155,7 +155,7 @@ def test_fused_sweep_holds_no_whole_cloud_state(tmp_path):
                 entry = tracemalloc.get_traced_memory()[0]
                 geometry.attractor_dimension(
                     spec, 12, fibers,
-                    sink=lambda block: cli._csv_rows(fh, block.reshape(-1, 3)))
+                    sink=lambda block: cli._fibre_csv_rows(fh, block))
                 peaks[fibers] = tracemalloc.get_traced_memory()[1] - entry
             finally:
                 tracemalloc.stop()

@@ -1,4 +1,8 @@
+import hashlib
+import importlib.util
+import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 from scalar_reference import Point3, apply_map, inverse_base, iterate
 from solenoidlab import (SolenoidSpec, SpecInvalidError, benchmark_a,
                          benchmark_b, benchmark_c, validate_spec)
+from solenoidlab import maps
 from solenoidlab.maps import _branch_separation, branch_points
 
 TWO_PI = 2 * math.pi
@@ -288,3 +293,44 @@ def test_branch_separation_matches_loop_reference(spec, density):
     want_margin, want_wit = loop_branch_separation(spec, xs)
     assert type(margin) is float
     assert repr((margin, wit)) == repr((float(want_margin), want_wit))
+
+
+# ---------------------------------------------------------------------------
+# The spec hash: CPython's built-in SHA-256, hashlib only as a fallback
+# ---------------------------------------------------------------------------
+
+NEGATIVE = SolenoidSpec(d=2, eta_eps=-0.3, lam0=0.3, lam1=-0.04, lam2=-0.02,
+                        nu0=0.12, nu1=-0.02, nu2=-0.01, u_amp=-0.5,
+                        v_amp=-0.4)
+HASH_FAMILIES = {"A": benchmark_a(), "B": benchmark_b(), "C": benchmark_c(),
+                 "d3": D3, "negative": NEGATIVE}
+# The hashes that hashlib.sha256 gave before the built-in module took over.
+PINNED_HASHES = {"A": "98676adfbc034967", "B": "3019620777e791c5",
+                 "C": "dbd35a89745e3776", "d3": "43c8f9ebafd1fa1a",
+                 "negative": "db15adfe39773de0"}
+
+
+def hashlib_spec_hash(spec):
+    blob = json.dumps(spec.to_dict(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", list(HASH_FAMILIES))
+def test_spec_hash_matches_hashlib(name):
+    spec = HASH_FAMILIES[name]
+    assert spec.spec_hash() == hashlib_spec_hash(spec) == PINNED_HASHES[name]
+
+
+def test_spec_hash_falls_back_to_hashlib(monkeypatch):
+    # A None entry in sys.modules makes its import fail: load a second
+    # copy of maps without either built-in module.
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.spec_from_file_location(maps.__name__,
+                                                  maps.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fallback)
+    assert fallback._sha256 is hashlib.sha256
+    for name, family in HASH_FAMILIES.items():
+        copy = fallback.SolenoidSpec(**family.to_dict())
+        assert copy.spec_hash() == PINNED_HASHES[name]

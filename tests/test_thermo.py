@@ -708,17 +708,45 @@ def traced_peak(fn, *args):
                          ids=["C", "track_y"])
 def test_table_build_holds_a_fixed_block_budget(spec):
     # Blocks of 4,096 words with fresh temporaries held 8.6 MB (C) and
-    # 10.8 MB (track_y) at every depth.
+    # 10.8 MB (track_y) at every depth.  The table holds 16 * d**n bytes
+    # per varying term (32 on C, whose nu' is constant; 48 on track_y).
+    varying = sum(c is None for c in thermo._constant_terms(spec))
     thermo.birkhoff_table(spec, 3)  # warm imports and small caches
     try:
         for n in (12, 16, 18):
             thermo.birkhoff_table.cache_clear()
             transient = traced_peak(thermo.birkhoff_table, spec, n) \
-                - 48 * spec.d ** n
+                - 16 * varying * spec.d ** n
             assert transient < 4 * MB, \
                 f"n = {n}: {transient / MB:.2f} MB above the table"
     finally:
         thermo.birkhoff_table.cache_clear()
+
+
+ROWS = ("eta_inf", "eta_sup", "lam_inf", "lam_sup", "nu_inf", "nu_sup")
+
+
+def test_constant_table_rows_hold_no_word_buffer():
+    # A derivative that no cylinder varies is one value, seen with stride 0.
+    spec, n = benchmark_a(), 12
+    table = thermo.birkhoff_table(spec, n)
+    for name in ROWS:
+        row = getattr(table, name)
+        assert row.shape == (spec.d ** n,) and row.strides == (0,), name
+
+
+def test_varying_table_rows_are_one_block():
+    # C varies eta' and lam' (one (2, 2, d**n) block) but not nu'.
+    spec, n = benchmark_c(), 12
+    table = thermo.birkhoff_table(spec, n)
+    assert table.nu_inf.strides == table.nu_sup.strides == (0,)
+    block = table.eta_inf.base
+    assert block.shape == (2, 2, spec.d ** n) and block.flags.c_contiguous
+    for i, term in enumerate(("eta", "lam")):
+        for j, bound in enumerate(("inf", "sup")):
+            row = getattr(table, f"{term}_{bound}")
+            assert row.base is block
+            assert row.ctypes.data == block[i, j].ctypes.data
 
 
 def test_gibbs_passes_hold_one_scratch_array():

@@ -2,19 +2,18 @@
 
 Cloud representatives come from the disc-center anchor construction, so a
 generation-n slice cloud approximates the attractor's stable section at
-resolution (sup lam')**n.  One counter serves every cloud: it counts the
-boxes of an origin-anchored dyadic grid met by the segments from row i to
-row i + stride, every level from one fine pass.  A slice or projection
-cloud has stride 0, so its segments are its points.  A full attractor
-cloud is fibre-major: the same word over adjacent fibers lies on one
-leaf, so its segments are the leaf chords between adjacent fibers
-(stride = words) and its floor is max((sup lam')**n, chord error), well
-below the fiber spacing.  The counter takes the chords one chunk of whole
-fibres at a time and drops each box column the sweep has passed, so
-`attractor_dimension` builds, hands out and counts the full cloud chunk
-by chunk without ever holding it.  The scale window is auto-selected away
-from the too-few-boxes and saturation regimes and never descends below
-the cloud's stated resolution.
+resolution (sup lam')**n.  One counter serves every fit: it counts the
+boxes of an origin-anchored dyadic grid met by chords, every level from
+one fine pass, a point being a chord of length zero.  `box_dimension`
+fits slice and projection clouds, whose chords are their points.  The
+full attractor is never held: `attractor_cloud` streams it in chunks of
+whole fibres, and the same word over adjacent fibers lies on one leaf,
+so `attractor_dimension` counts the leaf chords between adjacent fibers,
+down to max((sup lam')**n, chord error), well below the fiber spacing.
+It takes the chords one chunk at a time and drops each box column the
+sweep has passed.  The scale window is auto-selected away from the
+too-few-boxes and saturation regimes and never descends below the
+cloud's stated resolution.
 """
 
 from __future__ import annotations
@@ -89,66 +88,75 @@ def slice_cloud(spec: SolenoidSpec, x: float, n: int) -> PointCloud:
         resolution=spec.contraction_sup() ** n)
 
 
-def attractor_cloud(spec: SolenoidSpec, n: int, fibers: int,
-                    threads: int = 1) -> PointCloud:
-    """Union of slice clouds over equally spaced fibers, as 3D points.
+def attractor_cloud(spec: SolenoidSpec, n: int, xs: np.ndarray,
+                    threads: int):
+    """The full attractor cloud over the fibres xs, as a stream of chunks.
 
-    Rows are fibre-major: row f * d**n + w holds word w over fiber
-    x_f = 2*pi*f/fibers.  The descent lifts every fiber by the same
-    x + 2*pi*b, so word w over x_f and over x_(f+1) lie on one continuous
-    leaf.  With three or more fibers that layout is recorded in the
-    provenance ("fiber_major") and the resolution is
-    max((sup lam')**n, chord error), where the chord error is an estimate
-    of how far a straight chord between adjacent fibers strays from its
-    leaf arc (see `_ChordError`).  With fewer fibers the resolution is
-    max(fiber spacing, (sup lam')**n).
+    Each chunk is a (fibres, d**n, 3) array of runs of whole fibres of at
+    most _CLOUD_CHUNK points (at least one fibre): row w of fibre x holds
+    word w over x, and the chunks come in the order of xs.  The descent
+    lifts every fibre by the same x + 2*pi*b, so word w over adjacent
+    fibres lies on one continuous leaf.  `attractor_dimension` sweeps this
+    stream; nothing holds the whole cloud.
 
-    The array is collected from the chunk source that `attractor_dimension`
-    sweeps (`_attractor_chunks`: runs of whole fibres of at most
-    _CLOUD_CHUNK points), and the chord error is read chunk by chunk, so
-    no temporary spans the whole cloud.  `threads` sets only how many
-    threads build chunks: every bit of the result is the same for any
-    value.
+    `threads` counts the caller: with one, the caller builds each chunk
+    when it asks for it; with more, threads - 1 workers keep as many
+    chunks building ahead while the caller works on one, so at most
+    threads + 1 chunks are alive.  On two cores a worker building beside
+    the caller bought no time at one thread (building and formatting
+    slowed each other), and its own malloc arena held about 4 MB more.
+    The pool's module (with `logging`) is imported only when it is used.
+    A fibre's bits do not depend on the chunk that builds it.
     """
-    if fibers <= 0:
-        raise ValueError("fiber count must be positive; empty cloud requested")
-    _check_cap(fibers * spec.d ** n)
-    grid = np.empty((fibers, spec.d ** n, 3))
-    error, start = _ChordError(), 0
-    for block in _attractor_chunks(spec, n, _fibre_xs(fibers), threads):
-        grid[start:start + len(block)] = block
-        start += len(block)
-        error.add(block)
-    provenance, resolution = _attractor_layout(spec, n, fibers, error)
-    return PointCloud(dim=3, points=grid.reshape(-1, 3),
-                      provenance=provenance, resolution=resolution)
+    todo = (xs[rows] for rows in _fibre_chunks(xs.size, spec.d ** n))
+    if threads == 1:
+        yield from (_build_fibres(spec, n, x) for x in todo)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        ahead = deque(pool.submit(_build_fibres, spec, n, x)
+                      for x in islice(todo, threads - 1))
+        while ahead:
+            done = ahead.popleft()
+            ahead.extend(pool.submit(_build_fibres, spec, n, x)
+                         for x in islice(todo, 1))
+            yield done.result()
 
 
 def attractor_dimension(spec: SolenoidSpec, n: int, fibers: int,
                         k_scales: int = 12, threads: int = 1, sink=None,
                         times=None) -> DimensionFit:
-    """`box_dimension(attractor_cloud(spec, n, fibers))`, without the cloud.
+    """Box-counting fit of the full attractor over `fibers` equal fibres.
 
-    One sweep over the fibre chunks of `attractor_cloud`: each chunk is
-    built, passed to `sink(block)` (a (fibres, d**n, 3) array, in row
-    order), read for the chord error and fed to one box counter, then
-    dropped.  The counter's boxes live on the grid over the solid torus
+    Fibre f sits at x_f = 2*pi*f/fibers.  N(r) counts the boxes met by the
+    leaf chords from word w over one fibre to word w over the next (the
+    seam from the last fibre back to 2*pi is left out, because the word
+    labels permute there), so the window reaches below the fibre spacing;
+    it is fitted as in `box_dimension`.  The resolution is
+    max((sup lam')**n, chord error), where the chord error estimates how
+    far a chord strays from its leaf arc (`_ChordError`); with fewer than
+    three fibres it is max(fibre spacing, (sup lam')**n), which leaves no
+    level to count.
+
+    One sweep over the chunks of `attractor_cloud`: each chunk is built,
+    passed to `sink(block)` (a (fibres, d**n, 3) array, in row order),
+    read for the chord error and fed to one box counter, then dropped.
+    The counter's boxes live on the grid over the solid torus
     [0, 2*pi) x (-1, 1)**2, and it keeps only the band of box columns the
     sweep has not yet passed (`_BoxCounter`), so memory is a few chunks
     and one band, not the cloud.  The pass level is predicted from the
     middle sixteenth of the fibre gaps, built first; the resolution, and
     so the finest level, is known only once the sweep has read every
-    chord error, and finer levels are then dropped.  Every count is
-    exact whatever the pass level, so the fit equals `box_dimension` of
-    the collected cloud bit for bit.  In the rare case that the pass
-    stops short of |cloud|/4 boxes, the chunks are built again for a
-    finer pass, without `sink`.
+    chord error, and finer levels are then dropped.  Every count is exact
+    whatever the pass level.  In the rare case that the pass stops short
+    of |cloud|/4 boxes, the chunks are built again for a finer pass,
+    without `sink`.
 
-    With threads > 1, threads - 1 workers build chunks ahead (at most
-    threads + 1 alive) while the caller's thread formats and counts; with
-    one thread the caller builds too.  `times`, if given, is a dict that
-    gains the seconds spent on "build" (building, or waiting for, chunks
-    and the chord error), "count" and "sink".
+    `threads` builds the chunks as in `attractor_cloud` (the caller's
+    thread formats and counts), and every bit of the fit is the same for
+    any value.  `times`, if given, is a dict that gains the seconds spent
+    on "build" (building, or waiting for, chunks and the chord error),
+    "count" and "sink".
     """
     if fibers <= 0:
         raise ValueError("fiber count must be positive; empty cloud requested")
@@ -158,18 +166,17 @@ def attractor_dimension(spec: SolenoidSpec, n: int, fibers: int,
     xs = _fibre_xs(fibers)
 
     def blocks(fib):
-        return _attractor_chunks(spec, n, xs[fib], threads)
+        return attractor_cloud(spec, n, xs[fib], threads)
 
     level, error = -1, _ChordError()
-    # Fewer than three fibres: a point cloud whose resolution (at least the
-    # fiber spacing, pi) leaves no level to count.
     if fibers >= 3:
         bound = _finest(spec.contraction_sup() ** n, _TORUS)
         if bound >= 0:
-            known = _estimate(blocks, xs[:, None], xs, _TORUS, bound, lap)
+            known = _estimate(blocks, xs, bound, lap)
             level = max(0, min(_next_level(known, n_max), bound))
     first = _sweep(blocks(slice(None)), xs, level, _TORUS, lap, sink, error)
-    _, resolution = _attractor_layout(spec, n, fibers, error)
+    resolution = max(spec.contraction_sup() ** n,
+                     error.value if fibers >= 3 else TWO_PI / fibers)
     counts = _levels(first, _finest(resolution, _TORUS), n_max,
                      lambda lv: _sweep(blocks(slice(None)), xs, lv, _TORUS,
                                        lap))
@@ -198,45 +205,6 @@ def _build_fibres(spec: SolenoidSpec, n: int, xs: np.ndarray) -> np.ndarray:
     block[:, :, 1] = y
     block[:, :, 2] = z
     return block
-
-
-def _attractor_chunks(spec: SolenoidSpec, n: int, xs: np.ndarray,
-                      threads: int):
-    """The fibres xs built in `_fibre_chunks` runs, yielded in order.
-
-    `threads` counts the caller: with one, the caller builds each chunk
-    when it asks for it; with more, threads - 1 workers keep as many
-    chunks building ahead while the caller works on one, so at most
-    threads + 1 chunks are alive.  On two cores a worker building beside
-    the caller bought no time at one thread (building and formatting
-    slowed each other), and its own malloc arena held about 4 MB more.
-    The pool's module (with `logging`) is imported only when it is used.
-    A fibre's bits do not depend on the chunk that builds it.
-    """
-    todo = (xs[rows] for rows in _fibre_chunks(xs.size, spec.d ** n))
-    if threads == 1:
-        yield from (_build_fibres(spec, n, x) for x in todo)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        ahead = deque(pool.submit(_build_fibres, spec, n, x)
-                      for x in islice(todo, threads - 1))
-        while ahead:
-            done = ahead.popleft()
-            ahead.extend(pool.submit(_build_fibres, spec, n, x)
-                         for x in islice(todo, 1))
-            yield done.result()
-
-
-def _attractor_layout(spec: SolenoidSpec, n: int, fibers: int,
-                      error: "_ChordError"):
-    """The provenance and resolution of the attractor cloud."""
-    provenance = {"spec_hash": spec.spec_hash(), "generation": n,
-                  "fiber": "full"}
-    if fibers < 3:
-        return provenance, max(TWO_PI / fibers, spec.contraction_sup() ** n)
-    provenance["fiber_major"] = {"fibers": fibers, "words": spec.d ** n}
-    return provenance, max(spec.contraction_sup() ** n, error.value)
 
 
 class _ChordError:
@@ -294,11 +262,7 @@ def _lap_clock(times):
 
 
 def project_cloud(cloud: PointCloud, cols) -> PointCloud:
-    """Coordinate projection of a cloud (e.g. cols=(1,) for the y-axis).
-
-    The provenance, fibre-major layout included, carries over: a chord
-    projects to the chord of the projected points.
-    """
+    """Coordinate projection of a cloud (e.g. cols=(1,) for the y-axis)."""
     cols = tuple(cols)
     pts = cloud.points[:, cols]
     prov = dict(cloud.provenance)
@@ -354,24 +318,26 @@ def _chord_runs(a: np.ndarray, b: np.ndarray, axes, lo, spans):
     crosses a grid plane of an axis other than the run axis axes[-1]; along
     each run the other cells stay fixed and the run-axis cells form one
     contiguous range, so a run is one interval of box keys (the run axis is
-    the last mixed-radix digit).  Exact for chords in general position.
+    the last mixed-radix digit).  Which boxes count: see `_BoxCounter`.
     """
     d = b - a
     ka = np.floor(a).astype(np.int64)
     cut, run = axes[:-1], axes[-1]
     # Per chord and cut axis: the parameter at plane p is p * scale + base,
-    # and a run in cell k leaves it at k * scale + shift (never, if d == 0).
+    # and a run in cell k leaves it at plane k + up (never, if d == 0), the
+    # same float as the next run's start.
     moving = d != 0
     scale = np.divide(1.0, d, out=np.zeros_like(d), where=moving)
-    base = -a * scale
-    shift = np.where(moving, (d > 0) * scale + base, np.inf)
+    base = np.where(moving, -a * scale, np.inf)
+    up = d > 0
     starts, ends = [], []
 
     def add_runs(own, t, cells):
         take = (lambda v: v) if own is None else (lambda v: v.take(own))
         end = np.ones(t.size)
         for c in cut:
-            np.minimum(end, cells[c] * take(scale[c]) + take(shift[c]), out=end)
+            np.minimum(end, (cells[c] + take(up[c])) * take(scale[c])
+                       + take(base[c]), out=end)
         ar, dr = take(a[run]), take(d[run])
         first = np.floor(ar + t * dr).astype(np.int64)
         last = np.floor(ar + end * dr).astype(np.int64)
@@ -411,18 +377,28 @@ class _BoxCounter:
     """Exact box counts at `level` and every coarser one, fed in sweep order.
 
     N(r) is the number of boxes of the origin-anchored grid that the
-    chords meet, end points included.  A box's key mixes its cells on the
-    grid over the fixed `box` ((lo, hi) per axis, holding every chord),
-    axis 0 as the last digit: `_chord_runs` cuts each chord wherever it
-    crosses a plane of another axis, so a run of boxes along axis 0 is one
-    interval of keys.  Each level keeps a band of disjoint key intervals.
-    `close(x)` is told that no chord fed later reaches below x on axis 0
-    (rounding may still put one of its runs one cell lower): it counts and
-    drops every box of the finest band whose axis-0 cell lies below that,
-    halves those boxes to the next coarser level, and repeats there with
-    the cell index halved, since later boxes of the finer level halve to
-    cells at or above it.  Each closed box is counted once at every level,
-    and a sweep in axis-0 order keeps only the open columns in each band.
+    chords meet.  Boxes are half-open floor cells, [k*r, (k+1)*r) on each
+    axis, and runs follow axis 0: a chord is cut where it crosses a plane
+    of another axis, and each run meets the axis-0 cells from the floor at
+    its start to the floor at its end.  For a chord in general position
+    those are exactly the boxes holding its points, both ends included (a
+    point is a chord of length zero).  A chord through a grid edge, where
+    planes of two axes meet, may meet one box more there, beside the
+    edge.  A run ends at the very float at which the next one starts, so
+    a chord that passes within rounding of an edge meets as many boxes as
+    its points do, on the side of the edge that rounding picks.  A chord
+    whose far end lies within rounding of an axis-0 plane may end one
+    cell off.  A box's key mixes its cells on the grid over the fixed
+    `box` ((lo, hi) per axis, holding every chord), axis 0 as the last
+    digit, so a run of boxes along axis 0 is one interval of keys.  Each
+    level keeps a band of disjoint key intervals.  `close(x)` is told
+    that no chord fed later reaches below x on axis 0 (rounding may still
+    put one of its runs one cell lower): it counts and drops every box of
+    the finest band whose axis-0 cell lies below that, halves those boxes
+    to the next coarser level, and repeats there with the cell index
+    halved, since later boxes of the finer level halve to cells at or
+    above it.  Each closed box is counted once at every level, and a
+    sweep in axis-0 order keeps only the open columns in each band.
     """
 
     def __init__(self, level: int, box):
@@ -566,20 +542,19 @@ def _sweep(blocks, lower, level: int, box, lap, sink=None,
     return counts
 
 
-def _estimate(blocks, col0, lower, box, finest: int, lap) -> dict:
+def _estimate(blocks, xs, finest: int, lap) -> dict:
     """Counts extrapolated from the chords of the middle sixteenth of the gaps.
 
-    blocks(fib) yields the chunks of the fibres in slice fib, col0 holds
-    axis 0 of each fibre (one row per fibre) and lower is as in `_sweep`.
+    blocks(fib) yields the chunks of the fibres xs[fib] (each at its x).
     """
-    gaps = len(lower) - 1
+    gaps = len(xs) - 1
     sample = max(1, gaps // 16)
     first = (gaps - sample) // 2
     fib = slice(first, first + sample + 1)
     # Two levels below the typical chord length, where gaps share few boxes.
-    length = float(np.abs(np.diff(col0[fib], axis=0)).mean())
+    length = float(np.abs(np.diff(xs[fib])).mean())
     level = math.ceil(-math.log2(length)) + 2 if length > 0 else 0
-    counts = _sweep(blocks(fib), lower[fib], max(0, min(level, finest)), box,
+    counts = _sweep(blocks(fib), xs[fib], max(0, min(level, finest)), _TORUS,
                     lap)
     return {lv: c * gaps / sample for lv, c in counts.items()}
 
@@ -627,52 +602,24 @@ def _levels(first: dict, finest: int, n_max: float, count_pass) -> dict:
     return {lv: counts[lv] for lv in range(min(j, finest) + 1)}
 
 
-def _cloud_counts(points: np.ndarray, stride: int, resolution: float,
+def _cloud_counts(points: np.ndarray, resolution: float,
                   n_max: float) -> dict:
-    """Box counts {j: N(2**-j)} of the segments from row i to row i + stride.
+    """Box counts {j: N(2**-j)} of the points, from one `_BoxCounter` pass.
 
-    N(r) is the number of boxes of the origin-anchored grid that the
-    segments meet, end points included.  With stride 0 every segment is a
-    point, so N(r) counts the boxes holding points.  A fibre-major cloud
-    has stride = words: each segment is the leaf chord from a word over
-    one fiber to the same word over the next, and the seam gap from the
-    last fiber back to 2*pi is left out, because the word labels permute
-    there.  Levels 0 up to the first count above n_max are returned, or up
-    to the finest level with 2**-j at or above the resolution and fewer
-    than 2**63 grid boxes over the points' bounding box, so that box keys
-    fit an int64 (none if the resolution exceeds 1).
-
-    One `_BoxCounter` pass counts a level and every coarser one, exact
-    for dyadic r.  A point cloud takes a single pass at the finest level.
-    A fibre-major cloud is swept in chunks of whole fibres (views of the
-    array, each closed at the least axis-0 value still to come), at the
-    level first predicted to pass n_max from the middle sixteenth of the
-    fibre gaps; the prediction steers only the cost, never the counts.
+    Levels 0 up to the first count above n_max are returned, or up to the
+    finest level with 2**-j at or above the resolution and fewer than
+    2**63 grid boxes over the points' bounding box, so that box keys fit
+    an int64 (none if the resolution exceeds 1).  The pass counts the
+    finest level and halves its boxes to every coarser one.
     """
     dim = points.shape[1]
     box = [(points[:, c].min(), points[:, c].max()) for c in range(dim)]
     finest = _finest(resolution, box)
     if finest < 0:
         return {}
-    if not stride:
-        counter = _BoxCounter(finest, box)
-        counter.add(points, points)
-        return _levels(counter.counts(), finest, n_max, None)
-    grid = points.reshape(-1, stride, dim)
-    col0 = grid[:, :, 0]
-    lower = np.minimum.accumulate(col0.min(axis=1)[::-1])[::-1]
-    lap = _lap_clock(None)
-
-    def blocks(fib):
-        part = grid[fib]
-        return (part[rows] for rows in _fibre_chunks(len(part), stride))
-
-    def count_pass(level):
-        return _sweep(blocks(slice(None)), lower, level, box, lap)
-
-    known = _estimate(blocks, col0, lower, box, finest, lap)
-    return _levels(count_pass(max(0, min(_next_level(known, n_max), finest))),
-                   finest, n_max, count_pass)
+    counter = _BoxCounter(finest, box)
+    counter.add(points, points)
+    return _levels(counter.counts(), finest, n_max, None)
 
 
 def _fit_limit(size: int, k_scales: int) -> float:
@@ -687,28 +634,19 @@ def _fit_limit(size: int, k_scales: int) -> float:
 def box_dimension(cloud: PointCloud, k_scales: int = 12) -> DimensionFit:
     """Least-squares slope of log N(r) against log(1/r) over dyadic scales.
 
-    Scales r = 2**-j are kept while 2 <= N(r) <= |cloud|/4 and r stays at
-    or above the cloud resolution; of those, the finest k_scales enter the
+    N(r) is the number of boxes of the origin-anchored grid of side r that
+    hold a point of the cloud (a slice or a projection; the full attractor
+    is fitted by `attractor_dimension`, which counts leaf chords).  Scales
+    r = 2**-j are kept while 2 <= N(r) <= |cloud|/4 and r stays at or
+    above the cloud resolution; of those, the finest k_scales enter the
     fit.  A cloud occupying a single box at every scale fits slope 0.
-    For a fibre-major cloud (provenance "fiber_major", as made by
-    `attractor_cloud`) N(r) counts the boxes met by the leaf chords
-    between adjacent fibers rather than by the points alone, so the
-    window reaches below the fiber spacing; other clouds count points.
-    Each scale is one count on the origin-anchored grid, not a mean over
-    shifted grids.  The counts come from the counter that
-    `attractor_dimension` sweeps, fed with views of the cloud's array
-    (`_cloud_counts`), and its keys live on the grid over the cloud's
-    bounding box.
+    Each scale is one count, not a mean over shifted grids; all come from
+    one pass of the counter that `attractor_dimension` sweeps, its keys on
+    the grid over the cloud's bounding box (`_cloud_counts`).
     """
     n_max = _fit_limit(len(cloud), k_scales)
-    stride = 0
-    layout = cloud.provenance.get("fiber_major")
-    if layout is not None:
-        stride = layout["words"]
-        if layout["fibers"] * stride != len(cloud) or layout["fibers"] < 2:
-            raise ValueError("fibre-major layout does not match the cloud")
-    return _fit_counts(_cloud_counts(cloud.points, stride, cloud.resolution,
-                                     n_max), n_max, k_scales)
+    return _fit_counts(_cloud_counts(cloud.points, cloud.resolution, n_max),
+                       n_max, k_scales)
 
 
 def _fit_counts(levels: dict, n_max: float, k_scales: int) -> DimensionFit:

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
-Every criterion is expected green.  Criterion 4 fits the full cloud by
-counting the boxes met by the leaf chords between adjacent fibers, which
-carries the scale window below the pinned fiber spacing (see the README
-and demos/04_box_counting.py).
+Every criterion is expected green.  Criterion 4 fits the full cloud with
+`attractor_dimension`, which streams it one chunk of whole fibres at a
+time and counts the boxes met by the leaf chords between adjacent
+fibers; that carries the scale window below the pinned fiber spacing
+(see the README and demos/04_box_counting.py).
 """
 
 import json
@@ -91,8 +92,7 @@ def test_criterion_03_slice_dimension():
 def test_criterion_04_full_dimension():
     spec = benchmark_a()
     t_start = time.perf_counter()
-    cloud = geometry.attractor_cloud(spec, 12, 256)
-    fit = geometry.box_dimension(cloud, 12)
+    fit = geometry.attractor_dimension(spec, 12, 256, 12)
     elapsed = time.perf_counter() - t_start
     target = 1.0 + T0_A
     in_band = abs(fit.slope - target) <= 0.15

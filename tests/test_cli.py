@@ -12,10 +12,11 @@ import pytest
 
 from scalar_reference import apply_map, leaf_point, word_text
 from solenoidlab import (ConfigError, PointCloud, SolenoidSpec,
-                         SpecInvalidError, WordTooShortError, attractor_cloud,
-                         benchmark_a, benchmark_c)
-from solenoidlab import cli, lamination, thermo
+                         SpecInvalidError, WordTooShortError, benchmark_a,
+                         benchmark_c)
+from solenoidlab import cli, geometry, lamination, thermo
 from solenoidlab.coding import leaf_states
+from test_geometry import _whole_attractor_cloud
 
 T0_A = math.log(2.0) / math.log(2.5)
 
@@ -489,11 +490,31 @@ def test_cloud_csv_matches_reference_on_uniform_samples(tmp_path):
 
 def test_cloud_csv_matches_reference_on_benchmark_clouds(tmp_path):
     for spec in (benchmark_a(), benchmark_c()):
-        cloud = attractor_cloud(spec, 8, 64)
-        assert_csv_matches_reference(tmp_path, cloud.points, ("x", "y", "z"))
+        points, _ = _whole_attractor_cloud(spec, 8, 64)
+        assert_csv_matches_reference(tmp_path, points, ("x", "y", "z"))
         # under 1% (mostly the x = 0 fibre) takes '%.12g' itself
-        _, _, fast = cli._mantissas(np.abs(cloud.points.ravel()))
+        _, _, fast = cli._mantissas(np.abs(points.ravel()))
         assert np.mean(~fast) < 0.01
+
+
+def test_release_heap_hands_back_the_free_top_of_the_heap():
+    # glibc only (mallinfo2 since 2.33): after a sweep, the free top chunk
+    # that `geometry._keep_heap`'s trim threshold lets stay is returned.
+    import ctypes
+
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc's mallinfo2")
+
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+            "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+    libc.mallinfo2.restype = MallInfo2
+    geometry.attractor_dimension(benchmark_a(), 10, 64)
+    cli._release_heap()
+    assert libc.mallinfo2().keepcost < 1 << 16
 
 
 @pytest.mark.parametrize("block_rows, fibres, words",

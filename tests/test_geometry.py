@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,22 +47,28 @@ def test_slice_cloud_refinement():
         assert np.max(np.sqrt(d2)) <= spec.contraction_sup() ** n
 
 
+def _streamed(spec, n, fibers, threads=1):
+    """Every chunk of `attractor_cloud` over `fibers` equal fibres, joined."""
+    return np.concatenate(list(geometry.attractor_cloud(
+        spec, n, geometry._fibre_xs(fibers), threads)))
+
+
 def test_clouds_stay_in_domain():
     spec = benchmark_a()
     sl = geometry.slice_cloud(spec, 2.0, 10)
     assert np.all(np.sum(sl.points ** 2, axis=1) < 1.0)
-    full = geometry.attractor_cloud(spec, 8, 16)
+    full = _streamed(spec, 8, 16).reshape(-1, 3)
     assert len(full) == 16 * 256
-    assert np.all(np.sum(full.points[:, 1:] ** 2, axis=1) < 1.0)
-    assert np.all((full.points[:, 0] >= 0) & (full.points[:, 0] < 2 * np.pi))
+    assert np.all(np.sum(full[:, 1:] ** 2, axis=1) < 1.0)
+    assert np.all((full[:, 0] >= 0) & (full[:, 0] < 2 * np.pi))
 
 
 def test_attractor_cloud_single_fiber_matches_slice():
     for spec in (benchmark_a(), benchmark_c()):
-        full = geometry.attractor_cloud(spec, 6, 1)
+        full = _streamed(spec, 6, 1)
         sl = geometry.slice_cloud(spec, 0.0, 6)
-        assert np.array_equal(full.points[:, 1:], sl.points)
-        assert np.array_equal(full.points[:, 0], np.zeros(len(sl)))
+        assert np.array_equal(full[0, :, 1:], sl.points)
+        assert np.array_equal(full[0, :, 0], np.zeros(len(sl)))
 
 
 def _whole_chord_error(points, fibers, words):
@@ -75,7 +82,11 @@ def _whole_chord_error(points, fibers, words):
 
 
 def _whole_attractor_cloud(spec, n, fibers):
-    """The attractor cloud from one forward pass over every fibre at once."""
+    """The attractor cloud from one forward pass over every fibre at once.
+
+    Rows are fibre-major: row f * d**n + w holds word w over fibre
+    x_f = 2*pi*f/fibers.  Returns the points and the resolution.
+    """
     words = spec.d ** n
     xs = TWO_PI * np.arange(fibers) / fibers
     y, z = word_representatives(spec, xs, n)
@@ -84,15 +95,29 @@ def _whole_attractor_cloud(spec, n, fibers):
     grid[:, :, 1] = y
     grid[:, :, 2] = z
     pts = grid.reshape(-1, 3)
-    provenance = {"spec_hash": spec.spec_hash(), "generation": n,
-                  "fiber": "full"}
     if fibers >= 3:
-        provenance["fiber_major"] = {"fibers": fibers, "words": words}
         resolution = max(spec.contraction_sup() ** n,
                          _whole_chord_error(pts, fibers, words))
     else:
         resolution = max(TWO_PI / fibers, spec.contraction_sup() ** n)
-    return pts, provenance, resolution
+    return pts, resolution
+
+
+def _traced_dimension(monkeypatch, *args, **kwargs):
+    """`attractor_dimension`'s fit (or refusal) and the resolution it used.
+
+    The resolution is the last one whose finest level it looked up.
+    """
+    seen, finest = [], geometry._finest
+
+    def traced(resolution, box):
+        seen.append(resolution)
+        return finest(resolution, box)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_finest", traced)
+        fit = _fit_or_refusal(geometry.attractor_dimension, *args, **kwargs)
+    return fit, seen[-1]
 
 
 # Fibre counts off the chunk size, one fibre per chunk (d**16 words exceed
@@ -101,13 +126,20 @@ def _whole_attractor_cloud(spec, n, fibers):
     (benchmark_a(), 12, 37), (benchmark_a(), 16, 3), (benchmark_c(), 9, 256),
     (benchmark_a(), 10, 1), (benchmark_c(), 10, 2)],
     ids=["A-12-37", "A-16-3", "C-9-256", "A-10-1", "C-10-2"])
-def test_chunked_attractor_cloud_matches_whole_build(spec, n, fibers):
-    pts, provenance, resolution = _whole_attractor_cloud(spec, n, fibers)
+def test_chunked_attractor_cloud_matches_whole_build(monkeypatch, spec, n,
+                                                     fibers):
+    pts, resolution = _whole_attractor_cloud(spec, n, fibers)
+    words = spec.d ** n
+    step = max(1, geometry._CLOUD_CHUNK // words)
     for threads in (1, 2, 3):
-        cloud = geometry.attractor_cloud(spec, n, fibers, threads=threads)
-        assert np.array_equal(cloud.points, pts)
-        assert cloud.resolution == resolution
-        assert cloud.provenance == provenance
+        blocks = list(geometry.attractor_cloud(
+            spec, n, geometry._fibre_xs(fibers), threads))
+        # Runs of whole fibres of at most _CLOUD_CHUNK points (or one fibre).
+        assert [len(b) for b in blocks[:-1]] == [step] * (len(blocks) - 1)
+        assert all(b.shape[1:] == (words, 3) for b in blocks)
+        assert np.array_equal(np.concatenate(blocks).reshape(-1, 3), pts)
+        assert _traced_dimension(monkeypatch, spec, n, fibers,
+                                 threads=threads)[1] == resolution
 
 
 def test_chord_error_reads_across_chunk_ends():
@@ -128,16 +160,19 @@ def test_chord_error_reads_across_chunk_ends():
 
 
 def test_attractor_cloud_holds_no_whole_cloud_temporaries():
-    # tracemalloc sees numpy buffers: beyond the result, the build and the
-    # chord error may hold only chunk-sized temporaries.
+    # tracemalloc sees numpy buffers: streaming the whole cloud (25 MB)
+    # through the chord error holds a few chunks' worth of temporaries.
+    spec, error = benchmark_a(), geometry._ChordError()
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        cloud = geometry.attractor_cloud(benchmark_a(), 12, 256)
+        for block in geometry.attractor_cloud(
+                spec, 12, geometry._fibre_xs(256), 1):
+            error.add(block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - entry <= 1.25 * cloud.points.nbytes
+    assert peak - entry <= 6 * geometry._CLOUD_CHUNK * 3 * 8
 
 
 def test_fused_sweep_holds_no_whole_cloud_state(tmp_path):
@@ -172,7 +207,7 @@ def test_deep_chord_count_stays_small_in_a_fresh_process():
         "import resource\n"
         "from solenoidlab import benchmark_a, geometry as g\n"
         "xs = g._fibre_xs(256)\n"
-        "counts = g._sweep(g._attractor_chunks(benchmark_a(), 12, xs, 1), xs,"
+        "counts = g._sweep(g.attractor_cloud(benchmark_a(), 12, xs, 1), xs,"
         " 12, g._TORUS, g._lap_clock(None))\n"
         "print(counts[12], counts[9],"
         " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
@@ -188,27 +223,28 @@ def test_deep_chord_count_stays_small_in_a_fresh_process():
 
 def test_attractor_cloud_thread_determinism():
     spec = benchmark_c()
-    a = geometry.attractor_cloud(spec, 5, 12, threads=1)
-    b = geometry.attractor_cloud(spec, 5, 12, threads=3)
-    assert np.array_equal(a.points, b.points)
+    a = _streamed(spec, 5, 12, threads=1)
+    b = _streamed(spec, 5, 12, threads=3)
+    assert np.array_equal(a, b)
 
 
 def test_attractor_cloud_errors():
-    with pytest.raises(ValueError):
-        geometry.attractor_cloud(benchmark_a(), 4, 0)
+    # attractor_dimension checks the requested cloud before building any of it.
+    with pytest.raises(ValueError, match="empty cloud"):
+        geometry.attractor_dimension(benchmark_a(), 4, 0)
     with pytest.raises(CapExceededError):
-        geometry.attractor_cloud(benchmark_a(), 20, 64)
+        geometry.attractor_dimension(benchmark_a(), 20, 64)
 
 
 def test_cap_counts_fibers_times_words(monkeypatch):
     # 16 fibers x 2**6 words: each is under the cap, their product is not
     spec = benchmark_a()
     monkeypatch.setattr(coding, "ENUMERATION_CAP", 16 * 2 ** 6)
-    geometry.attractor_cloud(spec, 6, 16)
+    _fit_or_refusal(geometry.attractor_dimension, spec, 6, 16)
     geometry.overlap_multiplicity(spec, 6, 16)
     monkeypatch.setattr(coding, "ENUMERATION_CAP", 16 * 2 ** 6 - 1)
     with pytest.raises(CapExceededError):
-        geometry.attractor_cloud(spec, 6, 16)
+        geometry.attractor_dimension(spec, 6, 16)
     with pytest.raises(CapExceededError):
         geometry.overlap_multiplicity(spec, 6, 16)
     geometry.slice_cloud(spec, 0.0, 6)
@@ -244,10 +280,7 @@ def test_box_dimension_chords_cantor_product():
     xs = 2 * np.pi * np.arange(fibers) / fibers
     pts = np.column_stack([np.repeat(xs, cantor.size), np.tile(cantor, fibers)])
     spacing = 2 * np.pi / fibers
-    arcs = geometry.PointCloud(
-        2, pts, {"fiber_major": {"fibers": fibers, "words": cantor.size}},
-        16.0 * 3.0 ** -13)
-    fit = geometry.box_dimension(arcs, 12)
+    fit = _chord_fit(pts, cantor.size, 16.0 * 3.0 ** -13)
     assert abs(fit.slope - (1.0 + math.log(2) / math.log(3))) <= 0.05
     assert sum(r < spacing for r in fit.counts) >= 3
     # Horizontal chords meet exactly the product of the two factor counts.
@@ -268,9 +301,7 @@ def test_box_dimension_chords_tilted_lines():
     ys = 10.0 * np.arange(words) + 0.1
     pts = np.column_stack([np.repeat(xs, words),
                            (ys[None, :] + slope * xs[:, None]).ravel()])
-    cloud = geometry.PointCloud(
-        2, pts, {"fiber_major": {"fibers": fibers, "words": words}}, 1e-9)
-    fit = geometry.box_dimension(cloud, 12)
+    fit = _chord_fit(pts, words, 1e-9)
     assert abs(fit.slope - 1.0) <= 0.05
     checked = 0
     for r, count in fit.counts.items():
@@ -283,18 +314,14 @@ def test_box_dimension_chords_tilted_lines():
     assert checked >= 5
 
 
-def test_chord_counts_floor_and_threads():
+def test_chord_counts_floor_and_threads(monkeypatch):
     spec = benchmark_c()
     n, fibers = 8, 64
-    cloud = geometry.attractor_cloud(spec, n, fibers)
-    assert cloud.provenance["fiber_major"] == {"fibers": fibers,
-                                               "words": spec.d ** n}
-    assert cloud.resolution >= spec.contraction_sup() ** n
-    fit = geometry.box_dimension(cloud, 12)
-    assert cloud.resolution <= fit.scale_lo < 2 * np.pi / fibers
-    threaded = geometry.attractor_cloud(spec, n, fibers, threads=3)
-    assert threaded.resolution == cloud.resolution
-    assert geometry.box_dimension(threaded, 12).to_dict() == fit.to_dict()
+    fit, resolution = _traced_dimension(monkeypatch, spec, n, fibers, 12)
+    assert resolution >= spec.contraction_sup() ** n
+    assert resolution <= fit["scale_lo"] < 2 * np.pi / fibers
+    assert _traced_dimension(monkeypatch, spec, n, fibers, 12,
+                             threads=3) == (fit, resolution)
 
 
 def _box_count(points, r):
@@ -307,7 +334,7 @@ def _box_count(points, r):
 
 def _assert_counts_match_sort(cloud):
     n_max = max(2.0, len(cloud) / 4.0)
-    counts = geometry._cloud_counts(cloud.points, 0, cloud.resolution, n_max)
+    counts = geometry._cloud_counts(cloud.points, cloud.resolution, n_max)
     finest = max(j for j in range(48) if 2.0 ** -j >= cloud.resolution)
     assert list(counts) == list(range(len(counts)))
     # levels stop at the first count above n_max, else at the finest level
@@ -349,7 +376,7 @@ def test_point_counts_keep_box_keys_in_int64():
     # Two opposite corners of the unit cube, 75 copies each: no count passes
     # n_max, and from level 21 on the grid over the cube has 2**63 boxes.
     pts = np.repeat([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], 75, axis=0)
-    counts = geometry._cloud_counts(pts, 0, 1e-9, 37.5)
+    counts = geometry._cloud_counts(pts, 1e-9, 37.5)
     assert list(counts) == list(range(21))
     for j, count in counts.items():
         assert count == _box_count(pts, 2.0 ** -j) == 2, j
@@ -371,10 +398,15 @@ def test_point_cloud_fit_takes_one_pass(monkeypatch):
             assert calls == [len(cloud)]
 
 
-def test_box_dimension_refuses_a_resolution_above_one():
-    cloud = geometry.attractor_cloud(benchmark_a(), 8, 1)
-    assert cloud.resolution == pytest.approx(TWO_PI)
-    assert geometry._cloud_counts(cloud.points, 0, cloud.resolution, 64) == {}
+def test_box_dimension_refuses_a_resolution_above_one(monkeypatch):
+    # One fibre: its resolution is the fibre spacing, 2*pi.
+    spec = benchmark_a()
+    refusal, resolution = _traced_dimension(monkeypatch, spec, 8, 1)
+    assert resolution == pytest.approx(TWO_PI)
+    assert "no usable dyadic scales" in refusal
+    cloud = geometry.PointCloud(3, _streamed(spec, 8, 1).reshape(-1, 3), {},
+                                resolution)
+    assert geometry._cloud_counts(cloud.points, cloud.resolution, 64) == {}
     with pytest.raises(ValueError, match="no usable dyadic scales"):
         geometry.box_dimension(cloud, 12)
 
@@ -562,7 +594,7 @@ def test_overlap_multiplicity_matches_heap_sweep(spec, n_max):
 
 
 # ---------------------------------------------------------------------------
-# The fibre-chunk sweep against the whole-cloud counter it replaced
+# The fibre-chunk sweep against the whole-cloud builder and counter
 # ---------------------------------------------------------------------------
 
 
@@ -650,9 +682,34 @@ def _dyadic_counts(points, stride, resolution, n_max):
 def _sweep_counts(spec, n, fibers, level, threads=1):
     """Counts at level .. 0 from one sweep over freshly built chunks."""
     xs = geometry._fibre_xs(fibers)
-    return geometry._sweep(geometry._attractor_chunks(spec, n, xs, threads),
+    return geometry._sweep(geometry.attractor_cloud(spec, n, xs, threads),
                            xs, level, geometry._TORUS,
                            geometry._lap_clock(None))
+
+
+def _grid_sweep(grid, level, step=7):
+    """Counts at level .. 0 of the chords between adjacent fibres of grid.
+
+    grid is (fibres, words, dim) with one x per fibre, increasing; the
+    sweep takes it in chunks of `step` fibres, over its bounding box.
+    """
+    box = [(grid[..., c].min(), grid[..., c].max())
+           for c in range(grid.shape[2])]
+    return geometry._sweep((grid[f:f + step] for f in range(0, len(grid), step)),
+                           grid[:, 0, 0], level, box, geometry._lap_clock(None))
+
+
+def _chord_fit(points, words, resolution, k_scales=12):
+    """The fit of the chords from row i to row i + words (fibre-major rows).
+
+    The whole-cloud oracle picks the levels, and the sweep must count the
+    same boxes at every one of them.
+    """
+    n_max = geometry._fit_limit(len(points), k_scales)
+    want = _dyadic_counts(points, words, resolution, n_max)
+    grid = points.reshape(-1, words, points.shape[1])
+    assert _grid_sweep(grid, max(want)) == want
+    return geometry._fit_counts(want, n_max, k_scales)
 
 
 def _fit_or_refusal(fit, *args, **kwargs):
@@ -668,16 +725,14 @@ def _fit_or_refusal(fit, *args, **kwargs):
     (benchmark_a(), 12, 37), (benchmark_a(), 16, 3), (benchmark_c(), 10, 64),
     (D3, 7, 64)], ids=["A-12-37", "A-16-3", "C-10-64", "d3-7-64"])
 def test_sweep_counts_match_whole_cloud_oracle(spec, n, fibers):
-    cloud = geometry.attractor_cloud(spec, n, fibers)
-    words, n_max = spec.d ** n, len(cloud) / 4.0
-    want = _dyadic_counts(cloud.points, words, cloud.resolution, n_max)
-    assert geometry._cloud_counts(cloud.points, words, cloud.resolution,
-                                  n_max) == want
+    pts, resolution = _whole_attractor_cloud(spec, n, fibers)
+    words, n_max = spec.d ** n, len(pts) / 4.0
+    want = _dyadic_counts(pts, words, resolution, n_max)
     # Every level of one sweep two levels past the fit's last one.
     level = max(want) + 2
-    deep = _dyadic_counts(cloud.points, words, 2.0 ** -level, 1e18)
+    deep = _dyadic_counts(pts, words, 2.0 ** -level, 1e18)
     assert list(deep) == list(range(level + 1))
-    fit = _fit_or_refusal(geometry.box_dimension, cloud, 12)
+    fit = _fit_or_refusal(geometry._fit_counts, want, n_max, 12)
     for threads in (1, 2, 3):
         assert _sweep_counts(spec, n, fibers, level, threads) == deep
         assert _fit_or_refusal(geometry.attractor_dimension, spec, n, fibers,
@@ -698,7 +753,109 @@ def test_sweep_counts_match_oracle_on_steep_lines():
                                (ys[None, :] + slope * xs[:, None]).ravel()])
         for n_max in (100.0, 1e18):
             want = _dyadic_counts(pts, words, 1e-3, n_max)
-            assert geometry._cloud_counts(pts, words, 1e-3, n_max) == want
+            assert _grid_sweep(pts.reshape(fibers, words, 2),
+                               max(want)) == want
+
+
+def _exact_chords(grid, level):
+    """Per chord between adjacent fibres: its boxes of side 2**-level, exactly.
+
+    Exact arithmetic on the same floats: the half-open floor cells at and
+    between the chord's plane crossings.  With each chord's boxes comes
+    whether it crosses planes of two axes within 1e-9 of each other in
+    its parameter, that is, within rounding of a grid edge.
+    """
+    scale, out = Fraction(2) ** level, []
+    for fibre, after in zip(grid[:-1].tolist(), grid[1:].tolist()):
+        for a, b in zip(fibre, after):
+            a = [Fraction(v) * scale for v in a]
+            b = [Fraction(v) * scale for v in b]
+            per_axis = [{(k - p) / (q - p) for k in range(
+                math.ceil(min(p, q)), math.floor(max(p, q)) + 1)}
+                if p != q else set() for p, q in zip(a, b)]
+            ts = sorted({Fraction(0), Fraction(1)}.union(*per_axis))
+            boxes = {tuple(math.floor(p + t * (q - p)) for p, q in zip(a, b))
+                     for t in ts + [(s + u) / 2 for s, u in zip(ts, ts[1:])]}
+            near = any(abs(s - u) < 1e-9
+                       for i, ti in enumerate(per_axis)
+                       for tj in per_axis[i + 1:] for s in ti for u in tj)
+            out.append((boxes, near))
+    return out
+
+
+def _runs_per_chord(grid, level):
+    """Boxes `_chord_runs` gives each chord between adjacent fibres.
+
+    Every chord gets its own cell on one more axis, which it never moves
+    along, so its runs share no key line with another chord's.
+    """
+    dim = grid.shape[2]
+    tag = np.arange(len(grid[0]) * (len(grid) - 1), dtype=float)[:, None]
+    a, b = (np.hstack([part.reshape(-1, dim) * 2.0 ** level, tag]).T.copy()
+            for part in (grid[:-1], grid[1:]))
+    axes = list(range(1, dim + 1)) + [0]
+    lo = np.floor([np.minimum(a[c], b[c]).min() for c in axes]).astype(int)
+    hi = np.floor([np.maximum(a[c], b[c]).max() for c in axes]).astype(int)
+    spans = hi - lo + 1
+    starts, ends = geometry._chord_runs(a, b, axes, lo, spans)
+    chord = starts // spans[-1] % spans[-2]
+    return np.bincount(chord, ends - starts + 1, len(tag)).astype(int)
+
+
+# Ten lines y = 0.1 + 10w + slope*x over 300 fibres on [0.05, 4.35].  At
+# slope +-3.7 some chords pass within rounding of grid edges (3.7 * 6/8 +
+# 0.1 = 23/8); jittered lines and slope 0.731 pass none.  Every chord
+# meets exactly its boxes, because a run's end and the next run's start
+# are one float: rounding the two apart read 1,622 boxes at level 3 on
+# the 3.7 lines and 6,479 at level 5, against 1,620 and 6,480.
+@pytest.mark.parametrize("slope, jitter, levels, near_edges", [
+    (3.7, None, (3, 4, 5), True), (-3.7, None, (3, 4, 5), True),
+    (3.7, 1, (3, 4), False), (0.731, None, (3, 4), False)],
+    ids=["3.7", "-3.7", "3.7-jitter", "0.731"])
+def test_chord_counts_match_exact_boxes_on_lattice_lines(slope, jitter,
+                                                         levels, near_edges):
+    fibers, words = 300, 10
+    xs = 0.05 + 4.3 * np.arange(fibers) / (fibers - 1)
+    ys = 10.0 * np.arange(words) + 0.1
+    if jitter is not None:
+        rng = np.random.default_rng(jitter)
+        xs = np.sort(xs + rng.uniform(0.0, 1e-3, fibers))
+        ys = ys + rng.uniform(0.0, 1.0, words)
+    grid = np.empty((fibers, words, 2))
+    grid[:, :, 0] = xs[:, None]
+    grid[:, :, 1] = ys[None, :] + slope * xs[:, None]
+    for level in levels:
+        exact = _exact_chords(grid, level)
+        assert any(near for _, near in exact) == near_edges
+        assert (_runs_per_chord(grid, level).tolist()
+                == [len(boxes) for boxes, _ in exact])
+        want = len(set().union(*(boxes for boxes, _ in exact)))
+        assert _grid_sweep(grid, level)[level] == want
+
+
+# Chords through two grid edges each (exactly: the inputs are dyadic).
+# Per edge the count is exact or one above, by the chord's directions.
+@pytest.mark.parametrize("a, b, extra", [
+    ((0.5, 0.5), (2.5, 2.5), 2), ((2.5, 2.5), (0.5, 0.5), 2),
+    ((2.5, 0.5), (0.5, 2.5), 0), ((0.5, 2.5), (2.5, 0.5), 0),
+    ((0.25, 0.5, 0.5), (0.75, 2.5, 2.5), 0),
+    ((0.25, 2.5, 2.5), (0.75, 0.5, 0.5), 2),
+    ((0.25, 0.5, 2.5), (0.75, 2.5, 0.5), 0)])
+def test_chord_through_grid_edges_meets_at_most_one_extra_box_each(a, b,
+                                                                  extra):
+    counter = geometry._BoxCounter(0, [(0.0, 3.0)] * len(a))
+    counter.add(np.array([a]), np.array([b]))
+    (boxes, near), = _exact_chords(np.array([[a], [b]]), 0)
+    assert near and counter.counts()[0] == len(boxes) + extra
+
+
+def test_chord_ending_within_rounding_of_a_plane_may_end_one_cell_off():
+    # a + (b - a) rounds to 1 - 4e-16, so the run ends in cell 0, not 1.
+    a, b = (-3.954362231199513, 0.5), (1.0, 0.5)
+    counter = geometry._BoxCounter(0, [(-4.0, 1.0), (0.0, 1.0)])
+    counter.add(np.array([a]), np.array([b]))
+    (boxes, near), = _exact_chords(np.array([[a], [b]]), 0)
+    assert not near and counter.counts()[0] == len(boxes) - 1 == 5
 
 
 def test_short_first_pass_builds_again_without_the_sink(monkeypatch):
@@ -707,10 +864,10 @@ def test_short_first_pass_builds_again_without_the_sink(monkeypatch):
     # for finer passes, and the sink, which writes the CSV, still sees
     # every chunk exactly once.
     spec, n, fibers = benchmark_c(), 10, 64
-    cloud = geometry.attractor_cloud(spec, n, fibers)
-    words, n_max = spec.d ** n, len(cloud) / 4.0
-    want = _dyadic_counts(cloud.points, words, cloud.resolution, n_max)
-    fit = geometry.box_dimension(cloud, 12).to_dict()
+    pts, resolution = _whole_attractor_cloud(spec, n, fibers)
+    words, n_max = spec.d ** n, len(pts) / 4.0
+    want = _dyadic_counts(pts, words, resolution, n_max)
+    fit = geometry._fit_counts(want, n_max, 12).to_dict()
     estimate, sweep, levels = geometry._estimate, geometry._sweep, []
 
     def low(*args):
@@ -722,13 +879,10 @@ def test_short_first_pass_builds_again_without_the_sink(monkeypatch):
 
     monkeypatch.setattr(geometry, "_estimate", low)
     monkeypatch.setattr(geometry, "_sweep", logged)
-    assert geometry._cloud_counts(cloud.points, words, cloud.resolution,
-                                  n_max) == want
-    passes = levels[1:]  # levels[0] counts the middle sixteenth
-    assert len(passes) >= 2 and passes == sorted(passes)
-    levels.clear()
     blocks = []
     assert geometry.attractor_dimension(
         spec, n, fibers, 12, sink=blocks.append).to_dict() == fit
-    assert levels[1:] == passes
-    assert np.array_equal(np.concatenate(blocks).reshape(-1, 3), cloud.points)
+    passes = levels[1:]  # levels[0] counts the middle sixteenth
+    assert len(passes) >= 2 and passes == sorted(passes)
+    assert max(passes) >= max(want)
+    assert np.array_equal(np.concatenate(blocks).reshape(-1, 3), pts)

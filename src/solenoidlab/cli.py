@@ -42,39 +42,46 @@ All emitted files carry the spec hash and generation in a header comment.
 """
 
 
+def _rule(default, **rule):
+    """A RunConfig field with this default and rule (see `_check_fields`)."""
+    return field(default=default, metadata=rule)
+
+
 @dataclass
 class RunConfig:
-    """Validated run parameters with defaults filled."""
+    """Validated run parameters with defaults filled, and their rules."""
 
     spec: SolenoidSpec
-    depth_n: int = 10
-    fibers: int = 256
-    seed: int = 0
-    eps_grid: list = field(default_factory=lambda: [])
+    depth_n: int = _rule(10, least=1)
+    fibers: int = _rule(256, least=1)
+    seed: int = _rule(0, least=0)
+    # deviations |alpha - chi|, each one positive
+    eps_grid: list = field(default_factory=list, metadata={"positive": True})
     output_dir: str = "out"
-    threads: int = 1
+    threads: int = _rule(1, least=1)
     # command-specific knobs
-    grid_density: int = 64
-    tol: float = 1e-6
-    t_max: float = 2.0
-    t_points: int = 20
-    k_scales: int = 12
+    grid_density: int = _rule(64, least=16)
+    # a NaN or infinite tol reads as not a positive finite number
+    tol: float = _rule(1e-6, positive=True, finite_first=False)
+    t_max: float = _rule(2.0, positive=True)
+    t_points: int = _rule(20, least=0)
+    k_scales: int = _rule(12, least=5)
     slice_fiber: float = 0.0
-    full_depth: int = 0       # 0 means: reuse depth_n
-    full_fibers: int = 0      # 0 means: reuse fibers
-    n_past: int = 8
-    pair_budget: int = 200
-    leaf_margin: float = 0.2
-    leaf_samples: int = 257
-    scan_pairs: int = 300
-    scan_L: float = 0.5
-    gamma_budget: int = 24
-    gamma_depth: int = 10
+    full_depth: int = _rule(0, least=0)    # 0 means: reuse depth_n
+    full_fibers: int = _rule(0, least=0)   # 0 means: reuse fibers
+    n_past: int = _rule(8, least=1)
+    pair_budget: int = _rule(200, least=1)
+    leaf_margin: float = _rule(0.2, least=0)
+    leaf_samples: int = _rule(257, least=2)
+    scan_pairs: int = _rule(300, least=0)
+    scan_L: float = _rule(0.5, positive=True)
+    gamma_budget: int = _rule(24, least=0)
+    gamma_depth: int = _rule(10, least=1)
     x_src: float = 0.0
     x_dst: float = math.pi
-    deviation_lo: int = 6
-    deviation_hi: int = 12
-    deviation_threshold: float = 0.05
+    deviation_lo: int = _rule(6, least=1)
+    deviation_hi: int = _rule(12, least="deviation_lo")
+    deviation_threshold: float = _rule(0.05, positive=True)
     dump_leaves: bool = False
     # filled by load_config from a coarse model; commands recompute at depth_n
     regime: dict = field(default_factory=dict)
@@ -130,34 +137,48 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# The values a field may take, by the type of its default.  Nothing is
-# cast, so a valid config is echoed with its own values.
-_FIELD_TYPES = {
-    int: ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
-    float: ("a number", _is_number),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    list: ("a list of numbers",
-           lambda v: isinstance(v, list) and all(map(_is_number, v))),
-}
+# How the type of a field's default reads in a message.
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", list: "a list of numbers"}
 
 
-# The least value of each run size; full_depth = 0 and full_fibers = 0
-# reuse depth_n and fibers.
-_MIN_SIZES = {"depth_n": 1, "fibers": 1, "threads": 1, "full_depth": 0,
-              "full_fibers": 0, "leaf_samples": 2, "pair_budget": 1,
-              "n_past": 1, "gamma_depth": 1, "deviation_lo": 1,
-              "grid_density": 16, "k_scales": 5, "t_points": 0,
-              "scan_pairs": 0, "gamma_budget": 0, "leaf_margin": 0,
-              "seed": 0}
+def _check_fields(cfg, names, rules=True):
+    """Raise ConfigError at the first of `names` that breaks its type or,
+    with `rules`, the rule declared in its RunConfig field.
 
-
-def _check_sizes(cfg, names):
+    A value must have the type of its field's default, but a float field
+    takes an int and a list holds numbers; nothing is cast, so a valid
+    config is echoed with its own values.  A rule is checked in this
+    order: `least`, a number or the name of the field not to undercut;
+    then that no number is NaN or ±inf, unless `finite_first` is false;
+    then, with `positive`, that every number is positive and finite.
+    """
+    defaults = vars(RunConfig(spec=cfg.spec))
+    rules_of = {f.name: f.metadata for f in dataclasses.fields(RunConfig)}
     for name in names:
-        value, least = getattr(cfg, name), _MIN_SIZES[name]
-        if value < least:
-            raise ConfigError(
-                f"config field '{name}' must be >= {least}, got {value!r}")
+        value, kind = getattr(cfg, name), type(defaults[name])
+        values = value if kind is list else [value]
+        rule = rules_of[name]
+        least = rule.get("least")
+        bound = getattr(cfg, least) if isinstance(least, str) else least
+        if not (_is_number(value) if kind is float else type(value) is kind
+                and (kind is not list or all(map(_is_number, value)))):
+            what = _TYPE_NAMES[kind]
+        elif not rules:
+            continue
+        elif least is not None and value < bound:
+            what = f">= {least}" if least == bound else f">= {least} {bound}"
+        elif rule.get("finite_first", True) and any(
+                isinstance(v, float) and not math.isfinite(v) for v in values):
+            what = "finite"
+        elif rule.get("positive") and not all(0 < v < math.inf
+                                              for v in values):
+            each = " in every entry" if kind is list else ""
+            what = f"a positive finite number{each}"
+        else:
+            continue
+        raise ConfigError(
+            f"config field '{name}' must be {what}, got {value!r}")
 
 
 def load_config(path) -> RunConfig:
@@ -186,13 +207,9 @@ def load_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     kwargs = {k: v for k, v in raw.items() if k != "spec"}
-    for name, value in kwargs.items():
-        what, ok = _FIELD_TYPES[type(defaults[name])]
-        if not ok(value):
-            raise ConfigError(
-                f"config field '{name}' must be {what}, got {value!r}")
     cfg = RunConfig(spec=spec, **kwargs)
-    _check_sizes(cfg, ["grid_density"])  # validate_spec runs at load time
+    _check_fields(cfg, kwargs, rules=False)
+    _check_fields(cfg, ["grid_density"])  # validate_spec runs at load time
     report = validate_spec(spec, cfg.grid_density)
     if not report.all_passed:
         names = ", ".join(c.name + " (" + c.detail + ")"
@@ -422,11 +439,37 @@ def _cmd_pressure(cfg, stages, out_dir):
             "cylinder_table_depth": table_depth}
 
 
-def _cmd_bowen(cfg, stages, out_dir):
+# The stages that `report` shares with `bowen`, `transversality`,
+# `holonomy` and `deviations`; the holonomy scan's stage name is the caller's.
+def _bowen(cfg, stages):
     model = stages.run("bowen", thermo.build_gibbs_model, cfg.spec,
                        cfg.depth_n, cfg.tol)
-    flags = stages.run("regime", thermo.classify_regime, cfg.spec, model)
-    return _model_summary(model, flags)
+    return model, stages.run("regime", thermo.classify_regime, cfg.spec, model)
+
+
+def _transversality(cfg, stages):
+    return stages.run(
+        "transversality", lamination.min_transversal_angle, cfg.spec,
+        cfg.n_past, cfg.pair_budget, seed=cfg.seed,
+        samples=cfg.leaf_samples, margin=cfg.leaf_margin)
+
+
+def _holonomy_scan(cfg, stages, name):
+    pool = stages.run("gamma_pool", lamination.build_gamma_pool, cfg.spec,
+                      cfg.gamma_depth, cfg.gamma_budget, seed=cfg.seed + 1)
+    return pool, stages.run(
+        name, lamination.holonomy_lipschitz_scan, cfg.spec, cfg.x_src,
+        cfg.x_dst, cfg.depth_n, cfg.scan_pairs, seed=cfg.seed, L=cfg.scan_L,
+        pool=pool)
+
+
+def _nl_bound(cfg, stages, model):
+    return stages.run("nl_bound", thermo.nl_dimension_bound, cfg.spec, model,
+                      cfg.eps_grid or None)
+
+
+def _cmd_bowen(cfg, stages, out_dir):
+    return _model_summary(*_bowen(cfg, stages))
 
 
 def _fit(cfg, name, depth_field, fit, *args, **kwargs):
@@ -497,10 +540,7 @@ def _cmd_dimension(cfg, stages, out_dir):
 
 
 def _cmd_transversality(cfg, stages, out_dir):
-    alpha, tangencies = stages.run(
-        "transversality", lamination.min_transversal_angle, cfg.spec,
-        cfg.n_past, cfg.pair_budget, seed=cfg.seed,
-        samples=cfg.leaf_samples, margin=cfg.leaf_margin)
+    alpha, tangencies = _transversality(cfg, stages)
     if cfg.dump_leaves:
         stages.run("write_leaves", _dump_leaves, cfg, out_dir)
     return {"n_past": cfg.n_past, "pair_budget": cfg.pair_budget,
@@ -524,11 +564,7 @@ def _dump_leaves(cfg, out_dir):
 
 
 def _cmd_holonomy(cfg, stages, out_dir):
-    pool = stages.run("gamma_pool", lamination.build_gamma_pool, cfg.spec,
-                      cfg.gamma_depth, cfg.gamma_budget, seed=cfg.seed + 1)
-    scan = stages.run("scan", lamination.holonomy_lipschitz_scan, cfg.spec,
-                      cfg.x_src, cfg.x_dst, cfg.depth_n, cfg.scan_pairs,
-                      seed=cfg.seed, L=cfg.scan_L, pool=pool)
+    pool, scan = _holonomy_scan(cfg, stages, "scan")
     checks = stages.run("laws", _holonomy_laws, cfg)
     stages.run("write_gamma_pool", _write_json,
                os.path.join(out_dir, "gamma_pool.json"),
@@ -574,31 +610,17 @@ def _cmd_deviations(cfg, stages, out_dir):
                        cfg.deviation_threshold)
     model = stages.run("model", thermo.build_gibbs_model, spec, cfg.depth_n,
                        cfg.tol)
-    eps_grid = cfg.eps_grid if cfg.eps_grid else None
-    nl = stages.run("nl_bound", thermo.nl_dimension_bound, spec, model,
-                    eps_grid)
+    nl = _nl_bound(cfg, stages, model)
     return {"decay": decay.to_dict(), "nl_bound": nl.to_dict(),
             "t0_lo": model.t0_lo, "t0_hi": model.t0_hi}
 
 
 def _cmd_report(cfg, stages, out_dir):
-    spec = cfg.spec
-    model = stages.run("bowen", thermo.build_gibbs_model, spec, cfg.depth_n,
-                       cfg.tol)
-    flags = stages.run("regime", thermo.classify_regime, spec, model)
+    model, flags = _bowen(cfg, stages)
     dims = _cmd_dimension(cfg, stages, out_dir)
-    alpha, tangencies = stages.run(
-        "transversality", lamination.min_transversal_angle, spec, cfg.n_past,
-        cfg.pair_budget, seed=cfg.seed, samples=cfg.leaf_samples,
-        margin=cfg.leaf_margin)
-    pool = stages.run("gamma_pool", lamination.build_gamma_pool, spec,
-                      cfg.gamma_depth, cfg.gamma_budget, seed=cfg.seed + 1)
-    scan = stages.run("holonomy_scan", lamination.holonomy_lipschitz_scan,
-                      spec, cfg.x_src, cfg.x_dst, cfg.depth_n, cfg.scan_pairs,
-                      seed=cfg.seed, L=cfg.scan_L, pool=pool)
-    eps_grid = cfg.eps_grid if cfg.eps_grid else None
-    nl = stages.run("nl_bound", thermo.nl_dimension_bound, spec, model,
-                    eps_grid)
+    alpha, tangencies = _transversality(cfg, stages)
+    scan = _holonomy_scan(cfg, stages, "holonomy_scan")[1]
+    nl = _nl_bound(cfg, stages, model)
     return {
         **_model_summary(model, flags),
         "slice_dim": dims["slice"]["slope"],
@@ -630,26 +652,7 @@ def run_command(cfg: RunConfig, command: str) -> Report:
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; "
                           f"choose one of {', '.join(COMMANDS)}")
-    _check_sizes(cfg, _MIN_SIZES)
-    for name, value in vars(cfg).items():
-        values = value if name == "eps_grid" else [value]
-        # a non-finite tol fails the positive finite check below instead
-        if name != "tol" and any(isinstance(v, float) and not math.isfinite(v)
-                                 for v in values):
-            raise ConfigError(f"config field '{name}' must be finite, "
-                              f"got {value!r}")
-    # eps_grid holds deviations |alpha - chi|, each one positive
-    for name in ("tol", "scan_L", "deviation_threshold", "t_max", "eps_grid"):
-        value = getattr(cfg, name)
-        values = value if name == "eps_grid" else [value]
-        if not all(0.0 < v < math.inf for v in values):
-            each = " in every entry" if name == "eps_grid" else ""
-            raise ConfigError(f"config field '{name}' must be a positive "
-                              f"finite number{each}, got {value!r}")
-    if cfg.deviation_hi < cfg.deviation_lo:
-        raise ConfigError("config field 'deviation_hi' must be >= "
-                          f"deviation_lo {cfg.deviation_lo}, "
-                          f"got {cfg.deviation_hi!r}")
+    _check_fields(cfg, vars(cfg))
     out_dir = cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     stages = _Stages()
@@ -683,14 +686,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.depth is not None:
-            cfg.depth_n = args.depth
-        if args.out is not None:
-            cfg.output_dir = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.threads is not None:
-            cfg.threads = args.threads
+        for name, value in (("depth_n", args.depth), ("output_dir", args.out),
+                            ("seed", args.seed), ("threads", args.threads)):
+            if value is not None:
+                setattr(cfg, name, value)
         report = run_command(cfg, args.command)
     except (ConfigError, SpecInvalidError) as exc:
         print(f"error: {exc}", file=sys.stderr)

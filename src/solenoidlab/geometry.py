@@ -340,7 +340,10 @@ def _chord_runs(a: np.ndarray, b: np.ndarray, axes, lo, spans):
                        + take(base[c]), out=end)
         ar, dr = take(a[run]), take(d[run])
         first = np.floor(ar + t * dr).astype(np.int64)
-        last = np.floor(ar + end * dr).astype(np.int64)
+        # A run that reaches the chord's end ends in b's cell, where
+        # a + 1.0 * (b - a) may round into the cell before it.
+        last = np.floor(np.where(end < 1.0, ar + end * dr, take(b[run])))
+        last = last.astype(np.int64)
         cells[run] = np.minimum(first, last)
         key = _mix([cells[c] - lo[i] for i, c in enumerate(axes)], spans)
         starts.append(key)
@@ -386,19 +389,18 @@ class _BoxCounter:
     planes of two axes meet, may meet one box more there, beside the
     edge.  A run ends at the very float at which the next one starts, so
     a chord that passes within rounding of an edge meets as many boxes as
-    its points do, on the side of the edge that rounding picks.  A chord
-    whose far end lies within rounding of an axis-0 plane may end one
-    cell off.  A box's key mixes its cells on the grid over the fixed
-    `box` ((lo, hi) per axis, holding every chord), axis 0 as the last
-    digit, so a run of boxes along axis 0 is one interval of keys.  Each
-    level keeps a band of disjoint key intervals.  `close(x)` is told
-    that no chord fed later reaches below x on axis 0 (rounding may still
-    put one of its runs one cell lower): it counts and drops every box of
-    the finest band whose axis-0 cell lies below that, halves those boxes
-    to the next coarser level, and repeats there with the cell index
-    halved, since later boxes of the finer level halve to cells at or
-    above it.  Each closed box is counted once at every level, and a
-    sweep in axis-0 order keeps only the open columns in each band.
+    its points do, on the side of the edge that rounding picks.  A box's
+    key mixes its cells on the grid over the fixed `box` ((lo, hi) per
+    axis, holding every chord), axis 0 as the last digit, so a run of
+    boxes along axis 0 is one interval of keys.  Each level keeps a band
+    of disjoint key intervals.  `close(x)` is told that no chord fed
+    later reaches below x on axis 0 (rounding may still put one of its
+    runs one cell lower): it counts and drops every box of the finest
+    band whose axis-0 cell lies below that, halves those boxes to the
+    next coarser level, and repeats there with the cell index halved,
+    since later boxes of the finer level halve to cells at or above it.
+    Each closed box is counted once at every level, and a sweep in axis-0
+    order keeps only the open columns in each band.
     """
 
     def __init__(self, level: int, box):

@@ -291,6 +291,84 @@ def test_main_exits_2_on_non_finite_floats(tmp_path, capsys, command, field,
     assert not (tmp_path / "out").exists()
 
 
+# The rules, types and defaults of RunConfig, as the config checks read them.
+_FIELDS = dataclasses.fields(cli.RunConfig)
+_DEFAULTS = vars(cli.RunConfig(spec=SolenoidSpec.from_dict(BENCH_A)))
+_RULES = {f.name: f.metadata for f in _FIELDS}
+_RULED = [name for name, rule in _RULES.items() if rule]
+_NUMBERS = [f.name for f in _FIELDS
+            if type(_DEFAULTS[f.name]) in (int, float, list)]
+_FLAGS = {"depth_n": "--depth", "seed": "--seed", "threads": "--threads"}
+
+
+def _past_bound(name):
+    """A value just past the rule of field `name`, in write_config's config."""
+    least = _RULES[name].get("least")
+    if least is None:                       # positive finite
+        return [0] if type(_DEFAULTS[name]) is list else 0
+    return (_DEFAULTS[least] if isinstance(least, str) else least) - 1
+
+
+def _refused(tmp_path, capsys, name, fields, flags=()):
+    path = write_config(tmp_path, **fields)
+    assert cli.main(["report", "--config", path, *flags]) == 2
+    assert f"config field '{name}' must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", _RULED)
+def test_every_rule_refuses_a_value_just_past_its_bound(tmp_path, capsys,
+                                                        name):
+    value = _past_bound(name)
+    _refused(tmp_path, capsys, name, {name: value})
+    if name in _FLAGS:
+        _refused(tmp_path, capsys, name, {}, [_FLAGS[name], str(value)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", _NUMBERS)
+def test_every_number_field_refuses_non_finite_values(tmp_path, capsys, name,
+                                                      value):
+    # an int field refuses them as not an integer
+    _refused(tmp_path, capsys, name,
+             {name: [value] if type(_DEFAULTS[name]) is list else value})
+
+
+@pytest.mark.parametrize("name", [f.name for f in _FIELDS
+                                  if f.name != "regime"])
+def test_every_config_field_refuses_a_wrong_type(tmp_path, capsys, name):
+    wrong = {int: "1", float: "1", bool: 1, str: 1, list: 1}.get(
+        type(_DEFAULTS[name]), 1)
+    path = write_config(tmp_path, **{name: wrong})
+    assert cli.main(["report", "--config", path]) == 2
+    assert f"field '{name}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_names_every_ruled_field():
+    # the README's run-size paragraph lists the rules of the config fields
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")).read()
+    start = readme.index("Run sizes are checked")
+    paragraph = readme[start:readme.index("\n\n", start)]
+    assert [n for n in _RULED if f"`{n}`" not in paragraph] == []
+
+
+def test_main_reaches_setup_and_run_through_the_module(tmp_path, monkeypatch):
+    # perfbench/child.py wraps these two module names to split its set-up
+    # time from the run; main must call each of them once, by that name
+    calls = []
+    for name in ("load_config", "run_command"):
+        def spy(*args, real=getattr(cli, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(cli, name, spy)
+    assert cli.main(["bowen", "--config",
+                     write_config(tmp_path, depth_n=6)]) == 0
+    assert calls == ["load_config", "run_command"]
+
+
 @pytest.mark.parametrize("fields, named, reason", [
     ({"depth_n": 6}, "slice cloud at config field 'depth_n' = 6",
      "need at least 100 points"),

@@ -849,13 +849,13 @@ def test_chord_through_grid_edges_meets_at_most_one_extra_box_each(a, b,
     assert near and counter.counts()[0] == len(boxes) + extra
 
 
-def test_chord_ending_within_rounding_of_a_plane_may_end_one_cell_off():
-    # a + (b - a) rounds to 1 - 4e-16, so the run ends in cell 0, not 1.
+def test_chord_ending_within_rounding_of_a_plane_ends_in_its_end_cell():
+    # a + (b - a) rounds to 1 - 4e-16, in cell 0; the run ends in b's cell 1.
     a, b = (-3.954362231199513, 0.5), (1.0, 0.5)
     counter = geometry._BoxCounter(0, [(-4.0, 1.0), (0.0, 1.0)])
     counter.add(np.array([a]), np.array([b]))
     (boxes, near), = _exact_chords(np.array([[a], [b]]), 0)
-    assert not near and counter.counts()[0] == len(boxes) - 1 == 5
+    assert not near and counter.counts()[0] == len(boxes) == 6
 
 
 def test_short_first_pass_builds_again_without_the_sink(monkeypatch):

@@ -4,7 +4,9 @@ JSON config in, JSON/CSV artifacts out.  Reports are deterministic: the
 same config and seed produce byte-identical report files; wall-clock
 timings, and the process's memory high-water mark after each stage, go
 to a sibling *_timings.json so they never perturb the comparable bytes.
-Every artifact embeds the spec hash.
+Every artifact embeds the spec hash.  The layers return plain result
+dataclasses; this module alone encodes them (`_jsonable`) and writes
+files, every CSV under the two header lines of `_csv_header`.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, lamination, thermo
-from .coding import (_require_depth, _word_label, leaf_states,
-                     write_cylinder_table)
+from .coding import (_digit_rows, _require_depth, _word_label,
+                     cylinder_endpoints, leaf_states)
 from .errors import (CapExceededError, ConfigError, SolenoidError,
                      SpecInvalidError)
-from .maps import SolenoidSpec, validate_spec
+from .maps import SolenoidSpec, ValidationReport, validate_spec
 
 COMMANDS = ("validate", "pressure", "bowen", "dimension", "transversality",
             "holonomy", "deviations", "report")
@@ -86,11 +88,6 @@ class RunConfig:
     # filled by load_config from a coarse model; commands recompute at depth_n
     regime: dict = field(default_factory=dict)
 
-    def echo(self):
-        data = dataclasses.asdict(self)
-        data["spec"] = self.spec.to_dict()
-        return data
-
 
 @dataclass
 class Report:
@@ -103,26 +100,53 @@ class Report:
 
     def to_json(self):
         """Deterministic byte content (timings excluded)."""
-        body = {"command": self.command, "spec_hash": self.spec_hash,
-                "inputs": self.inputs, "results": self.results}
-        return json.dumps(_jsonable(body), sort_keys=True, indent=2) + "\n"
+        return _json_text({"command": self.command,
+                           "spec_hash": self.spec_hash,
+                           "inputs": self.inputs, "results": self.results})
 
     def timings_json(self):
-        return json.dumps(_jsonable({"command": self.command,
-                                     "spec_hash": self.spec_hash,
-                                     "timings_ms": self.timings,
-                                     "rss_high_water_mb":
-                                         self.rss_high_water_mb}),
-                          sort_keys=True, indent=2) + "\n"
+        return _json_text({"command": self.command,
+                           "spec_hash": self.spec_hash,
+                           "timings_ms": self.timings,
+                           "rss_high_water_mb": self.rss_high_water_mb})
+
+
+# Per result type, the fields whose JSON is not their plain value, each
+# with the function of the result that gives it; None leaves the field out.
+_FIELD_JSON = {
+    geometry.DimensionFit: {
+        "counts": lambda fit: {f"{r:.10g}": c for r, c in fit.counts.items()}},
+    geometry.DensityReport: {"ratios": None},
+    lamination.IntersectionRecord: {
+        "past_a": lambda rec: _word_label(rec.past_a),
+        "past_b": lambda rec: _word_label(rec.past_b)},
+    lamination.HolonomyReport: {
+        "flagged_words": lambda rep: list(map(_word_label, rep.flagged_words))},
+    thermo.NLBound: {
+        "a_values": lambda nl: [v if math.isfinite(v) else None
+                                for v in nl.a_values.tolist()]},
+    ValidationReport: {"spec_hash": lambda rep: rep.spec.spec_hash(),
+                       "all_passed": lambda rep: rep.all_passed},
+}
 
 
 def _jsonable(obj):
+    """obj as JSON-ready data: a dataclass becomes the dict of its fields
+    (as `_FIELD_JSON` says), and a non-finite float a string."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    if dataclasses.is_dataclass(obj):
+        body = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        for name, encode in _FIELD_JSON.get(type(obj), {}).items():
+            if encode is None:
+                del body[name]
+            else:
+                body[name] = encode(obj)
+        return _jsonable(body)
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
     if isinstance(obj, float):
@@ -216,7 +240,7 @@ def load_config(path) -> RunConfig:
                           for c in report.failures())
         raise SpecInvalidError(f"spec fails hypothesis checks: {names}")
     coarse = thermo.build_gibbs_model(spec, 6)
-    cfg.regime = thermo.classify_regime(spec, coarse).to_dict()
+    cfg.regime = _jsonable(thermo.classify_regime(spec, coarse))
     return cfg
 
 
@@ -246,8 +270,24 @@ def _write(path, text):
         fh.write(text)
 
 
+def _json_text(obj):
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+
+
 def _write_json(path, obj):
-    _write(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+    _write(path, _json_text(obj))
+
+
+def _csv_header(spec_hash, generation, columns, fiber=None):
+    """The two header lines of every CSV: provenance, then column names."""
+    tag = "" if fiber is None else f" fiber={fiber}"
+    return (f"# spec_hash={spec_hash} generation={generation}{tag}\n"
+            + ",".join(columns) + "\n")
+
+
+def _write_csv(path, spec, generation, columns, lines):
+    _write(path, _csv_header(spec.spec_hash(), generation, columns)
+           + "".join(line + "\n" for line in lines))
 
 
 _CSV_BLOCK_ROWS = 8192
@@ -364,18 +404,13 @@ def _cloud_csv(path, cloud, header_cols):
     """Write a cloud as CSV, each value exactly as '%.12g' % v formats it
     (see `_slot_words`), _CSV_BLOCK_ROWS rows at a time."""
     points = np.asarray(cloud.points, dtype=float)
+    prov = cloud.provenance
     with open(path, "wb") as fh:
-        _csv_header(fh, cloud.provenance, header_cols)
+        fh.write(_csv_header(prov["spec_hash"], prov["generation"],
+                             header_cols, fiber=prov["fiber"]).encode())
         for start in range(0, len(points), _CSV_BLOCK_ROWS):
             fh.write(_csv_text(_slot_words(
                 points[start:start + _CSV_BLOCK_ROWS])))
-
-
-def _csv_header(fh, prov, header_cols):
-    fh.write(f"# spec_hash={prov.get('spec_hash')} "
-             f"generation={prov.get('generation')} "
-             f"fiber={prov.get('fiber')}\n".encode())
-    fh.write((",".join(header_cols) + "\n").encode())
 
 
 def _fibre_csv_rows(fh, block):
@@ -404,13 +439,13 @@ def _model_summary(model, flags):
         "t0_lo": model.t0_lo, "t0_hi": model.t0_hi, "n": model.n,
         "chi_eta": model.chi_eta, "chi_lam": model.chi_lam,
         "chi_nu": model.chi_nu, "entropy": model.entropy,
-        "flags": flags.to_dict(),
+        "flags": flags,
     }
 
 
 def _cmd_validate(cfg, stages, out_dir):
     report = stages.run("validate", validate_spec, cfg.spec, cfg.grid_density)
-    return report.to_dict()
+    return _jsonable(report)
 
 
 def _cmd_pressure(cfg, stages, out_dir):
@@ -425,18 +460,25 @@ def _cmd_pressure(cfg, stages, out_dir):
         return rows
 
     rows = stages.run("pressure_curve", curve)
-    lines = [f"# spec_hash={spec.spec_hash()} generation={cfg.depth_n}",
-             "t,p_lo,p_hi"]
-    lines += [f"{t:.12g},{lo:.12g},{hi:.12g}" for t, lo, hi in rows]
-    stages.run("write_curve", _write,
-               os.path.join(out_dir, "pressure_curve.csv"),
-               "\n".join(lines) + "\n")
+    stages.run("write_curve", _write_csv,
+               os.path.join(out_dir, "pressure_curve.csv"), spec, cfg.depth_n,
+               ("t", "p_lo", "p_hi"),
+               [f"{t:.12g},{lo:.12g},{hi:.12g}" for t, lo, hi in rows])
     table_depth = min(cfg.depth_n, 8)
-    stages.run("cylinder_table", write_cylinder_table, spec, table_depth,
+    stages.run("cylinder_table", _write_cylinders, spec, table_depth,
                os.path.join(out_dir, "cylinders.csv"))
     return {"n": cfg.depth_n,
             "curve": [{"t": t, "p_lo": lo, "p_hi": hi} for t, lo, hi in rows],
             "cylinder_table_depth": table_depth}
+
+
+def _write_cylinders(spec, n, path):
+    """cylinders.csv: each generation-n forward cylinder, by word label."""
+    lo, hi = cylinder_endpoints(spec, n)
+    rows = _digit_rows(np.arange(spec.d ** n), spec.d, n).tolist()
+    _write_csv(path, spec, n, ("word", "interval_lo", "interval_hi"),
+               [f"{_word_label(row)},{lo_w:.12g},{hi_w:.12g}"
+                for row, lo_w, hi_w in zip(rows, lo.tolist(), hi.tolist())])
 
 
 # The stages that `report` shares with `bowen`, `transversality`,
@@ -482,23 +524,6 @@ def _fit(cfg, name, depth_field, fit, *args, **kwargs):
             f"{getattr(cfg, depth_field)} cannot be fitted: {exc}") from exc
 
 
-def _release_heap():
-    """Return the freed heap to the system, where the C library allows it.
-
-    The full fit's sweep keeps up to 4 MB of freed heap resident
-    (`geometry._keep_heap`).  Whether the stages after it grew on top of
-    that depended on where earlier allocations happened to fall: on a
-    2-vCPU Linux machine, `report_a`'s peak RSS read 40.4 or 45.1 MB,
-    changing with the length of its directory's name and between runs.
-    Without glibc's `malloc_trim` this does nothing.
-    """
-    try:
-        import ctypes
-        ctypes.CDLL(None).malloc_trim(0)
-    except (AttributeError, OSError, TypeError):
-        pass
-
-
 def _cmd_dimension(cfg, stages, out_dir):
     spec = cfg.spec
     sl = stages.run("slice_cloud", geometry.slice_cloud, spec,
@@ -514,16 +539,14 @@ def _cmd_dimension(cfg, stages, out_dir):
     # each of its three stages is the time spent on that activity.
     times = {}
     with open(os.path.join(out_dir, "attractor_cloud.csv"), "wb") as fh:
-        _csv_header(fh, {"spec_hash": spec.spec_hash(),
-                         "generation": full_depth, "fiber": "full"},
-                    ("x", "y", "z"))
+        fh.write(_csv_header(spec.spec_hash(), full_depth, ("x", "y", "z"),
+                             fiber="full").encode())
         full_fit = _fit(
             cfg, "full", "full_depth" if cfg.full_depth else "depth_n",
             geometry.attractor_dimension, spec, full_depth, full_fibers,
             cfg.k_scales, threads=cfg.threads,
             sink=lambda block: _fibre_csv_rows(fh, block),
             times=times)
-    _release_heap()
     for stage, activity in (("attractor_cloud", "build"),
                             ("full_fit", "count"),
                             ("write_attractor_cloud", "sink")):
@@ -532,10 +555,10 @@ def _cmd_dimension(cfg, stages, out_dir):
                os.path.join(out_dir, "slice_cloud.csv"), sl, ("y", "z"))
     return {
         "slice": {"fiber": cfg.slice_fiber, "n": cfg.depth_n,
-                  **slice_fit.to_dict()},
-        "projection": proj_fit.to_dict(),
+                  **_jsonable(slice_fit)},
+        "projection": _jsonable(proj_fit),
         "full": {"n": full_depth, "fibers": full_fibers,
-                 **full_fit.to_dict()},
+                 **_jsonable(full_fit)},
     }
 
 
@@ -554,13 +577,13 @@ def _dump_leaves(cfg, out_dir):
     lifts = np.linspace(-cfg.leaf_margin, 2 * math.pi + cfg.leaf_margin,
                         cfg.leaf_samples)
     y, z = leaf_states(cfg.spec, digits, lifts)
-    lines = [f"# spec_hash={cfg.spec.spec_hash()} "
-             f"generation={digits.shape[1]}", "leaf,x_lift,y,z"]
+    lines = []
     for row, y_row, z_row in zip(digits.tolist(), y, z):
         word = _word_label(row)
         lines += [f"{word},{x:.12g},{yx:.12g},{zx:.12g}"
                   for x, yx, zx in zip(lifts, y_row, z_row)]
-    _write(os.path.join(out_dir, "leaves.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(out_dir, "leaves.csv"), cfg.spec, digits.shape[1],
+               ("leaf", "x_lift", "y", "z"), lines)
 
 
 def _cmd_holonomy(cfg, stages, out_dir):
@@ -570,8 +593,8 @@ def _cmd_holonomy(cfg, stages, out_dir):
                os.path.join(out_dir, "gamma_pool.json"),
                {"spec_hash": cfg.spec.spec_hash(), "n_past": pool.n_past,
                 "margin": pool.margin,
-                "records": [r.to_dict() for r in pool.records]})
-    return {"scan": scan.to_dict(), "laws": checks,
+                "records": pool.records})
+    return {"scan": scan, "laws": checks,
             "gamma_records": len(pool.records)}
 
 
@@ -611,7 +634,7 @@ def _cmd_deviations(cfg, stages, out_dir):
     model = stages.run("model", thermo.build_gibbs_model, spec, cfg.depth_n,
                        cfg.tol)
     nl = _nl_bound(cfg, stages, model)
-    return {"decay": decay.to_dict(), "nl_bound": nl.to_dict(),
+    return {"decay": decay, "nl_bound": nl,
             "t0_lo": model.t0_lo, "t0_hi": model.t0_hi}
 
 
@@ -629,9 +652,9 @@ def _cmd_report(cfg, stages, out_dir):
         "dimension_fits": dims,
         "alpha0_est": alpha,
         "near_tangency_count": tangencies,
-        "bound_NL": nl.to_dict()["bound"],
-        "nl_bound": nl.to_dict(),
-        "holonomy": scan.to_dict(),
+        "bound_NL": nl.bound,
+        "nl_bound": nl,
+        "holonomy": scan,
     }
 
 
@@ -658,7 +681,7 @@ def run_command(cfg: RunConfig, command: str) -> Report:
     stages = _Stages()
     results = _DISPATCH[command](cfg, stages, out_dir)
     report = Report(command=command, spec_hash=cfg.spec.spec_hash(),
-                    inputs=cfg.echo(), results=results,
+                    inputs=_jsonable(cfg), results=results,
                     timings=stages.timings,
                     rss_high_water_mb=stages.rss_high_water_mb)
     path = os.path.join(out_dir, f"{command}_report.json")

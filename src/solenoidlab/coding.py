@@ -258,21 +258,7 @@ def cylinder_endpoints(spec: SolenoidSpec, m: int):
     """
     if m < 1:
         raise ValueError("cylinder generation must be >= 1")
+    _check_cap(spec.d ** m)
     a = np.array(branch_points(spec))
     ends = descend_levels(spec, a, m - 1)[-1] if m > 1 else a[:, None]
     return ends[:-1].T.ravel(), ends[1:].T.ravel()
-
-
-def write_cylinder_table(spec: SolenoidSpec, n: int, path):
-    """Emit the generation-n base intervals as CSV (word, interval_lo, interval_hi).
-
-    Word labels are ``_word_label`` of the lexicographic digit rows.
-    """
-    _check_cap(spec.d ** n)
-    lo, hi = cylinder_endpoints(spec, n)
-    rows = _digit_rows(np.arange(spec.d ** n), spec.d, n).tolist()
-    with open(path, "w") as fh:
-        fh.write(f"# spec_hash={spec.spec_hash()} generation={n}\n")
-        fh.write("word,interval_lo,interval_hi\n")
-        for row, lo_w, hi_w in zip(rows, lo.tolist(), hi.tolist()):
-            fh.write(f"{_word_label(row)},{lo_w:.12g},{hi_w:.12g}\n")

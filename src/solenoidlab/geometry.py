@@ -67,11 +67,6 @@ class DimensionFit:
     scale_hi: float
     counts: dict
 
-    def to_dict(self):
-        return {"slope": self.slope, "r2": self.r2,
-                "scale_lo": self.scale_lo, "scale_hi": self.scale_hi,
-                "counts": {f"{r:.10g}": c for r, c in self.counts.items()}}
-
 
 def slice_cloud(spec: SolenoidSpec, x: float, n: int) -> PointCloud:
     """One representative (y, z) per generation-n backward word over fiber x."""
@@ -156,7 +151,8 @@ def attractor_dimension(spec: SolenoidSpec, n: int, fibers: int,
     thread formats and counts), and every bit of the fit is the same for
     any value.  `times`, if given, is a dict that gains the seconds spent
     on "build" (building, or waiting for, chunks and the chord error),
-    "count" and "sink".
+    "count" and "sink".  The freed heap goes back to the system after the
+    fit (`_release_heap`), outside those laps.
     """
     if fibers <= 0:
         raise ValueError("fiber count must be positive; empty cloud requested")
@@ -180,7 +176,9 @@ def attractor_dimension(spec: SolenoidSpec, n: int, fibers: int,
     counts = _levels(first, _finest(resolution, _TORUS), n_max,
                      lambda lv: _sweep(blocks(slice(None)), xs, lv, _TORUS,
                                        lap))
-    return _fit_counts(counts, n_max, k_scales)
+    fit = _fit_counts(counts, n_max, k_scales)
+    _release_heap()
+    return fit
 
 
 # Every attractor point lies in the solid torus [0, 2*pi) x (-1, 1)**2.
@@ -371,9 +369,27 @@ def _keep_heap():
     runs and the next block faults its temporaries in afresh: on
     `report_a`'s 1M-point sweep, 78k minor faults against 15k, and 30 to
     150 ms more.  A larger block keeps more freed memory resident (3 MB
-    already raised that report's peak RSS by 2.7 MB).
+    already raised that report's peak RSS by 2.7 MB).  `_release_heap`
+    hands the freed heap back once the sweep is over.
     """
     np.empty(1 << 18)
+
+
+def _release_heap():
+    """Return the freed heap to the system, where the C library allows it.
+
+    The sweep keeps up to 4 MB of freed heap resident (`_keep_heap`).
+    Whether the work after it grew on top of that depended on where
+    earlier allocations happened to fall: on a 2-vCPU Linux machine,
+    `report_a`'s peak RSS read 40.4 or 45.1 MB, changing with the length
+    of its directory's name and between runs.  Without glibc's
+    `malloc_trim` this does nothing.
+    """
+    try:
+        import ctypes
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
 
 
 class _BoxCounter:
@@ -699,15 +715,6 @@ class DensityReport:
     samples: int
     ratios: np.ndarray
 
-    def to_dict(self):
-        return {"radii": list(self.radii), "t0_mid": self.t0_mid,
-                "ratio_min": list(self.ratio_min),
-                "ratio_median": list(self.ratio_median),
-                "ratio_max": list(self.ratio_max),
-                "frac_bounded": self.frac_bounded,
-                "frac_growing": self.frac_growing,
-                "samples": self.samples}
-
 
 def local_density_stats(spec: SolenoidSpec, x: float, n: int, radii,
                         samples: int = 200, seed: int = 0) -> DensityReport:
@@ -770,13 +777,6 @@ class OverlapReport:
     order_histogram: dict
     max_touch_count: int
     h_n: float
-
-    def to_dict(self):
-        return {"n": self.n, "x_samples": self.x_samples,
-                "max_order": self.max_order,
-                "order_histogram": {str(k): v for k, v in
-                                    sorted(self.order_histogram.items())},
-                "max_touch_count": self.max_touch_count, "h_n": self.h_n}
 
 
 def _overlap_codes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ iteration on y_a - y_b whose derivative comes from the exact leaf slopes
 (``coding._leaf_jets``).  Each leaf is evaluated at its own lift and every
 candidate follows its scalar trajectory, so batching changes no result.
 Crossing angles are atan |y_a' - y_b'| from the same slopes, with no
-finite differences.  Records and reports carry words as digit tuples and
-print them with ``coding._word_label``.
+finite differences.  Records and reports carry words as digit tuples;
+the CLI writes them as word labels.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import (_digit_rows, _leaf_jets, _word_label, descend_levels,
-                     leaf_states)
+from .coding import _digit_rows, _leaf_jets, descend_levels, leaf_states
 from .errors import WordTooShortError
 from .maps import SolenoidSpec
 from .numerics import TWO_PI
@@ -55,12 +54,6 @@ class IntersectionRecord:
     past_b: tuple
     near_tangency: bool = False
 
-    def to_dict(self):
-        return {"x_lift": self.x_lift, "y": self.y, "angle": self.angle,
-                "past_a": _word_label(self.past_a),
-                "past_b": _word_label(self.past_b),
-                "near_tangency": self.near_tangency}
-
 
 @dataclass(frozen=True)
 class HolonomyReport:
@@ -71,17 +64,6 @@ class HolonomyReport:
     flagged_words: list       # digit tuples of the failing words
     flagged_weight: float
     usable: int               # tested samples the margin test could use
-
-    def to_dict(self):
-        return {
-            "x_src": self.x_src, "x_dst": self.x_dst,
-            "scale_stats": {str(k): v for k, v in
-                            sorted(self.scale_stats.items())},
-            "strong_lipschitz_fraction": self.strong_lipschitz_fraction,
-            "flagged_words": [_word_label(w) for w in self.flagged_words],
-            "flagged_weight": self.flagged_weight,
-            "usable": self.usable,
-        }
 
 
 def _grid(margin, samples):

@@ -247,18 +247,6 @@ class ValidationReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
-    def to_dict(self):
-        return {
-            "spec": self.spec.to_dict(),
-            "spec_hash": self.spec.spec_hash(),
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail,
-                 "witness": list(c.witness) if c.witness is not None else None}
-                for c in self.checks
-            ],
-        }
-
 
 def _grid_min(values, points):
     i = int(np.argmin(values))

@@ -484,11 +484,6 @@ class RegimeFlags:
     uniform_dissipation: bool
     bunching: bool
 
-    def to_dict(self):
-        return {"thin": self.thin,
-                "uniform_dissipation": self.uniform_dissipation,
-                "bunching": self.bunching}
-
 
 def classify_regime(spec: SolenoidSpec, model: GibbsModel) -> RegimeFlags:
     """Evaluate the thinness, uniform-dissipation, and bunching inequalities.
@@ -611,17 +606,6 @@ class NLBound:
     b_values: np.ndarray
     irregular_degenerate: bool
 
-    def to_dict(self):
-        return {
-            "best_eps": self.best_eps, "a_eps": self.a_eps,
-            "b_eps": self.b_eps, "bound": self.bound,
-            "irregular_degenerate": self.irregular_degenerate,
-            "eps_grid": self.eps_grid.tolist(),
-            "a_values": [None if not math.isfinite(v) else v
-                         for v in self.a_values.tolist()],
-            "b_values": self.b_values.tolist(),
-        }
-
 
 def default_eps_grid():
     return np.geomspace(1e-3, 0.3, 12)
@@ -693,12 +677,6 @@ class DeviationDecay:
     fractions: tuple
     tau_emp: float
     tau_pred: float
-
-    def to_dict(self):
-        return {"threshold": self.threshold,
-                "n_values": list(self.n_values),
-                "fractions": list(self.fractions),
-                "tau_emp": self.tau_emp, "tau_pred": self.tau_pred}
 
 
 def deviation_decay(spec: SolenoidSpec, n_values,

@@ -140,7 +140,7 @@ def test_criterion_07_regime_flags():
     ok = (fa.thin, fa.uniform_dissipation, fa.bunching) == (True, True, True)
     ok &= (fb.thin, fb.bunching) == (True, False)
     ok &= fc.uniform_dissipation and fc.thin and not fc.bunching
-    assert verdict(7, ok, f"A={fa.to_dict()}; B bunching={fb.bunching}; "
+    assert verdict(7, ok, f"A={cli._jsonable(fa)}; B bunching={fb.bunching}; "
                    f"C uniform={fc.uniform_dissipation}")
 
 

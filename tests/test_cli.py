@@ -12,8 +12,9 @@ import pytest
 
 from scalar_reference import apply_map, leaf_point, word_text
 from solenoidlab import (ConfigError, PointCloud, SolenoidSpec,
-                         SpecInvalidError, WordTooShortError, benchmark_a,
-                         benchmark_c)
+                         SpecInvalidError, ValidationReport,
+                         WordTooShortError, benchmark_a, benchmark_c,
+                         validate_spec)
 from solenoidlab import cli, geometry, lamination, thermo
 from solenoidlab.coding import leaf_states
 from test_geometry import _whole_attractor_cloud
@@ -88,7 +89,7 @@ def test_load_config_keeps_values_uncast(tmp_path):
     # float fields take ints, and the echo keeps what the config said
     cfg = cli.load_config(write_config(tmp_path, x_dst=3, tol=1,
                                        eps_grid=[0.1, 1], dump_leaves=True))
-    echo = cfg.echo()
+    echo = cli._jsonable(cfg)
     assert (echo["x_dst"], echo["tol"], echo["eps_grid"]) == (3, 1, [0.1, 1])
     assert type(echo["x_dst"]) is int and echo["dump_leaves"] is True
 
@@ -138,7 +139,102 @@ def test_validate_command_is_passthrough(tmp_path):
     cfg = cli.load_config(write_config(tmp_path))
     report = cli.run_command(cfg, "validate")
     assert report.results == cli._jsonable(
-        validate_spec(cfg.spec, cfg.grid_density).to_dict())
+        validate_spec(cfg.spec, cfg.grid_density))
+
+
+# The JSON of each result type as its own `to_dict` once wrote it: the
+# reference `cli._jsonable` must match, text for text.
+OLD_TO_DICT = {
+    geometry.DimensionFit: lambda f: {
+        "slope": f.slope, "r2": f.r2, "scale_lo": f.scale_lo,
+        "scale_hi": f.scale_hi,
+        "counts": {f"{r:.10g}": c for r, c in f.counts.items()}},
+    geometry.DensityReport: lambda r: {
+        "radii": list(r.radii), "t0_mid": r.t0_mid,
+        "ratio_min": list(r.ratio_min), "ratio_median": list(r.ratio_median),
+        "ratio_max": list(r.ratio_max), "frac_bounded": r.frac_bounded,
+        "frac_growing": r.frac_growing, "samples": r.samples},
+    geometry.OverlapReport: lambda r: {
+        "n": r.n, "x_samples": r.x_samples, "max_order": r.max_order,
+        "order_histogram": {str(k): v for k, v in
+                            sorted(r.order_histogram.items())},
+        "max_touch_count": r.max_touch_count, "h_n": r.h_n},
+    lamination.IntersectionRecord: lambda r: {
+        "x_lift": r.x_lift, "y": r.y, "angle": r.angle,
+        "past_a": word_text(r.past_a), "past_b": word_text(r.past_b),
+        "near_tangency": r.near_tangency},
+    lamination.HolonomyReport: lambda r: {
+        "x_src": r.x_src, "x_dst": r.x_dst,
+        "scale_stats": {str(k): v for k, v in sorted(r.scale_stats.items())},
+        "strong_lipschitz_fraction": r.strong_lipschitz_fraction,
+        "flagged_words": [word_text(w) for w in r.flagged_words],
+        "flagged_weight": r.flagged_weight, "usable": r.usable},
+    ValidationReport: lambda r: {
+        "spec": r.spec.to_dict(), "spec_hash": r.spec.spec_hash(),
+        "all_passed": r.all_passed,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail,
+                    "witness": None if c.witness is None else list(c.witness)}
+                   for c in r.checks]},
+    thermo.RegimeFlags: lambda f: {
+        "thin": f.thin, "uniform_dissipation": f.uniform_dissipation,
+        "bunching": f.bunching},
+    thermo.NLBound: lambda b: {
+        "best_eps": b.best_eps, "a_eps": b.a_eps, "b_eps": b.b_eps,
+        "bound": b.bound, "irregular_degenerate": b.irregular_degenerate,
+        "eps_grid": b.eps_grid.tolist(),
+        "a_values": [None if not math.isfinite(v) else v
+                     for v in b.a_values.tolist()],
+        "b_values": b.b_values.tolist()},
+    thermo.DeviationDecay: lambda d: {
+        "threshold": d.threshold, "n_values": list(d.n_values),
+        "fractions": list(d.fractions), "tau_emp": d.tau_emp,
+        "tau_pred": d.tau_pred},
+}
+
+
+def _results_of(spec):
+    """One result of every type in OLD_TO_DICT for `spec`."""
+    model = thermo.build_gibbs_model(spec, 8)
+    pool = lamination.build_gamma_pool(spec, 8, 6, seed=1)
+    return [
+        geometry.box_dimension(geometry.slice_cloud(spec, 0.0, 10)),
+        geometry.attractor_dimension(spec, 8, 64),
+        geometry.local_density_stats(spec, 0.0, 8, [0.2, 0.1], samples=20),
+        geometry.overlap_multiplicity(spec, 6, 4),
+        *pool.records[:3],
+        lamination.holonomy_lipschitz_scan(spec, 0.0, math.pi, 8, 12,
+                                           pool=pool),
+        validate_spec(spec, 16),
+        thermo.classify_regime(spec, model),
+        thermo.nl_dimension_bound(spec, model),
+        thermo.deviation_decay(spec, range(4, 7)),
+    ]
+
+
+def test_jsonable_writes_each_result_as_its_old_to_dict():
+    bad = SolenoidSpec(**dict(BENCH_A, lam0=0.9))
+    results = [*_results_of(SolenoidSpec(**BENCH_A)),
+               *_results_of(SolenoidSpec(**BENCH_C)), validate_spec(bad, 16)]
+    inf, nan = math.inf, math.nan
+    grid = np.array([0.1, 0.2, 0.3, 0.4])
+    results += [
+        thermo.NLBound(best_eps=nan, a_eps=inf, b_eps=-inf, bound=inf,
+                       eps_grid=grid, a_values=np.array([inf, nan, -inf, 0.5]),
+                       b_values=np.array([nan, inf, 1.0, -inf]),
+                       irregular_degenerate=True),
+        lamination.HolonomyReport(
+            x_src=0.0, x_dst=1.0, scale_stats={-3: {"max": nan}, 10: {}},
+            strong_lipschitz_fraction=nan, flagged_words=[(1, 10, 2), (0, 1)],
+            flagged_weight=0.0, usable=0),
+        lamination.IntersectionRecord(0.5, -0.25, 1e-7, (10, 3), (2, 0),
+                                      near_tangency=True),
+        thermo.DeviationDecay(0.05, (4, 5), (0.0, 0.0), inf, nan),
+    ]
+    assert not results[-5].all_passed
+    assert set(map(type, results)) == set(OLD_TO_DICT)
+    for result in results:
+        assert cli._json_text(result) == cli._json_text(
+            OLD_TO_DICT[type(result)](result)), type(result).__name__
 
 
 def test_pressure_command_emits_csvs(tmp_path):
@@ -573,26 +669,6 @@ def test_cloud_csv_matches_reference_on_benchmark_clouds(tmp_path):
         # under 1% (mostly the x = 0 fibre) takes '%.12g' itself
         _, _, fast = cli._mantissas(np.abs(points.ravel()))
         assert np.mean(~fast) < 0.01
-
-
-def test_release_heap_hands_back_the_free_top_of_the_heap():
-    # glibc only (mallinfo2 since 2.33): after a sweep, the free top chunk
-    # that `geometry._keep_heap`'s trim threshold lets stay is returned.
-    import ctypes
-
-    libc = ctypes.CDLL(None)
-    if not hasattr(libc, "mallinfo2"):
-        pytest.skip("needs glibc's mallinfo2")
-
-    class MallInfo2(ctypes.Structure):
-        _fields_ = [(name, ctypes.c_size_t) for name in (
-            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
-            "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-    libc.mallinfo2.restype = MallInfo2
-    geometry.attractor_dimension(benchmark_a(), 10, 64)
-    cli._release_heap()
-    assert libc.mallinfo2().keepcost < 1 << 16
 
 
 @pytest.mark.parametrize("block_rows, fibres, words",

@@ -8,10 +8,10 @@ from scalar_reference import (Point3, apply_map, base_itinerary, branch_of,
                               inverse_base, leaf_point, word_text)
 from solenoidlab import (CapExceededError, SolenoidSpec, WordTooShortError,
                          benchmark_a, benchmark_c)
-from solenoidlab import coding
+from solenoidlab import cli, coding
 from solenoidlab.coding import (_digit_rows, _word_label, cylinder_endpoints,
                                 descend_levels, leaf_states,
-                                word_representatives, write_cylinder_table)
+                                word_representatives)
 from solenoidlab.maps import branch_points
 
 TWO_PI = 2 * math.pi
@@ -299,9 +299,13 @@ def test_cylinder_table_labels_match_words(tmp_path, monkeypatch):
     d3 = SolenoidSpec(d=3, eta_eps=0.4)
     cases = [(spec, n) for spec in (benchmark_c(), d3) for n in range(1, 11)]
     for spec, n in cases + [(SolenoidSpec(d=11, eta_eps=0.5), 2)]:
-        write_cylinder_table(spec, n, new)
+        cli._write_cylinders(spec, n, new)
         word_cylinder_table(spec, n, ref)
         assert new.read_bytes() == ref.read_bytes()
     monkeypatch.setattr(coding, "ENUMERATION_CAP", 2 ** 10)
+    # the cap is checked where the d**n endpoints are made
+    cylinder_endpoints(benchmark_c(), 10)
     with pytest.raises(CapExceededError):
-        write_cylinder_table(benchmark_c(), 11, new)
+        cylinder_endpoints(benchmark_c(), 11)
+    with pytest.raises(CapExceededError):
+        cli._write_cylinders(benchmark_c(), 11, new)

@@ -199,6 +199,25 @@ def test_fused_sweep_holds_no_whole_cloud_state(tmp_path):
     assert peaks[256] - peaks[64] <= geometry._CLOUD_CHUNK * 3 * 8
 
 
+def test_release_heap_hands_back_the_free_top_of_the_heap():
+    # glibc only (mallinfo2 since 2.33): after a fit, the free top chunk
+    # that `geometry._keep_heap`'s trim threshold lets stay is returned.
+    import ctypes
+
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("needs glibc's mallinfo2")
+
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+            "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+    libc.mallinfo2.restype = MallInfo2
+    geometry.attractor_dimension(benchmark_a(), 10, 64)
+    assert libc.mallinfo2().keepcost < 1 << 16
+
+
 def test_deep_chord_count_stays_small_in_a_fresh_process():
     # A's chords (depth 12, 256 fibres) down to 2**-12, where they meet
     # 26.5M boxes: the whole-cloud counter held every box interval of that
@@ -319,7 +338,7 @@ def test_chord_counts_floor_and_threads(monkeypatch):
     n, fibers = 8, 64
     fit, resolution = _traced_dimension(monkeypatch, spec, n, fibers, 12)
     assert resolution >= spec.contraction_sup() ** n
-    assert resolution <= fit["scale_lo"] < 2 * np.pi / fibers
+    assert resolution <= fit.scale_lo < 2 * np.pi / fibers
     assert _traced_dimension(monkeypatch, spec, n, fibers, 12,
                              threads=3) == (fit, resolution)
 
@@ -590,7 +609,7 @@ def test_overlap_multiplicity_matches_heap_sweep(spec, n_max):
         ref = _heap_overlap_multiplicity(spec, n, 16)
         assert rep == ref
         assert rep.h_n.hex() == ref.h_n.hex()
-        assert rep.to_dict() == ref.to_dict()
+        assert cli._jsonable(rep) == cli._jsonable(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +733,7 @@ def _chord_fit(points, words, resolution, k_scales=12):
 
 def _fit_or_refusal(fit, *args, **kwargs):
     try:
-        return fit(*args, **kwargs).to_dict()
+        return fit(*args, **kwargs)
     except ValueError as exc:
         return str(exc)
 
@@ -867,7 +886,7 @@ def test_short_first_pass_builds_again_without_the_sink(monkeypatch):
     pts, resolution = _whole_attractor_cloud(spec, n, fibers)
     words, n_max = spec.d ** n, len(pts) / 4.0
     want = _dyadic_counts(pts, words, resolution, n_max)
-    fit = geometry._fit_counts(want, n_max, 12).to_dict()
+    fit = geometry._fit_counts(want, n_max, 12)
     estimate, sweep, levels = geometry._estimate, geometry._sweep, []
 
     def low(*args):
@@ -881,7 +900,7 @@ def test_short_first_pass_builds_again_without_the_sink(monkeypatch):
     monkeypatch.setattr(geometry, "_sweep", logged)
     blocks = []
     assert geometry.attractor_dimension(
-        spec, n, fibers, 12, sink=blocks.append).to_dict() == fit
+        spec, n, fibers, 12, sink=blocks.append) == fit
     passes = levels[1:]  # levels[0] counts the middle sixteenth
     assert len(passes) >= 2 and passes == sorted(passes)
     assert max(passes) >= max(want)

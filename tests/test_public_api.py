@@ -32,3 +32,20 @@ def test_every_public_function_has_a_program_caller():
             if uses == 0:
                 unused.append(f"{layer}.{name}")
     assert unused == []
+
+
+def test_layer_modules_leave_encoding_and_files_to_the_cli():
+    # Result types are plain data: `cli` alone turns them into JSON and CSV
+    # and writes files.  `SolenoidSpec.to_dict` is the spec's canonical
+    # form (behind `spec_hash` and the config echo), not an artifact format.
+    found = []
+    for layer in ("coding", "geometry", "lamination", "maps", "numerics",
+                  "thermo"):
+        module = importlib.import_module(f"solenoidlab.{layer}")
+        found += [f"{layer}.{name}.to_dict"
+                  for name, obj in vars(module).items()
+                  if inspect.isclass(obj) and "to_dict" in vars(obj)
+                  and obj.__module__ == module.__name__]
+        text = Path(module.__file__).read_text()
+        found += [f"{layer}: open("] * len(re.findall(r"\bopen\(", text))
+    assert found == ["maps.SolenoidSpec.to_dict"]

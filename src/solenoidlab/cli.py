@@ -85,8 +85,6 @@ class RunConfig:
     deviation_hi: int = _rule(12, least="deviation_lo")
     deviation_threshold: float = _rule(0.05, positive=True)
     dump_leaves: bool = False
-    # filled by load_config from a coarse model; commands recompute at depth_n
-    regime: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -112,11 +110,10 @@ class Report:
 
 
 # Per result type, the fields whose JSON is not their plain value, each
-# with the function of the result that gives it; None leaves the field out.
+# with the function of the result that gives it.
 _FIELD_JSON = {
     geometry.DimensionFit: {
         "counts": lambda fit: {f"{r:.10g}": c for r, c in fit.counts.items()}},
-    geometry.DensityReport: {"ratios": None},
     lamination.IntersectionRecord: {
         "past_a": lambda rec: _word_label(rec.past_a),
         "past_b": lambda rec: _word_label(rec.past_b)},
@@ -142,10 +139,7 @@ def _jsonable(obj):
     if dataclasses.is_dataclass(obj):
         body = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
         for name, encode in _FIELD_JSON.get(type(obj), {}).items():
-            if encode is None:
-                del body[name]
-            else:
-                body[name] = encode(obj)
+            body[name] = encode(obj)
         return _jsonable(body)
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         obj = obj.item()
@@ -208,8 +202,11 @@ def _check_fields(cfg, names, rules=True):
 def load_config(path) -> RunConfig:
     """Parse and validate a run configuration file.
 
-    The embedded spec is checked against the structural hypotheses right
-    away; a failing spec raises SpecInvalidError naming the failed check.
+    The config holds only the values the file gives, with the defaults of
+    the rest; each is checked for its type here and for its rule by
+    `run_command`.  The embedded spec is checked against the structural
+    hypotheses right away (at the config's `grid_density`); a failing spec
+    raises SpecInvalidError naming the failed check.
     """
     try:
         with open(path) as fh:
@@ -227,7 +224,7 @@ def load_config(path) -> RunConfig:
     except SpecInvalidError as exc:
         raise ConfigError(f"config parse error in field 'spec': {exc}")
     defaults = vars(RunConfig(spec=spec))
-    unknown = sorted(k for k in raw if k not in defaults or k == "regime")
+    unknown = sorted(k for k in raw if k not in defaults)
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     kwargs = {k: v for k, v in raw.items() if k != "spec"}
@@ -239,8 +236,6 @@ def load_config(path) -> RunConfig:
         names = ", ".join(c.name + " (" + c.detail + ")"
                           for c in report.failures())
         raise SpecInvalidError(f"spec fails hypothesis checks: {names}")
-    coarse = thermo.build_gibbs_model(spec, 6)
-    cfg.regime = _jsonable(thermo.classify_regime(spec, coarse))
     return cfg
 
 
@@ -574,8 +569,7 @@ def _dump_leaves(cfg, out_dir):
     rng = np.random.default_rng(cfg.seed)
     digits = np.array([rng.integers(0, cfg.spec.d, max(cfg.n_past, 24))
                        for _ in range(4)])
-    lifts = np.linspace(-cfg.leaf_margin, 2 * math.pi + cfg.leaf_margin,
-                        cfg.leaf_samples)
+    lifts = lamination._grid(cfg.leaf_margin, cfg.leaf_samples)
     y, z = leaf_states(cfg.spec, digits, lifts)
     lines = []
     for row, y_row, z_row in zip(digits.tolist(), y, z):
@@ -591,9 +585,8 @@ def _cmd_holonomy(cfg, stages, out_dir):
     checks = stages.run("laws", _holonomy_laws, cfg)
     stages.run("write_gamma_pool", _write_json,
                os.path.join(out_dir, "gamma_pool.json"),
-               {"spec_hash": cfg.spec.spec_hash(), "n_past": pool.n_past,
-                "margin": pool.margin,
-                "records": pool.records})
+               {"spec_hash": cfg.spec.spec_hash(), "n_past": cfg.gamma_depth,
+                "margin": lamination.POOL_MARGIN, "records": pool.records})
     return {"scan": scan, "laws": checks,
             "gamma_records": len(pool.records)}
 
@@ -676,12 +669,17 @@ def run_command(cfg: RunConfig, command: str) -> Report:
         raise ConfigError(f"unknown command {command!r}; "
                           f"choose one of {', '.join(COMMANDS)}")
     _check_fields(cfg, vars(cfg))
+    stages = _Stages()
+    # The depth-6 regime flags go into the inputs echo; each command that
+    # needs them computes its own at depth_n.
+    coarse = stages.run("coarse_regime", lambda: thermo.classify_regime(
+        cfg.spec, thermo.build_gibbs_model(cfg.spec, 6)))
     out_dir = cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    stages = _Stages()
     results = _DISPATCH[command](cfg, stages, out_dir)
     report = Report(command=command, spec_hash=cfg.spec.spec_hash(),
-                    inputs=_jsonable(cfg), results=results,
+                    inputs=_jsonable({**vars(cfg), "regime": coarse}),
+                    results=results,
                     timings=stages.timings,
                     rss_high_water_mb=stages.rss_high_water_mb)
     path = os.path.join(out_dir, f"{command}_report.json")

@@ -31,7 +31,7 @@ from .coding import _check_cap, word_representatives
 from .errors import ResolutionError
 from .maps import SolenoidSpec
 from .numerics import TWO_PI
-from .thermo import birkhoff_table, build_gibbs_model
+from .thermo import _sample_words, birkhoff_table, build_gibbs_model
 
 BOUND_FACTOR = 16.0  # see local_density_stats
 GROWTH_FACTOR = 2.0
@@ -44,14 +44,13 @@ _CLOUD_CHUNK = 1 << 15
 class PointCloud:
     """A finite sample of the attractor (or of a slice/projection of it)."""
 
-    dim: int
-    points: np.ndarray
+    points: np.ndarray        # (N, dim)
     provenance: dict
     resolution: float
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
+        if pts.ndim != 2:
             raise ValueError("points must have shape (N, dim)")
         object.__setattr__(self, "points", pts)
 
@@ -77,7 +76,7 @@ def slice_cloud(spec: SolenoidSpec, x: float, n: int) -> PointCloud:
     y, z = word_representatives(spec, np.array([x]), n)
     pts = np.column_stack([y[0], z[0]])
     return PointCloud(
-        dim=2, points=pts,
+        points=pts,
         provenance={"spec_hash": spec.spec_hash(), "generation": n,
                     "fiber": x},
         resolution=spec.contraction_sup() ** n)
@@ -170,12 +169,11 @@ def attractor_dimension(spec: SolenoidSpec, n: int, fibers: int,
         if bound >= 0:
             known = _estimate(blocks, xs, bound, lap)
             level = max(0, min(_next_level(known, n_max), bound))
-    first = _sweep(blocks(slice(None)), xs, level, _TORUS, lap, sink, error)
+    first = _sweep(blocks(slice(None)), level, _TORUS, lap, sink, error)
     resolution = max(spec.contraction_sup() ** n,
                      error.value if fibers >= 3 else TWO_PI / fibers)
     counts = _levels(first, _finest(resolution, _TORUS), n_max,
-                     lambda lv: _sweep(blocks(slice(None)), xs, lv, _TORUS,
-                                       lap))
+                     lambda lv: _sweep(blocks(slice(None)), lv, _TORUS, lap))
     fit = _fit_counts(counts, n_max, k_scales)
     _release_heap()
     return fit
@@ -261,11 +259,8 @@ def _lap_clock(times):
 
 def project_cloud(cloud: PointCloud, cols) -> PointCloud:
     """Coordinate projection of a cloud (e.g. cols=(1,) for the y-axis)."""
-    cols = tuple(cols)
-    pts = cloud.points[:, cols]
-    prov = dict(cloud.provenance)
-    prov["projection"] = cols
-    return PointCloud(dim=len(cols), points=pts, provenance=prov,
+    return PointCloud(points=cloud.points[:, tuple(cols)],
+                      provenance=dict(cloud.provenance),
                       resolution=cloud.resolution)
 
 
@@ -458,10 +453,11 @@ class _BoxCounter:
                     >= self.bands[0][0].size):
                 self._merge()
 
-    def add_fibres(self, block: np.ndarray, x: float):
+    def add_fibres(self, block: np.ndarray):
         """Feed the leaf chords from the last fibre fed through `block`.
 
-        block holds whole fibres, (fibres, words, dim); then close(x).
+        block holds whole fibres, (fibres, words, dim), each row of a fibre
+        at its fibre's axis-0 value; then close at the last fibre's.
         """
         flat = (-1, block.shape[-1])
         starts = block[:-1] if self.last is None else np.concatenate(
@@ -469,7 +465,7 @@ class _BoxCounter:
         self.add(starts.reshape(flat),
                  block[len(block) - len(starts):].reshape(flat))
         self.last = block[-1].copy()
-        self.close(x)
+        self.close(block[-1, 0, 0])
 
     def _merge(self):
         if not self.pending:
@@ -532,17 +528,15 @@ def _halve(starts, ends, lo, spans):
         new_lo, new_spans)
 
 
-def _sweep(blocks, lower, level: int, box, lap, sink=None,
-           error=None) -> dict:
+def _sweep(blocks, level: int, box, lap, sink=None, error=None) -> dict:
     """Counts at level .. 0 of the leaf chords between adjacent fibres.
 
-    blocks yields chunks of whole fibres, (fibres, words, dim), in order;
-    lower[f] bounds axis 0 of fibre f and of every later fibre from below.
-    Each chunk goes to `sink` and `error` (if given), then to the counter.
-    A negative level counts nothing.
+    blocks yields chunks of whole fibres, (fibres, words, dim), in
+    increasing axis-0 order, so a chunk's last fibre bounds axis 0 of every
+    later fibre from below.  Each chunk goes to `sink` and `error` (if
+    given), then to the counter.  A negative level counts nothing.
     """
     counter = _BoxCounter(level, box) if level >= 0 else None
-    fed = 0
     for block in blocks:
         lap("build")
         if sink is not None:
@@ -551,9 +545,8 @@ def _sweep(blocks, lower, level: int, box, lap, sink=None,
         if error is not None:
             error.add(block)
             lap("build")
-        fed += len(block)
         if counter is not None:
-            counter.add_fibres(block, lower[fed - 1])
+            counter.add_fibres(block)
             lap("count")
     counts = counter.counts() if counter is not None else {}
     lap("count")
@@ -572,8 +565,7 @@ def _estimate(blocks, xs, finest: int, lap) -> dict:
     # Two levels below the typical chord length, where gaps share few boxes.
     length = float(np.abs(np.diff(xs[fib])).mean())
     level = math.ceil(-math.log2(length)) + 2 if length > 0 else 0
-    counts = _sweep(blocks(fib), xs[fib], max(0, min(level, finest)), _TORUS,
-                    lap)
+    counts = _sweep(blocks(fib), max(0, min(level, finest)), _TORUS, lap)
     return {lv: c * gaps / sample for lv, c in counts.items()}
 
 
@@ -713,7 +705,6 @@ class DensityReport:
     frac_bounded: float
     frac_growing: float
     samples: int
-    ratios: np.ndarray
 
 
 def local_density_stats(spec: SolenoidSpec, x: float, n: int, radii,
@@ -739,8 +730,7 @@ def local_density_stats(spec: SolenoidSpec, x: float, n: int, radii,
     model = build_gibbs_model(spec, n)
     warr, t0 = model.weights, model.t0_mid
     reps = slice_cloud(spec, x, n).points
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(warr.size, size=samples, replace=True, p=warr)
+    picks = _sample_words(spec, n, np.random.default_rng(seed), samples)
 
     ratios = np.empty((samples, len(radii)))
     for i, idx in enumerate(picks):
@@ -760,7 +750,7 @@ def local_density_stats(spec: SolenoidSpec, x: float, n: int, radii,
         ratio_max=tuple(ratios.max(axis=0)),
         frac_bounded=float(np.mean(spread <= BOUND_FACTOR)),
         frac_growing=float(np.mean(growing)),
-        samples=samples, ratios=ratios)
+        samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +802,7 @@ def overlap_multiplicity(spec: SolenoidSpec, n: int,
     count = spec.d ** n
     _check_cap(count * x_samples)
     half = np.exp(birkhoff_table(spec, n).lam_sup)
-    xs = TWO_PI * np.arange(x_samples) / x_samples
-    y, _ = word_representatives(spec, xs, n)
+    y, _ = word_representatives(spec, _fibre_xs(x_samples), n)
 
     # Each distinct pair once, with the number of fibers where it touches.
     codes, hits = np.unique(np.concatenate(

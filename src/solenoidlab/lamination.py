@@ -3,10 +3,11 @@
 A leaf is the continuation of a backward word, a digit row (deepest
 symbol first), across base lifts: the inverse-branch chain is evaluated
 on the real line, so leaves are defined on extended windows
-[-margin, 2*pi + margin] and across the seam.  The crossing set of
-projected leaves from different generation-one tubes (the pool built by
-``build_gamma_pool``) drives both the transversality estimate and the
-strong-Lipschitz margin test.
+[-margin, 2*pi + margin] and across the seam.  Crossings of projected
+leaves from different generation-one tubes drive both the transversality
+estimate and the strong-Lipschitz margin test, which scans the curves
+target minus pool leaf (the pool built by ``build_gamma_pool``) at one
+depth.
 
 Leaves are evaluated by one ``leaf_states`` call on one shared lift grid.
 One scan, ``_cells``, finds the candidate cells of y_a - y_b for many
@@ -34,13 +35,14 @@ from .coding import _digit_rows, _leaf_jets, descend_levels, leaf_states
 from .errors import WordTooShortError
 from .maps import SolenoidSpec
 from .numerics import TWO_PI
-from .thermo import build_gibbs_model
+from .thermo import _sample_words
 
 NEAR_TANGENCY_SLOPE = 1e-6  # |slope difference| below this is a tangency
 TOUCH_TOL = 1e-9            # |y_a - y_b| below this counts as contact
 CROSSING_TOL = 1e-10        # refinement stops at this step or bracket width
 SCAN_BLOCK = 1 << 18        # rows x grid points per margin-scan block
 POOL_MARGIN = 0.5           # pool window: [-POOL_MARGIN, 2*pi + POOL_MARGIN]
+POOL_SAMPLES = 257          # lifts of the pool grid over that window
 
 
 @dataclass(frozen=True)
@@ -183,12 +185,6 @@ def leaf_intersections(spec: SolenoidSpec, grid: np.ndarray,
 # Transversality estimate
 # ---------------------------------------------------------------------------
 
-def _sample_words(spec, n, rng, size):
-    """Indices of length-n words drawn with the cylinder weights."""
-    weights = build_gibbs_model(spec, n).weights
-    return rng.choice(weights.size, size=size, replace=True, p=weights)
-
-
 def min_transversal_angle(spec: SolenoidSpec, n_past: int, pair_budget: int,
                           seed: int = 0, samples: int = 257,
                           margin: float = 0.2):
@@ -230,14 +226,12 @@ class GammaPool:
 
     The pool is built once per run and shared read-only; the margin test
     intersects target leaves against the pool curves: the ``_cells`` scan
-    of the crossing records on the shared grid, then one batched Newton
-    refinement (``_refine``) of the cells nearest each query point, for
-    all queried words at once.
+    of the target-minus-pool curves on the shared grid, then one batched
+    Newton refinement (``_refine``) of the cells nearest each query point,
+    for all queried words at once.  `records` holds the crossings among
+    the pool leaves themselves, which the margin test does not read.
     """
 
-    spec: SolenoidSpec
-    n_past: int
-    margin: float
     grid: np.ndarray          # shared lifts (k,)
     digits: np.ndarray        # (b, n_past) pool pasts, deepest first
     y_curves: np.ndarray      # (b, k)
@@ -254,10 +248,10 @@ class GammaPool:
 
 
 def build_gamma_pool(spec: SolenoidSpec, n_past: int, budget: int,
-                     seed: int = 0, samples: int = 257) -> GammaPool:
+                     seed: int = 0) -> GammaPool:
     """Draw weighted pasts and precompute their leaves over the window."""
     rng = np.random.default_rng(seed)
-    grid = _grid(POOL_MARGIN, samples)
+    grid = _grid(POOL_MARGIN, POOL_SAMPLES)
     # A return flag keeps np.unique off the path that imports numpy.ma.
     words, _ = np.unique(_sample_words(spec, n_past, rng, budget),
                          return_counts=True)
@@ -265,8 +259,7 @@ def build_gamma_pool(spec: SolenoidSpec, n_past: int, budget: int,
     y, _ = leaf_states(spec, digits, grid)
     # pairs a < b from different generation-one tubes, row-major
     a, b = np.nonzero(np.triu(digits[:, -1, None] != digits[:, -1]))
-    return GammaPool(spec=spec, n_past=n_past, margin=POOL_MARGIN, grid=grid,
-                     digits=digits, y_curves=y,
+    return GammaPool(grid=grid, digits=digits, y_curves=y,
                      records=leaf_intersections(spec, grid, digits[a],
                                                 digits[b], y[a], y[b]))
 
@@ -306,42 +299,35 @@ def _nearest_crossings(spec, digits, pool: GammaPool, x_ref):
     return dist
 
 
-def strong_lipschitz_test(spec: SolenoidSpec, digits: np.ndarray,
-                          n_min: int, n_max: int, L: float, pool: GammaPool,
-                          x: float = 0.0):
-    """Backward-orbit margins of many words against the crossing pool.
+def strong_lipschitz_test(spec: SolenoidSpec, digits: np.ndarray, n: int,
+                          L: float, pool: GammaPool, x: float = 0.0):
+    """Backward-orbit margins of many words against the pool, at depth n.
 
-    For each depth n in [n_min, n_max] every word (a row of digits,
-    deepest symbol first) is shifted back n steps from x; the base
-    position of the shifted point is compared with the crossings of its
-    remaining leaf against pool leaves from other generation-one tubes
-    (``_nearest_crossings``).  The x-distance must stay above L / eta_n,
-    with eta_n the product of eta' along the dropped steps; the chains are
-    descended only n_max steps.  Returns (worst, usable): worst holds
-    min_n dist * eta_n / L per word (so the pool window, not L, bounds the
-    search and the ratio is exactly linear in 1/L; +inf means no crossing
-    at all near the orbit, and the word is strong when worst >= 1), and a
-    word is usable when some depth found pool leaves from other tubes;
-    with no pool none is.
+    Every word (a row of digits, deepest symbol first) is shifted back n
+    steps from x; the base position of the shifted point is compared with
+    the crossings of its remaining leaf against pool leaves from other
+    generation-one tubes (``_nearest_crossings``).  The x-distance must
+    stay above L / eta_n, with eta_n the product of eta' along the
+    dropped steps.  Returns (worst, usable): worst holds dist * eta_n / L
+    per word (so the pool window, not L, bounds the search and the ratio
+    is exactly linear in 1/L; +inf means no crossing at all near the
+    orbit, and the word is strong when worst >= 1), and a word is usable
+    when the test found pool leaves from other tubes; with no pool none
+    is.
     """
     m, length = digits.shape
-    if length <= n_max:
+    if length <= n:
         raise WordTooShortError("past must be longer than the test depth")
-    worst = np.full(m, math.inf)
-    usable = np.zeros(m, dtype=bool)
-    if pool.size == 0 or n_max < n_min:
-        return worst, usable
+    if pool.size == 0:
+        return np.full(m, math.inf), np.zeros(m, dtype=bool)
     start = np.full((m, 1), np.mod(x, TWO_PI))
     chain = np.concatenate([start] + descend_levels(
-        spec, start, n_max, digits[:, length - n_max:]), axis=1)
-    eta = np.cumprod(spec.eta_prime(chain[:, 1:]), axis=1)
-    for n in range(n_min, n_max + 1):
-        dist = _nearest_crossings(spec, digits[:, :length - n], pool,
-                                  chain[:, n])
-        usable |= ~np.isnan(dist)
-        ratio = dist * eta[:, n - 1] / L
-        worst = np.where(np.isfinite(ratio), np.minimum(worst, ratio), worst)
-    return worst, usable
+        spec, start, n, digits[:, length - n:]), axis=1)
+    # cumprod multiplies in step order; a reduction may regroup the factors
+    eta = np.cumprod(spec.eta_prime(chain[:, 1:]), axis=1)[:, -1]
+    dist = _nearest_crossings(spec, digits[:, :length - n], pool, chain[:, n])
+    ratio = dist * eta / L
+    return np.where(np.isfinite(ratio), ratio, math.inf), ~np.isnan(dist)
 
 
 def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
@@ -400,8 +386,8 @@ def holonomy_lipschitz_scan(spec: SolenoidSpec, x_src: float, x_dst: float,
     words = list(dict.fromkeys(tested))
     test_depth = max(1, n // 2)
     rows = _digit_rows(words, d, n)
-    worst, usable = strong_lipschitz_test(spec, rows, test_depth, test_depth,
-                                          L, pool, x_src)
+    worst, usable = strong_lipschitz_test(spec, rows, test_depth, L, pool,
+                                          x_src)
     failing = {i for i, w, u in zip(words, worst, usable) if u and w < 1.0}
     flagged = [tuple(r) for i, r in zip(words, rows.tolist()) if i in failing]
     flagged_hits = sum(i in failing for i in tested)

@@ -155,9 +155,6 @@ class SolenoidSpec:
 
     # -- analytic derivative bounds over the solid torus ---------------------
 
-    def eta_prime_range(self):
-        return self.d - abs(self.eta_eps), self.d + abs(self.eta_eps)
-
     def lam_prime_range(self):
         spread = abs(self.lam1) + 2.0 * abs(self.lam2)
         return self.lam0 - spread, self.lam0 + spread

@@ -71,10 +71,6 @@ class BirkhoffTable:
     def lam_mid(self):
         return _mid(self.lam_inf, self.lam_sup)
 
-    @property
-    def nu_mid(self):
-        return _mid(self.nu_inf, self.nu_sup)
-
 
 def _mid(inf, sup, out=None):
     """0.5 * (inf + sup), formed in out when given."""
@@ -476,6 +472,13 @@ def _build_gibbs_model(spec: SolenoidSpec, n: int, tol: float) -> GibbsModel:
 
 build_gibbs_model.cache_info = _build_gibbs_model.cache_info
 build_gibbs_model.cache_clear = _build_gibbs_model.cache_clear
+
+
+def _sample_words(spec, n, rng, size):
+    """Indices of length-n words drawn with the weights of
+    `build_gibbs_model(spec, n)`; every Gibbs word sample is drawn here."""
+    weights = build_gibbs_model(spec, n).weights
+    return rng.choice(weights.size, size=size, replace=True, p=weights)
 
 
 @dataclass(frozen=True)

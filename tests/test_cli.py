@@ -49,8 +49,10 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 
 def test_load_config_attaches_regime(tmp_path):
     cfg = cli.load_config(write_config(tmp_path))
-    assert cfg.regime == {"thin": True, "uniform_dissipation": True,
-                          "bunching": True}
+    report = json.loads(cli.run_command(cfg, "bowen").to_json())
+    assert report["inputs"]["regime"] == {"thin": True,
+                                          "uniform_dissipation": True,
+                                          "bunching": True}
     assert cfg.depth_n == 8
     assert cfg.tol == 1e-6  # default filled
 
@@ -121,7 +123,7 @@ def test_every_config_field_is_read():
     # an option no command reads is echoed into every report for nothing
     source = open(cli.__file__).read()
     read = set(re.findall(r"\bcfg\.(\w+)", source))
-    fields = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"regime"}
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
     assert fields - read == set()
 
 
@@ -431,8 +433,7 @@ def test_every_number_field_refuses_non_finite_values(tmp_path, capsys, name,
              {name: [value] if type(_DEFAULTS[name]) is list else value})
 
 
-@pytest.mark.parametrize("name", [f.name for f in _FIELDS
-                                  if f.name != "regime"])
+@pytest.mark.parametrize("name", [f.name for f in _FIELDS])
 def test_every_config_field_refuses_a_wrong_type(tmp_path, capsys, name):
     wrong = {int: "1", float: "1", bool: 1, str: 1, list: 1}.get(
         type(_DEFAULTS[name]), 1)
@@ -501,7 +502,8 @@ def test_report_write_is_a_timed_stage(tmp_path):
     report = cli.run_command(cli.load_config(path), "bowen")
     out = tmp_path / "out"
     timings = json.loads((out / "bowen_timings.json").read_text())
-    assert set(timings["timings_ms"]) == {"bowen", "regime", "write_report"}
+    assert set(timings["timings_ms"]) == {"coarse_regime", "bowen", "regime",
+                                          "write_report"}
     body = (out / "bowen_report.json").read_bytes()
     # the report bytes carry no timings, so the new stage leaves them alone
     assert body == report.to_json().encode()
@@ -619,7 +621,7 @@ def test_cloud_csv_matches_per_value_format(tmp_path):
             -20, 20, rows * k)
         values[:len(special)] = special
         for n in (0, 1, len(special), rows):
-            cloud = PointCloud(dim=k, points=values[:n * k].reshape(n, k),
+            cloud = PointCloud(points=values[:n * k].reshape(n, k),
                                provenance={"spec_hash": "abc",
                                            "generation": 4, "fiber": 0.5},
                                resolution=1.0)
@@ -629,7 +631,7 @@ def test_cloud_csv_matches_per_value_format(tmp_path):
 
 
 def assert_csv_matches_reference(tmp_path, points, cols):
-    cloud = PointCloud(dim=len(cols), points=points,
+    cloud = PointCloud(points=points,
                        provenance={"spec_hash": "abc", "generation": 4,
                                    "fiber": 0.5}, resolution=1.0)
     path = tmp_path / "cloud.csv"

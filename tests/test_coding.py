@@ -132,7 +132,7 @@ def test_cylinder_intervals_partition_circle():
         total = sum(hi - lo for lo, hi in intervals)
         assert abs(total - TWO_PI) < 1e-8
         lengths = np.array([hi - lo for lo, hi in intervals])
-        elo, ehi = spec.eta_prime_range()
+        elo, ehi = spec.d - abs(spec.eta_eps), spec.d + abs(spec.eta_eps)
         assert np.all(lengths >= TWO_PI * ehi ** (-n) - 1e-12)
         assert np.all(lengths <= TWO_PI * elo ** (-n) + 1e-12)
         # itinerary of each interval midpoint reproduces the word

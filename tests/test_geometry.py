@@ -226,8 +226,8 @@ def test_deep_chord_count_stays_small_in_a_fresh_process():
         "import resource\n"
         "from solenoidlab import benchmark_a, geometry as g\n"
         "xs = g._fibre_xs(256)\n"
-        "counts = g._sweep(g.attractor_cloud(benchmark_a(), 12, xs, 1), xs,"
-        " 12, g._TORUS, g._lap_clock(None))\n"
+        "counts = g._sweep(g.attractor_cloud(benchmark_a(), 12, xs, 1), 12,"
+        " g._TORUS, g._lap_clock(None))\n"
         "print(counts[12], counts[9],"
         " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     src = os.path.dirname(os.path.dirname(geometry.__file__))
@@ -272,7 +272,7 @@ def test_cap_counts_fibers_times_words(monkeypatch):
 def test_box_dimension_segment():
     rng = np.random.default_rng(0)
     pts = np.column_stack([rng.uniform(0, 1, 1000), np.zeros(1000)])
-    fit = geometry.box_dimension(geometry.PointCloud(2, pts, {}, 1e-9), 12)
+    fit = geometry.box_dimension(geometry.PointCloud(pts, {}, 1e-9), 12)
     assert abs(fit.slope - 1.0) <= 0.05
     assert fit.r2 > 0.99
 
@@ -281,7 +281,7 @@ def test_box_dimension_cantor():
     pts = np.zeros(1)
     for _ in range(12):
         pts = np.concatenate([pts / 3.0, pts / 3.0 + 2.0 / 3.0])
-    cloud = geometry.PointCloud(2, np.column_stack([pts, np.zeros_like(pts)]),
+    cloud = geometry.PointCloud(np.column_stack([pts, np.zeros_like(pts)]),
                                 {}, 3.0 ** -12)
     fit = geometry.box_dimension(cloud, 14)
     assert abs(fit.slope - math.log(2) / math.log(3)) <= 0.05
@@ -307,7 +307,7 @@ def test_box_dimension_chords_cantor_product():
         n_x = math.floor(xs[-1] / r) + 1
         assert count == n_x * np.unique(np.floor(cantor / r)).size
     # The same points without the layout stop at the fiber spacing.
-    plain = geometry.box_dimension(geometry.PointCloud(2, pts, {}, spacing), 12)
+    plain = geometry.box_dimension(geometry.PointCloud(pts, {}, spacing), 12)
     assert plain.scale_lo >= spacing
 
 
@@ -372,7 +372,7 @@ def test_point_counts_match_sort_on_random_clouds(dim):
         # repeated points, and points sharing a coordinate on a grid line
         pts[rng.integers(0, size, size // 3)] = pts[rng.integers(0, size, size // 3)]
         pts[: size // 4, 0] = np.round(pts[: size // 4, 0] * 8) / 8
-        _assert_counts_match_sort(geometry.PointCloud(dim, pts, {}, 1e-9))
+        _assert_counts_match_sort(geometry.PointCloud(pts, {}, 1e-9))
 
 
 def test_point_counts_match_sort_on_cantor_cloud():
@@ -380,7 +380,7 @@ def test_point_counts_match_sort_on_cantor_cloud():
     for _ in range(12):
         pts = np.concatenate([pts / 3.0, pts / 3.0 + 2.0 / 3.0])
     _assert_counts_match_sort(geometry.PointCloud(
-        2, np.column_stack([pts, np.zeros_like(pts)]), {}, 3.0 ** -12))
+        np.column_stack([pts, np.zeros_like(pts)]), {}, 3.0 ** -12))
 
 
 @pytest.mark.parametrize("spec, n", [(benchmark_a(), 12), (benchmark_c(), 12),
@@ -423,7 +423,7 @@ def test_box_dimension_refuses_a_resolution_above_one(monkeypatch):
     refusal, resolution = _traced_dimension(monkeypatch, spec, 8, 1)
     assert resolution == pytest.approx(TWO_PI)
     assert "no usable dyadic scales" in refusal
-    cloud = geometry.PointCloud(3, _streamed(spec, 8, 1).reshape(-1, 3), {},
+    cloud = geometry.PointCloud(_streamed(spec, 8, 1).reshape(-1, 3), {},
                                 resolution)
     assert geometry._cloud_counts(cloud.points, cloud.resolution, 64) == {}
     with pytest.raises(ValueError, match="no usable dyadic scales"):
@@ -432,19 +432,19 @@ def test_box_dimension_refuses_a_resolution_above_one(monkeypatch):
 
 def test_box_dimension_single_point():
     pts = np.tile([[0.3, -0.2]], (150, 1))
-    fit = geometry.box_dimension(geometry.PointCloud(2, pts, {}, 1e-9), 8)
+    fit = geometry.box_dimension(geometry.PointCloud(pts, {}, 1e-9), 8)
     assert fit.slope == 0.0
 
 
 def test_box_dimension_errors():
     pts = np.random.default_rng(1).uniform(0, 1, (50, 2))
     with pytest.raises(ValueError, match="100 points"):
-        geometry.box_dimension(geometry.PointCloud(2, pts, {}, 1e-9), 8)
+        geometry.box_dimension(geometry.PointCloud(pts, {}, 1e-9), 8)
     pts = np.random.default_rng(1).uniform(0, 1, (500, 2))
     with pytest.raises(ValueError, match="5 scales"):
-        geometry.box_dimension(geometry.PointCloud(2, pts, {}, 1e-9), 3)
+        geometry.box_dimension(geometry.PointCloud(pts, {}, 1e-9), 3)
     with pytest.raises(ValueError, match="degenerate scale range"):
-        geometry.box_dimension(geometry.PointCloud(2, pts, {}, 0.5), 8)
+        geometry.box_dimension(geometry.PointCloud(pts, {}, 0.5), 8)
 
 
 def test_box_dimension_slice_stability():
@@ -460,7 +460,7 @@ def test_projection_dimension_matches_slice():
     spec = benchmark_a()
     sl = geometry.slice_cloud(spec, 0.0, 14)
     proj = geometry.project_cloud(sl, (0,))
-    assert proj.dim == 1
+    assert proj.points.shape[1] == 1
     fit = geometry.box_dimension(proj, 12)
     assert abs(fit.slope - min(T0_A, 1.0)) <= 0.10
 
@@ -494,7 +494,9 @@ def test_local_density_resolution_error():
 
 def test_ball_mass_matches_bruteforce():
     # the ball masses inside local_density_stats, ratio * r**t0, against
-    # brute-force sums of the model weights around the same seeded centres
+    # brute-force sums of the model weights around the same seeded centres:
+    # per radius their least, median and largest, and the per-centre
+    # fractions
     spec = benchmark_a()
     n, x, seed, samples = 8, 0.5, 3, 20
     radii = (0.01, 0.05, 0.2, 0.5)
@@ -504,14 +506,23 @@ def test_ball_mass_matches_bruteforce():
     points = geometry.slice_cloud(spec, x, n).points
     picks = np.random.default_rng(seed).choice(w.size, size=samples,
                                                replace=True, p=w)
+    slow = np.empty((samples, len(radii)))
     for i, idx in enumerate(picks):
         center = points[idx]
         for k, r in enumerate(radii):
-            slow = sum(wi for p, wi in zip(points, w)
-                       if (p[0] - center[0]) ** 2 + (p[1] - center[1]) ** 2
-                       <= r * r)
-            fast = rep.ratios[i, k] * r ** rep.t0_mid
-            assert fast == pytest.approx(slow, abs=1e-14)
+            slow[i, k] = sum(wi for p, wi in zip(points, w)
+                             if (p[0] - center[0]) ** 2
+                             + (p[1] - center[1]) ** 2 <= r * r)
+    for k, r in enumerate(radii):
+        scale = r ** rep.t0_mid
+        for stat, ref in ((rep.ratio_min, np.min), (rep.ratio_median, np.median),
+                          (rep.ratio_max, np.max)):
+            assert stat[k] * scale == pytest.approx(ref(slow[:, k]), abs=1e-14)
+    ratios = slow / np.array(radii) ** rep.t0_mid
+    spread = ratios.max(axis=1) / ratios.min(axis=1)
+    assert rep.frac_bounded == np.mean(spread <= geometry.BOUND_FACTOR)
+    assert rep.frac_growing == np.mean(
+        ratios[:, 0] > geometry.GROWTH_FACTOR * ratios[:, -1])
 
 
 def test_overlap_generation_one_separated():
@@ -702,8 +713,7 @@ def _sweep_counts(spec, n, fibers, level, threads=1):
     """Counts at level .. 0 from one sweep over freshly built chunks."""
     xs = geometry._fibre_xs(fibers)
     return geometry._sweep(geometry.attractor_cloud(spec, n, xs, threads),
-                           xs, level, geometry._TORUS,
-                           geometry._lap_clock(None))
+                           level, geometry._TORUS, geometry._lap_clock(None))
 
 
 def _grid_sweep(grid, level, step=7):
@@ -715,7 +725,7 @@ def _grid_sweep(grid, level, step=7):
     box = [(grid[..., c].min(), grid[..., c].max())
            for c in range(grid.shape[2])]
     return geometry._sweep((grid[f:f + step] for f in range(0, len(grid), step)),
-                           grid[:, 0, 0], level, box, geometry._lap_clock(None))
+                           level, box, geometry._lap_clock(None))
 
 
 def _chord_fit(points, words, resolution, k_scales=12):
@@ -892,9 +902,9 @@ def test_short_first_pass_builds_again_without_the_sink(monkeypatch):
     def low(*args):
         return {lv: c for lv, c in estimate(*args).items() if lv <= 2}
 
-    def logged(blocks, lower, level, *rest):
+    def logged(blocks, level, *rest):
         levels.append(level)
-        return sweep(blocks, lower, level, *rest)
+        return sweep(blocks, level, *rest)
 
     monkeypatch.setattr(geometry, "_estimate", low)
     monkeypatch.setattr(geometry, "_sweep", logged)

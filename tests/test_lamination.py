@@ -162,27 +162,29 @@ def test_leaves_share_past_shadowing():
         assert abs(pa.y - pb.y) <= 2.0 * 0.4 ** k + 1e-12
 
 
-def test_gamma_pool_and_strong_lipschitz():
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_gamma_pool_and_strong_lipschitz(depth):
     spec = benchmark_b()
     pool = lam.build_gamma_pool(spec, 10, 16, seed=1)
     assert pool.size >= 2
     assert len(pool.records) > 0
     words = np.random.default_rng(3).integers(0, 2, (1, 14))
-    worst, usable = lam.strong_lipschitz_test(spec, words, 1, 6, 0.5, pool)
+    worst, usable = lam.strong_lipschitz_test(spec, words, depth, 0.5, pool)
     assert usable[0]
     assert worst[0] > 0.0
     # margin ratio is exactly linear in 1/L
-    worst2, _ = lam.strong_lipschitz_test(spec, words, 1, 6, 1.0, pool)
+    worst2, _ = lam.strong_lipschitz_test(spec, words, depth, 1.0, pool)
     assert worst[0] == pytest.approx(2.0 * worst2[0])
 
 
-def test_strong_lipschitz_monotone_in_L():
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_strong_lipschitz_monotone_in_L(depth):
     spec = benchmark_b()
     pool = lam.build_gamma_pool(spec, 10, 16, seed=1)
     words = np.random.default_rng(8).integers(0, 2, (1, 14))
-    small, usable = lam.strong_lipschitz_test(spec, words, 1, 6, 1e-6, pool)
+    small, usable = lam.strong_lipschitz_test(spec, words, depth, 1e-6, pool)
     assert usable[0] and small[0] >= 1.0  # tiny L makes the condition easy
-    big, _ = lam.strong_lipschitz_test(spec, words, 1, 6, 1e9, pool)
+    big, _ = lam.strong_lipschitz_test(spec, words, depth, 1e9, pool)
     if math.isfinite(big[0]):
         assert not big[0] >= 1.0
 
@@ -199,20 +201,20 @@ def test_strong_lipschitz_word_on_crossing_fails():
     recent = base_itinerary(spec, x_cross, depth)
     words = np.array([rec.past_a + recent])
     x_land = spec.eta(spec.eta(spec.eta(spec.eta(x_cross))))
-    worst, usable = lam.strong_lipschitz_test(spec, words, depth, depth, 0.5,
-                                              pool, x=float(x_land))
+    worst, usable = lam.strong_lipschitz_test(spec, words, depth, 0.5, pool,
+                                              x=float(x_land))
     assert usable[0] and worst[0] < 1.0
     assert worst[0] < 1e-3
 
 
-def test_strong_lipschitz_indeterminate_without_pool():
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_strong_lipschitz_indeterminate_without_pool(depth):
     spec = benchmark_b()
-    empty = lam.GammaPool(spec=spec, n_past=10, margin=0.5,
-                          grid=np.linspace(0, TWO_PI, 9),
+    empty = lam.GammaPool(grid=np.linspace(0, TWO_PI, 9),
                           digits=np.zeros((0, 10), dtype=int),
                           y_curves=np.zeros((0, 9)), records=[])
     words = np.random.default_rng(3).integers(0, 2, (1, 14))
-    _, usable = lam.strong_lipschitz_test(spec, words, 1, 6, 0.5, empty)
+    _, usable = lam.strong_lipschitz_test(spec, words, depth, 0.5, empty)
     assert not usable[0]
 
 
@@ -309,7 +311,7 @@ def _scan_flags_word_by_word(spec, x_src, n, pairs, seed, L, pool):
         if math.hypot(pa.y - pb.y, pa.z - pb.z) == 0.0:
             continue
         worst, usable = lam.strong_lipschitz_test(
-            spec, np.array([word]), depth, depth, L, pool, x=x_src)
+            spec, np.array([word]), depth, L, pool, x=x_src)
         tested += 1
         if usable[0] and worst[0] < 1.0:
             hits += 1
@@ -583,7 +585,7 @@ def _per_target_nearest_crossings(spec, digits, pool, x_ref):
     return dist
 
 
-def _pool_variants(pool):
+def _pool_variants(spec, pool):
     """The pool, the pool on [2, 2.9], and its tube-0 leaves only.
 
     Crossings of A and C cluster near pi, so on the narrow window some
@@ -591,15 +593,12 @@ def _pool_variants(pool):
     tube-0 pool (NaN).
     """
     grid = np.linspace(2.0, 2.9, 17)
-    y, _ = leaf_states(pool.spec, pool.digits, grid)
+    y, _ = leaf_states(spec, pool.digits, grid)
     tube0 = pool.digits[:, -1] == 0
     return [pool,
-            lam.GammaPool(spec=pool.spec, n_past=pool.n_past, margin=0.0,
-                          grid=grid, digits=pool.digits, y_curves=y,
+            lam.GammaPool(grid=grid, digits=pool.digits, y_curves=y,
                           records=[]),
-            lam.GammaPool(spec=pool.spec, n_past=pool.n_past,
-                          margin=pool.margin, grid=pool.grid,
-                          digits=pool.digits[tube0],
+            lam.GammaPool(grid=pool.grid, digits=pool.digits[tube0],
                           y_curves=pool.y_curves[tube0], records=[])]
 
 
@@ -625,8 +624,8 @@ def test_nearest_crossings_match_per_target_scan(monkeypatch, spec, n):
         rng = np.random.default_rng(seed)
         digits = rng.integers(0, spec.d, (60, int(rng.integers(3, 8))))
         x_ref = rng.uniform(-0.5, TWO_PI + 0.5, 60)
-        for pool in _pool_variants(lam.build_gamma_pool(spec, n, 16,
-                                                        seed=seed)):
+        for pool in _pool_variants(spec, lam.build_gamma_pool(spec, n, 16,
+                                                              seed=seed)):
             ref, ref_cells = _with_refine_spy(
                 monkeypatch, _per_target_nearest_crossings, spec, digits,
                 pool, x_ref)
@@ -676,7 +675,7 @@ def test_nearest_crossings_match_refining_every_cell(spec, n):
                           ref, equal_nan=True)
 
 
-def test_nearest_crossings_count_contact_runs():
+def test_nearest_crossings_count_contact_runs(monkeypatch):
     # FLAT's leaves all have y = 0: each (target, pool leaf) row is one
     # contact run over the whole grid, a crossing at its middle grid point
     # (pi on the pool grid); the per-target sign scan found none.
@@ -691,7 +690,8 @@ def test_nearest_crossings_count_contact_runs():
     ref = _per_target_nearest_crossings(FLAT, digits, pool, x_ref)
     assert np.all(ref == math.inf)
     # on 256 grid points the run's middle is point 127, below pi
-    even = lam.build_gamma_pool(FLAT, 8, 16, seed=1, samples=256)
+    monkeypatch.setattr(lam, "POOL_SAMPLES", 256)
+    even = lam.build_gamma_pool(FLAT, 8, 16, seed=1)
     assert np.array_equal(lam._nearest_crossings(FLAT, digits, even, x_ref),
                           np.abs(even.grid[127] - x_ref))
 

@@ -15,10 +15,14 @@ LAYERS = ("cli", "coding", "geometry", "lamination", "maps", "numerics",
           "thermo")
 
 
+def _program_sources():
+    return [p.read_text() for p in (*ROOT.glob("src/solenoidlab/*.py"),
+                                    *ROOT.glob("demos/*.py"))
+            if p.name != "__init__.py"]
+
+
 def test_every_public_function_has_a_program_caller():
-    sources = [p.read_text() for p in (*ROOT.glob("src/solenoidlab/*.py"),
-                                       *ROOT.glob("demos/*.py"))
-               if p.name != "__init__.py"]
+    sources = _program_sources()
     unused = []
     for layer in LAYERS:
         module = importlib.import_module(f"solenoidlab.{layer}")
@@ -49,3 +53,24 @@ def test_layer_modules_leave_encoding_and_files_to_the_cli():
         text = Path(module.__file__).read_text()
         found += [f"{layer}: open("] * len(re.findall(r"\bopen\(", text))
     assert found == ["maps.SolenoidSpec.to_dict"]
+
+
+def test_every_public_member_of_a_layer_class_has_a_program_reader():
+    # A method, property or classmethod that only tests read is state or
+    # API kept for nothing, like a public function without a caller.
+    sources = _program_sources()
+    unread = []
+    for layer in LAYERS:
+        module = importlib.import_module(f"solenoidlab.{layer}")
+        for cls_name, cls in vars(module).items():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__:
+                continue
+            for name, member in vars(cls).items():
+                if name.startswith("_") or not (
+                        inspect.isfunction(member) or isinstance(
+                            member, (property, classmethod, staticmethod))):
+                    continue
+                if not any(re.search(rf"\.{name}\b", text)
+                           for text in sources):
+                    unread.append(f"{layer}.{cls_name}.{name}")
+    assert unread == []

@@ -255,9 +255,25 @@ class _Stages:
     def record(self, name, seconds):
         """Log a stage that took `seconds`, with the memory high-water mark."""
         self.timings[name] = 1000.0 * seconds
-        # ru_maxrss is in KiB on Linux.
-        self.rss_high_water_mb[name] = resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        self.rss_high_water_mb[name] = _peak_rss_mb()
+
+
+def _peak_rss_mb():
+    """This process's own peak resident memory, in MB.
+
+    Reads VmHWM from /proc/self/status.  On Linux `ru_maxrss` starts at
+    the parent's high-water mark when the parent spawns a child through
+    vfork and exec, so it is read only where that line is missing.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    # ru_maxrss is in KiB on Linux.
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _write(path, text):

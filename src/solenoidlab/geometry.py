@@ -10,10 +10,11 @@ full attractor is never held: `attractor_cloud` streams it in chunks of
 whole fibres, and the same word over adjacent fibers lies on one leaf,
 so `attractor_dimension` counts the leaf chords between adjacent fibers,
 down to max((sup lam')**n, chord error), well below the fiber spacing.
-It takes the chords one chunk at a time and drops each box column the
-sweep has passed.  The scale window is auto-selected away from the
-too-few-boxes and saturation regimes and never descends below the
-cloud's stated resolution.
+Only `_sweep` knows the stream is whole fibres in x order: one window
+per chunk gives the chord error and the chords, and the counter drops
+each box column the sweep has passed.  The scale window is auto-selected
+away from the too-few-boxes and saturation regimes and never descends
+below the cloud's stated resolution.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ def attractor_dimension(spec: SolenoidSpec, n: int, fibers: int,
     labels permute there), so the window reaches below the fibre spacing;
     it is fitted as in `box_dimension`.  The resolution is
     max((sup lam')**n, chord error), where the chord error estimates how
-    far a chord strays from its leaf arc (`_ChordError`); with fewer than
-    three fibres it is max(fibre spacing, (sup lam')**n), which leaves no
-    level to count.
+    far a chord strays from its leaf arc and is read by the main pass of
+    `_sweep`; with fewer than three fibres it is max(fibre spacing,
+    (sup lam')**n), which leaves no level to count.
 
     One sweep over the chunks of `attractor_cloud`: each chunk is built,
     passed to `sink(block)` (a (fibres, d**n, 3) array, in row order),
@@ -163,17 +164,17 @@ def attractor_dimension(spec: SolenoidSpec, n: int, fibers: int,
     def blocks(fib):
         return attractor_cloud(spec, n, xs[fib], threads)
 
-    level, error = -1, _ChordError()
+    level = -1
     if fibers >= 3:
         bound = _finest(spec.contraction_sup() ** n, _TORUS)
         if bound >= 0:
             known = _estimate(blocks, xs, bound, lap)
             level = max(0, min(_next_level(known, n_max), bound))
-    first = _sweep(blocks(slice(None)), level, _TORUS, lap, sink, error)
+    first, error = _sweep(blocks(slice(None)), level, _TORUS, lap, sink)
     resolution = max(spec.contraction_sup() ** n,
-                     error.value if fibers >= 3 else TWO_PI / fibers)
+                     error if fibers >= 3 else TWO_PI / fibers)
     counts = _levels(first, _finest(resolution, _TORUS), n_max,
-                     lambda lv: _sweep(blocks(slice(None)), lv, _TORUS, lap))
+                     lambda lv: _sweep(blocks(slice(None)), lv, _TORUS, lap)[0])
     fit = _fit_counts(counts, n_max, k_scales)
     _release_heap()
     return fit
@@ -201,43 +202,6 @@ def _build_fibres(spec: SolenoidSpec, n: int, xs: np.ndarray) -> np.ndarray:
     block[:, :, 1] = y
     block[:, :, 2] = z
     return block
-
-
-class _ChordError:
-    """Estimated largest gap between a leaf chord and its leaf arc.
-
-    Over one fiber spacing an arc whose second difference across adjacent
-    fibers (word by word) is D2 strays from its chord by about |D2|/8, the
-    exact value for a parabola.  This is an estimate, not a bound: it
-    reads the curvature off the samples themselves.  Chunks of whole
-    fibres are added in order, and the last two fibres of each are carried
-    into the next.
-    """
-
-    def __init__(self):
-        self.tail, self.worst = None, 0.0
-
-    def add(self, block: np.ndarray):
-        if self.tail is not None:
-            self._scan(np.concatenate([self.tail, block[:2]]))
-            block_tail = np.concatenate([self.tail, block[-2:]])[-2:]
-        else:
-            block_tail = block[-2:]
-        self.tail = block_tail.copy()
-        self._scan(block)
-
-    def _scan(self, g):
-        if len(g) < 3:
-            return
-        sq = np.zeros((len(g) - 2, g.shape[1]))
-        for c in range(g.shape[2]):
-            d2 = g[:-2, :, c] - 2.0 * g[1:-1, :, c] + g[2:, :, c]
-            sq += d2 * d2
-        self.worst = max(self.worst, float(sq.max()))
-
-    @property
-    def value(self) -> float:
-        return math.sqrt(self.worst) / 8.0
 
 
 def _lap_clock(times):
@@ -427,7 +391,7 @@ class _BoxCounter:
         empty = np.empty(0, dtype=np.int64)
         self.bands = [(empty, empty)] * (level + 1)
         self.totals = [0] * (level + 1)
-        self.pending, self.last = [], None
+        self.pending = []
 
     def add(self, a: np.ndarray, b: np.ndarray):
         """Feed the chords from each row of a to the same row of b.
@@ -452,20 +416,6 @@ class _BoxCounter:
             if (sum(p[0].size for p in self.pending)
                     >= self.bands[0][0].size):
                 self._merge()
-
-    def add_fibres(self, block: np.ndarray):
-        """Feed the leaf chords from the last fibre fed through `block`.
-
-        block holds whole fibres, (fibres, words, dim), each row of a fibre
-        at its fibre's axis-0 value; then close at the last fibre's.
-        """
-        flat = (-1, block.shape[-1])
-        starts = block[:-1] if self.last is None else np.concatenate(
-            [self.last[None], block[:-1]])
-        self.add(starts.reshape(flat),
-                 block[len(block) - len(starts):].reshape(flat))
-        self.last = block[-1].copy()
-        self.close(block[-1, 0, 0])
 
     def _merge(self):
         if not self.pending:
@@ -528,29 +478,54 @@ def _halve(starts, ends, lo, spans):
         new_lo, new_spans)
 
 
-def _sweep(blocks, level: int, box, lap, sink=None, error=None) -> dict:
+def _sweep(blocks, level: int, box, lap, sink=None):
     """Counts at level .. 0 of the leaf chords between adjacent fibres.
 
     blocks yields chunks of whole fibres, (fibres, words, dim), in
     increasing axis-0 order, so a chunk's last fibre bounds axis 0 of every
-    later fibre from below.  Each chunk goes to `sink` and `error` (if
-    given), then to the counter.  A negative level counts nothing.
+    later fibre from below.  Each chunk goes to `sink` (if given) and then
+    forms one window behind the last two fibres before it: the counter is
+    fed the window's chords from the last fibre before the chunk on, and
+    closes at the chunk's last fibre.  A negative level counts nothing.
+
+    Returns (counts, chord error): an arc whose second difference across
+    adjacent fibres (word by word) is D2 strays from its chord by about
+    |D2|/8, exact for a parabola, so the chord error is the largest |D2|/8
+    over the windows (0 below three fibres).  An estimate, not a bound: it
+    reads the curvature off the samples themselves.
     """
     counter = _BoxCounter(level, box) if level >= 0 else None
+    tail, worst = None, 0.0
     for block in blocks:
         lap("build")
         if sink is not None:
             sink(block)
             lap("sink")
-        if error is not None:
-            error.add(block)
-            lap("build")
+        window = block if tail is None else np.concatenate([tail, block])
+        tail = window[-2:]  # a view, so the carried copy is freed here
+        worst = max(worst, _largest_d2(window))
+        lap("build")
         if counter is not None:
-            counter.add_fibres(block)
+            flat, first = (-1, window.shape[-1]), len(window) - len(block)
+            counter.add(window[max(first - 1, 0):-1].reshape(flat),
+                        window[max(first, 1):].reshape(flat))
+            counter.close(block[-1, 0, 0])
             lap("count")
+        tail, window = tail.copy(), None  # neither held in the next build
     counts = counter.counts() if counter is not None else {}
     lap("count")
-    return counts
+    return counts, math.sqrt(worst) / 8.0
+
+
+def _largest_d2(window: np.ndarray) -> float:
+    """Largest squared second difference across fibres, word by word."""
+    if len(window) < 3:
+        return 0.0
+    sq = np.zeros((len(window) - 2, window.shape[1]))
+    for c in range(window.shape[2]):
+        d2 = window[:-2, :, c] - 2.0 * window[1:-1, :, c] + window[2:, :, c]
+        sq += d2 * d2
+    return float(sq.max())
 
 
 def _estimate(blocks, xs, finest: int, lap) -> dict:
@@ -565,7 +540,7 @@ def _estimate(blocks, xs, finest: int, lap) -> dict:
     # Two levels below the typical chord length, where gaps share few boxes.
     length = float(np.abs(np.diff(xs[fib])).mean())
     level = math.ceil(-math.log2(length)) + 2 if length > 0 else 0
-    counts = _sweep(blocks(fib), max(0, min(level, finest)), _TORUS, lap)
+    counts = _sweep(blocks(fib), max(0, min(level, finest)), _TORUS, lap)[0]
     return {lv: c * gaps / sample for lv, c in counts.items()}
 
 

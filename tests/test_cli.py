@@ -286,6 +286,24 @@ def test_report_schema_and_determinism(tmp_path):
         assert in_order == [rss[name] for name in report.timings]
 
 
+def test_stage_peaks_leave_out_a_large_parent(tmp_path):
+    # On Linux a child spawned through vfork and exec (as `subprocess` does)
+    # starts its ru_maxrss at the parent's high-water mark, so read from
+    # ru_maxrss every stage of this run gave about 270 MB.
+    path = write_config(tmp_path, spec=dict(BENCH_C))
+    parent = (
+        "import subprocess, sys\n"
+        "touched = b'\\x01' * (256 << 20)\n"
+        "del touched\n"
+        "subprocess.run([sys.executable, '-m', 'solenoidlab.cli', 'bowen',"
+        f" '--config', {path!r}], check=True)\n")
+    subprocess.run([sys.executable, "-c", parent], env=_package_env(),
+                   check=True, capture_output=True, timeout=120)
+    timings = json.loads((tmp_path / "out" / "bowen_timings.json").read_text())
+    peaks = timings["rss_high_water_mb"]
+    assert peaks and max(peaks.values()) < 150, peaks
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["bowen", "--config", str(tmp_path / "missing.json")]) == 2
     bad = write_config(tmp_path, "bad.json",

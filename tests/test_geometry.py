@@ -152,23 +152,25 @@ def test_chord_error_reads_across_chunk_ends():
         for f in range(fibers):
             pts = grid.copy()
             pts[f, 7, 1] += 100.0
-            error = geometry._ChordError()
-            for start in range(0, fibers, step):
-                error.add(pts[start:start + step])
-            assert error.value == _whole_chord_error(
+            chunks = (pts[start:start + step]
+                      for start in range(0, fibers, step))
+            error = geometry._sweep(chunks, -1, geometry._TORUS,
+                                    geometry._lap_clock(None))[1]
+            assert error == _whole_chord_error(
                 pts.reshape(-1, 3), fibers, words), (step, f)
 
 
 def test_attractor_cloud_holds_no_whole_cloud_temporaries():
     # tracemalloc sees numpy buffers: streaming the whole cloud (25 MB)
-    # through the chord error holds a few chunks' worth of temporaries.
-    spec, error = benchmark_a(), geometry._ChordError()
+    # through the sweep's chord error (level -1 counts nothing) holds a few
+    # chunks' worth of temporaries.
+    spec = benchmark_a()
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
-        for block in geometry.attractor_cloud(
-                spec, 12, geometry._fibre_xs(256), 1):
-            error.add(block)
+        geometry._sweep(geometry.attractor_cloud(
+            spec, 12, geometry._fibre_xs(256), 1), -1, geometry._TORUS,
+            geometry._lap_clock(None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,23 +223,22 @@ def test_release_heap_hands_back_the_free_top_of_the_heap():
 def test_deep_chord_count_stays_small_in_a_fresh_process():
     # A's chords (depth 12, 256 fibres) down to 2**-12, where they meet
     # 26.5M boxes: the whole-cloud counter held every box interval of that
-    # level (536 MB); the sweep holds one band of columns.
+    # level (536 MB); the sweep holds one band of columns.  The child reads
+    # its own peak: its ru_maxrss starts at the pytest process's.
     code = (
-        "import resource\n"
-        "from solenoidlab import benchmark_a, geometry as g\n"
+        "from solenoidlab import benchmark_a, cli, geometry as g\n"
         "xs = g._fibre_xs(256)\n"
         "counts = g._sweep(g.attractor_cloud(benchmark_a(), 12, xs, 1), 12,"
-        " g._TORUS, g._lap_clock(None))\n"
-        "print(counts[12], counts[9],"
-        " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        " g._TORUS, g._lap_clock(None))[0]\n"
+        "print(counts[12], counts[9], cli._peak_rss_mb())\n")
     src = os.path.dirname(os.path.dirname(geometry.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=300)
-    boxes, fit_level, maxrss_kb = map(int, out.stdout.split())
-    assert (boxes, fit_level) == (26517766, 774425)
-    assert maxrss_kb / 1024 < 150
+    boxes, fit_level, peak_mb = out.stdout.split()
+    assert (int(boxes), int(fit_level)) == (26517766, 774425)
+    assert float(peak_mb) < 150
 
 
 def test_attractor_cloud_thread_determinism():
@@ -713,7 +714,7 @@ def _sweep_counts(spec, n, fibers, level, threads=1):
     """Counts at level .. 0 from one sweep over freshly built chunks."""
     xs = geometry._fibre_xs(fibers)
     return geometry._sweep(geometry.attractor_cloud(spec, n, xs, threads),
-                           level, geometry._TORUS, geometry._lap_clock(None))
+                           level, geometry._TORUS, geometry._lap_clock(None))[0]
 
 
 def _grid_sweep(grid, level, step=7):
@@ -725,7 +726,7 @@ def _grid_sweep(grid, level, step=7):
     box = [(grid[..., c].min(), grid[..., c].max())
            for c in range(grid.shape[2])]
     return geometry._sweep((grid[f:f + step] for f in range(0, len(grid), step)),
-                           level, box, geometry._lap_clock(None))
+                           level, box, geometry._lap_clock(None))[0]
 
 
 def _chord_fit(points, words, resolution, k_scales=12):

@@ -35,7 +35,7 @@ print(f"y-projection:   slope={fit.slope:.4f} (prediction "
 
 print(f"\npredicted full dimension: {1 + t0:.4f}")
 for fibers in (256, 1024):
-    fit = attractor_dimension(spec, 12, fibers, 12, threads=2)
+    fit = attractor_dimension(spec, 12, fibers, 12)
     band = "in" if abs(fit.slope - (1 + t0)) <= 0.15 else "OUT OF"
     print(f"full cloud fibers={fibers}: {fibers * spec.d ** 12} pts, "
           f"slope={fit.slope:.4f} ({band} band +-0.15), finest scale "

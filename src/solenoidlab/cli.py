@@ -60,7 +60,6 @@ class RunConfig:
     # deviations |alpha - chi|, each one positive
     eps_grid: list = field(default_factory=list, metadata={"positive": True})
     output_dir: str = "out"
-    threads: int = _rule(1, least=1)
     # command-specific knobs
     grid_density: int = _rule(64, least=16)
     # a NaN or infinite tol reads as not a positive finite number
@@ -223,6 +222,11 @@ def load_config(path) -> RunConfig:
         spec = SolenoidSpec.from_dict(raw["spec"])
     except SpecInvalidError as exc:
         raise ConfigError(f"config parse error in field 'spec': {exc}")
+    # Configs from before the sweep lost its thread pool may say "threads": 1.
+    threads = raw.pop("threads", 1)
+    if type(threads) is not int or threads != 1:
+        raise ConfigError("config field 'threads' must be >= 1 and at most 1 "
+                          f"(only the integer 1 is read), got {threads!r}")
     defaults = vars(RunConfig(spec=spec))
     unknown = sorted(k for k in raw if k not in defaults)
     if unknown:
@@ -555,8 +559,7 @@ def _cmd_dimension(cfg, stages, out_dir):
         full_fit = _fit(
             cfg, "full", "full_depth" if cfg.full_depth else "depth_n",
             geometry.attractor_dimension, spec, full_depth, full_fibers,
-            cfg.k_scales, threads=cfg.threads,
-            sink=lambda block: _fibre_csv_rows(fh, block),
+            cfg.k_scales, sink=lambda block: _fibre_csv_rows(fh, block),
             times=times)
     for stage, activity in (("attractor_cloud", "build"),
                             ("full_fit", "count"),
@@ -691,7 +694,10 @@ def run_command(cfg: RunConfig, command: str) -> Report:
     coarse = stages.run("coarse_regime", lambda: thermo.classify_regime(
         cfg.spec, thermo.build_gibbs_model(cfg.spec, 6)))
     out_dir = cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"config field 'output_dir' is unusable: {exc}")
     results = _DISPATCH[command](cfg, stages, out_dir)
     report = Report(command=command, spec_hash=cfg.spec.spec_hash(),
                     inputs=_jsonable({**vars(cfg), "regime": coarse}),
@@ -718,13 +724,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override output_dir")
     parser.add_argument("--seed", type=int, default=None,
                         help="override seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="override worker count")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         for name, value in (("depth_n", args.depth), ("output_dir", args.out),
-                            ("seed", args.seed), ("threads", args.threads)):
+                            ("seed", args.seed)):
             if value is not None:
                 setattr(cfg, name, value)
         report = run_command(cfg, args.command)

@@ -230,11 +230,17 @@ def _require_depth(spec, n, tol):
     return bound
 
 
-def _check_cap(count):
-    """Refuse more than ENUMERATION_CAP rows, the cap read at call time."""
-    if count > ENUMERATION_CAP:
+def _check_cap(d, n, rows=1):
+    """Refuse rows * d**n rows past ENUMERATION_CAP, the cap read at call time.
+
+    From n = ENUMERATION_CAP.bit_length() on, d**n exceeds the cap for
+    every d >= 2, so it is not formed: the refusal is prompt and short.
+    """
+    cap = ENUMERATION_CAP
+    if n >= cap.bit_length() or rows * d ** n > cap:
+        count = f"{d}**{n}" if rows == 1 else f"{rows} x {d}**{n}"
         raise CapExceededError(
-            f"{count} rows exceed the enumeration cap {ENUMERATION_CAP}")
+            f"{count} rows exceed the enumeration cap {cap}")
 
 
 def _digit_rows(idx, d, n):
@@ -258,7 +264,7 @@ def cylinder_endpoints(spec: SolenoidSpec, m: int):
     """
     if m < 1:
         raise ValueError("cylinder generation must be >= 1")
-    _check_cap(spec.d ** m)
+    _check_cap(spec.d, m)
     a = np.array(branch_points(spec))
     ends = descend_levels(spec, a, m - 1)[-1] if m > 1 else a[:, None]
     return ends[:-1].T.ravel(), ends[1:].T.ravel()

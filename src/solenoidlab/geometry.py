@@ -22,9 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -72,7 +70,7 @@ def slice_cloud(spec: SolenoidSpec, x: float, n: int) -> PointCloud:
     """One representative (y, z) per generation-n backward word over fiber x."""
     if n < 0:
         raise ValueError("generation must be >= 0")
-    _check_cap(spec.d ** n)
+    _check_cap(spec.d, n)
     x = float(np.mod(x, TWO_PI))
     y, z = word_representatives(spec, np.array([x]), n)
     pts = np.column_stack([y[0], z[0]])
@@ -83,43 +81,38 @@ def slice_cloud(spec: SolenoidSpec, x: float, n: int) -> PointCloud:
         resolution=spec.contraction_sup() ** n)
 
 
-def attractor_cloud(spec: SolenoidSpec, n: int, xs: np.ndarray,
-                    threads: int):
+def attractor_cloud(spec: SolenoidSpec, n: int, xs: np.ndarray):
     """The full attractor cloud over the fibres xs, as a stream of chunks.
 
     Each chunk is a (fibres, d**n, 3) array of runs of whole fibres of at
     most _CLOUD_CHUNK points (at least one fibre): row w of fibre x holds
     word w over x, and the chunks come in the order of xs.  The descent
     lifts every fibre by the same x + 2*pi*b, so word w over adjacent
-    fibres lies on one continuous leaf.  `attractor_dimension` sweeps this
-    stream; nothing holds the whole cloud.
-
-    `threads` counts the caller: with one, the caller builds each chunk
-    when it asks for it; with more, threads - 1 workers keep as many
-    chunks building ahead while the caller works on one, so at most
-    threads + 1 chunks are alive.  On two cores a worker building beside
-    the caller bought no time at one thread (building and formatting
-    slowed each other), and its own malloc arena held about 4 MB more.
-    The pool's module (with `logging`) is imported only when it is used.
-    A fibre's bits do not depend on the chunk that builds it.
+    fibres lies on one continuous leaf.  Each chunk is built only when the
+    caller asks for it; `attractor_dimension` sweeps this stream, and
+    nothing holds the whole cloud.
     """
-    todo = (xs[rows] for rows in _fibre_chunks(xs.size, spec.d ** n))
-    if threads == 1:
-        yield from (_build_fibres(spec, n, x) for x in todo)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        ahead = deque(pool.submit(_build_fibres, spec, n, x)
-                      for x in islice(todo, threads - 1))
-        while ahead:
-            done = ahead.popleft()
-            ahead.extend(pool.submit(_build_fibres, spec, n, x)
-                         for x in islice(todo, 1))
-            yield done.result()
+    step = max(1, _CLOUD_CHUNK // spec.d ** n)
+    for start in range(0, xs.size, step):
+        yield _build_fibres(spec, n, xs[start:start + step])
+
+
+def _build_fibres(spec: SolenoidSpec, n: int, xs: np.ndarray) -> np.ndarray:
+    """Every generation-n word over each fibre of xs: (len(xs), d**n, 3).
+
+    Kept out of `attractor_cloud`, whose frame would hold y and z across
+    the sweep's work: A's full sweep then took 17.5k page faults, not 1.7k.
+    """
+    y, z = word_representatives(spec, xs, n)
+    block = np.empty(y.shape + (3,))
+    block[:, :, 0] = xs[:, None]
+    block[:, :, 1] = y
+    block[:, :, 2] = z
+    return block
 
 
 def attractor_dimension(spec: SolenoidSpec, n: int, fibers: int,
-                        k_scales: int = 12, threads: int = 1, sink=None,
+                        k_scales: int = 12, sink=None,
                         times=None) -> DimensionFit:
     """Box-counting fit of the full attractor over `fibers` equal fibres.
 
@@ -147,22 +140,20 @@ def attractor_dimension(spec: SolenoidSpec, n: int, fibers: int,
     of |cloud|/4 boxes, the chunks are built again for a finer pass,
     without `sink`.
 
-    `threads` builds the chunks as in `attractor_cloud` (the caller's
-    thread formats and counts), and every bit of the fit is the same for
-    any value.  `times`, if given, is a dict that gains the seconds spent
-    on "build" (building, or waiting for, chunks and the chord error),
-    "count" and "sink".  The freed heap goes back to the system after the
-    fit (`_release_heap`), outside those laps.
+    `times`, if given, is a dict that gains the seconds spent on "build"
+    (building chunks and reading the chord error), "count" and "sink".
+    The freed heap goes back to the system after the fit
+    (`_release_heap`), outside those laps.
     """
     if fibers <= 0:
         raise ValueError("fiber count must be positive; empty cloud requested")
-    _check_cap(fibers * spec.d ** n)
+    _check_cap(spec.d, n, fibers)
     n_max = _fit_limit(fibers * spec.d ** n, k_scales)
     lap = _lap_clock(times)
     xs = _fibre_xs(fibers)
 
     def blocks(fib):
-        return attractor_cloud(spec, n, xs[fib], threads)
+        return attractor_cloud(spec, n, xs[fib])
 
     level = -1
     if fibers >= 3:
@@ -186,22 +177,6 @@ _TORUS = ((0.0, TWO_PI), (-1.0, 1.0), (-1.0, 1.0))
 
 def _fibre_xs(fibers: int) -> np.ndarray:
     return TWO_PI * np.arange(fibers) / fibers
-
-
-def _fibre_chunks(fibers: int, words: int) -> list:
-    """Runs of whole fibres of at most _CLOUD_CHUNK points, at least one fibre."""
-    step = max(1, _CLOUD_CHUNK // words)
-    return [slice(f, min(f + step, fibers)) for f in range(0, fibers, step)]
-
-
-def _build_fibres(spec: SolenoidSpec, n: int, xs: np.ndarray) -> np.ndarray:
-    """Every generation-n word over each fibre of xs: (len(xs), d**n, 3)."""
-    y, z = word_representatives(spec, xs, n)
-    block = np.empty(y.shape + (3,))
-    block[:, :, 0] = xs[:, None]
-    block[:, :, 1] = y
-    block[:, :, 2] = z
-    return block
 
 
 def _lap_clock(times):
@@ -774,8 +749,8 @@ def overlap_multiplicity(spec: SolenoidSpec, n: int,
     """
     if x_samples < 1:
         raise ValueError("need at least one sampled fiber")
+    _check_cap(spec.d, n, x_samples)
     count = spec.d ** n
-    _check_cap(count * x_samples)
     half = np.exp(birkhoff_table(spec, n).lam_sup)
     y, _ = word_representatives(spec, _fibre_xs(x_samples), n)
 

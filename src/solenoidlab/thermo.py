@@ -126,7 +126,7 @@ def birkhoff_table(spec: SolenoidSpec, n: int) -> BirkhoffTable:
     """
     if n < 1:
         raise ValueError("table generation must be >= 1")
-    _check_cap(spec.d ** n)
+    _check_cap(spec.d, n)
     return _birkhoff_table(spec, n)
 
 

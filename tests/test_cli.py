@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from solenoidlab import (ConfigError, PointCloud, SolenoidSpec,
                          validate_spec)
 from solenoidlab import cli, geometry, lamination, thermo
 from solenoidlab.coding import leaf_states
-from test_geometry import _whole_attractor_cloud
+from test_geometry import D3, _whole_attractor_cloud
 
 T0_A = math.log(2.0) / math.log(2.5)
 
@@ -331,8 +333,6 @@ def test_main_overrides(tmp_path):
                  "{}={}".format(*next(iter(fields.items()))))
     for flags, fields, name in [
         (["--depth", "0"], {}, "depth_n"), (["--depth", "-3"], {}, "depth_n"),
-        (["--threads", "0"], {}, "threads"),
-        (["--threads", "-2"], {}, "threads"),
         ([], {"depth_n": -3}, "depth_n"), ([], {"fibers": 0}, "fibers"),
         ([], {"threads": 0}, "threads"),
         ([], {"full_depth": -1}, "full_depth"),
@@ -414,7 +414,7 @@ _RULES = {f.name: f.metadata for f in _FIELDS}
 _RULED = [name for name, rule in _RULES.items() if rule]
 _NUMBERS = [f.name for f in _FIELDS
             if type(_DEFAULTS[f.name]) in (int, float, list)]
-_FLAGS = {"depth_n": "--depth", "seed": "--seed", "threads": "--threads"}
+_FLAGS = {"depth_n": "--depth", "seed": "--seed"}
 
 
 def _past_bound(name):
@@ -468,6 +468,66 @@ def test_readme_names_every_ruled_field():
     start = readme.index("Run sizes are checked")
     paragraph = readme[start:readme.index("\n\n", start)]
     assert [n for n in _RULED if f"`{n}`" not in paragraph] == []
+
+
+def test_old_configs_may_say_threads_1(tmp_path):
+    # The sweep's thread pool is gone; configs written for it may still
+    # say "threads": 1, which changes nothing.
+    reports = [cli.run_command(cli.load_config(
+        write_config(tmp_path, name, **extra)), "bowen").to_json()
+        for name, extra in (("new.json", {}), ("old.json", {"threads": 1}))]
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("value", [0, 2, 1.0, True, "1", math.nan],
+                         ids=["0", "2", "1.0", "true", "str", "nan"])
+def test_threads_other_than_the_integer_1_exits_2(tmp_path, capsys, value):
+    _refused(tmp_path, capsys, "threads", {"threads": value})
+
+
+@pytest.mark.parametrize("spec, depth", [
+    pytest.param(spec, depth, id=f"{name}-{depth}")
+    for name, spec, depth in [
+        ("A", BENCH_A, 15000), ("D3", D3.to_dict(), 9012),
+        ("D3", D3.to_dict(), 9013), ("D3", D3.to_dict(), 10_000_000)]])
+def test_deep_cap_refusal_is_prompt_and_short(tmp_path, capsys, spec, depth):
+    # d**depth once went into the message in full: past 4300 digits its
+    # text conversion raised ValueError (exit 1), and 3**10**7 took 3 s.
+    path = write_config(tmp_path, spec=spec)
+    start = time.perf_counter()
+    assert cli.main(["bowen", "--config", path, "--depth", str(depth)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert len(capsys.readouterr().err) < 200
+
+
+@pytest.mark.parametrize("out", ["", "file", "file/sub"],
+                         ids=["empty", "file", "under-file"])
+def test_unusable_output_dir_exits_2(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("")
+    path = write_config(tmp_path)
+    out = str(tmp_path / out) if out else out
+    assert cli.main(["validate", "--config", path, "--out", out]) == 2
+    assert "config field 'output_dir'" in capsys.readouterr().err
+
+
+def test_benchmark_configs_load(tmp_path, monkeypatch):
+    # perfbench/run.py hands these configs to the CLI, so each must load
+    # and pass every field check; this reads perfbench/ and changes nothing.
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    monkeypatch.syspath_prepend(bench)  # run.py imports tracing
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(bench, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+    assert run.WORKLOADS
+    for name, workload in run.WORKLOADS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(
+            {**workload.config, "output_dir": str(tmp_path / name)}))
+        cfg = cli.load_config(str(path))
+        cli._check_fields(cfg, vars(cfg))
 
 
 def test_main_reaches_setup_and_run_through_the_module(tmp_path, monkeypatch):
@@ -739,8 +799,7 @@ def test_report_does_not_load_numpy_ma(tmp_path):
 
 def test_bowen_loads_neither_openssl_nor_the_thread_pool(tmp_path):
     # hashlib loads OpenSSL's libcrypto for the one spec hash, and
-    # concurrent.futures loads logging for a pool that threads = 1 never
-    # starts.
+    # concurrent.futures loads logging, which no command uses.
     path = write_config(tmp_path, spec=BENCH_C, depth_n=8)
     code = ("import sys; from solenoidlab import cli; "
             f"assert cli.main(['bowen', '--config', {path!r}]) == 0; "

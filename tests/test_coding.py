@@ -103,9 +103,9 @@ def test_enumeration_order_and_cap():
     assert [_word_label(w) for w in words_of(2, 2)] == ["00", "01", "10",
                                                        "11"]
     assert [_word_label(w) for w in words_of(3, 1)] == ["0", "1", "2"]
-    coding._check_cap(coding.ENUMERATION_CAP)
+    coding._check_cap(2, 24)
     with pytest.raises(CapExceededError):
-        coding._check_cap(spec.d ** 25)
+        coding._check_cap(spec.d, 25)
 
 
 def test_cylinder_intervals_linear():

@@ -12,7 +12,7 @@ DEMO_LINES = {
     "01_map_family_basics": "weak contraction fails:",
     "02_symbolic_coding": "generation-3 intervals cover",
     "03_dimension_prediction": "root interval",
-    "04_box_counting": "full cloud fibers=1024",  # built with threads=2
+    "04_box_counting": "full cloud fibers=1024",
     "05_leaves_and_holonomy": "minimum crossing angle",
     "06_measure_behavior": "max full-overlap order",
 }

@@ -47,10 +47,10 @@ def test_slice_cloud_refinement():
         assert np.max(np.sqrt(d2)) <= spec.contraction_sup() ** n
 
 
-def _streamed(spec, n, fibers, threads=1):
+def _streamed(spec, n, fibers):
     """Every chunk of `attractor_cloud` over `fibers` equal fibres, joined."""
     return np.concatenate(list(geometry.attractor_cloud(
-        spec, n, geometry._fibre_xs(fibers), threads)))
+        spec, n, geometry._fibre_xs(fibers))))
 
 
 def test_clouds_stay_in_domain():
@@ -131,15 +131,13 @@ def test_chunked_attractor_cloud_matches_whole_build(monkeypatch, spec, n,
     pts, resolution = _whole_attractor_cloud(spec, n, fibers)
     words = spec.d ** n
     step = max(1, geometry._CLOUD_CHUNK // words)
-    for threads in (1, 2, 3):
-        blocks = list(geometry.attractor_cloud(
-            spec, n, geometry._fibre_xs(fibers), threads))
-        # Runs of whole fibres of at most _CLOUD_CHUNK points (or one fibre).
-        assert [len(b) for b in blocks[:-1]] == [step] * (len(blocks) - 1)
-        assert all(b.shape[1:] == (words, 3) for b in blocks)
-        assert np.array_equal(np.concatenate(blocks).reshape(-1, 3), pts)
-        assert _traced_dimension(monkeypatch, spec, n, fibers,
-                                 threads=threads)[1] == resolution
+    blocks = list(geometry.attractor_cloud(
+        spec, n, geometry._fibre_xs(fibers)))
+    # Runs of whole fibres of at most _CLOUD_CHUNK points (or one fibre).
+    assert [len(b) for b in blocks[:-1]] == [step] * (len(blocks) - 1)
+    assert all(b.shape[1:] == (words, 3) for b in blocks)
+    assert np.array_equal(np.concatenate(blocks).reshape(-1, 3), pts)
+    assert _traced_dimension(monkeypatch, spec, n, fibers)[1] == resolution
 
 
 def test_chord_error_reads_across_chunk_ends():
@@ -169,7 +167,7 @@ def test_attractor_cloud_holds_no_whole_cloud_temporaries():
     try:
         entry = tracemalloc.get_traced_memory()[0]
         geometry._sweep(geometry.attractor_cloud(
-            spec, 12, geometry._fibre_xs(256), 1), -1, geometry._TORUS,
+            spec, 12, geometry._fibre_xs(256)), -1, geometry._TORUS,
             geometry._lap_clock(None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -228,7 +226,7 @@ def test_deep_chord_count_stays_small_in_a_fresh_process():
     code = (
         "from solenoidlab import benchmark_a, cli, geometry as g\n"
         "xs = g._fibre_xs(256)\n"
-        "counts = g._sweep(g.attractor_cloud(benchmark_a(), 12, xs, 1), 12,"
+        "counts = g._sweep(g.attractor_cloud(benchmark_a(), 12, xs), 12,"
         " g._TORUS, g._lap_clock(None))[0]\n"
         "print(counts[12], counts[9], cli._peak_rss_mb())\n")
     src = os.path.dirname(os.path.dirname(geometry.__file__))
@@ -239,13 +237,6 @@ def test_deep_chord_count_stays_small_in_a_fresh_process():
     boxes, fit_level, peak_mb = out.stdout.split()
     assert (int(boxes), int(fit_level)) == (26517766, 774425)
     assert float(peak_mb) < 150
-
-
-def test_attractor_cloud_thread_determinism():
-    spec = benchmark_c()
-    a = _streamed(spec, 5, 12, threads=1)
-    b = _streamed(spec, 5, 12, threads=3)
-    assert np.array_equal(a, b)
 
 
 def test_attractor_cloud_errors():
@@ -340,8 +331,6 @@ def test_chord_counts_floor_and_threads(monkeypatch):
     fit, resolution = _traced_dimension(monkeypatch, spec, n, fibers, 12)
     assert resolution >= spec.contraction_sup() ** n
     assert resolution <= fit.scale_lo < 2 * np.pi / fibers
-    assert _traced_dimension(monkeypatch, spec, n, fibers, 12,
-                             threads=3) == (fit, resolution)
 
 
 def _box_count(points, r):
@@ -710,10 +699,10 @@ def _dyadic_counts(points, stride, resolution, n_max):
     return {lv: counts[lv] for lv in range(min(j, finest) + 1)}
 
 
-def _sweep_counts(spec, n, fibers, level, threads=1):
+def _sweep_counts(spec, n, fibers, level):
     """Counts at level .. 0 from one sweep over freshly built chunks."""
     xs = geometry._fibre_xs(fibers)
-    return geometry._sweep(geometry.attractor_cloud(spec, n, xs, threads),
+    return geometry._sweep(geometry.attractor_cloud(spec, n, xs),
                            level, geometry._TORUS, geometry._lap_clock(None))[0]
 
 
@@ -763,10 +752,9 @@ def test_sweep_counts_match_whole_cloud_oracle(spec, n, fibers):
     deep = _dyadic_counts(pts, words, 2.0 ** -level, 1e18)
     assert list(deep) == list(range(level + 1))
     fit = _fit_or_refusal(geometry._fit_counts, want, n_max, 12)
-    for threads in (1, 2, 3):
-        assert _sweep_counts(spec, n, fibers, level, threads) == deep
-        assert _fit_or_refusal(geometry.attractor_dimension, spec, n, fibers,
-                               12, threads=threads) == fit
+    assert _sweep_counts(spec, n, fibers, level) == deep
+    assert _fit_or_refusal(geometry.attractor_dimension, spec, n, fibers,
+                           12) == fit
 
 
 def test_sweep_counts_match_oracle_on_steep_lines():
